@@ -8,6 +8,8 @@ the highest reversed bit), which is what ``lex_sorted`` sorts by.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 MAX_UNIVERSE = 64
@@ -77,7 +79,30 @@ def member_lookup(masks: np.ndarray, sorted_table: np.ndarray) -> np.ndarray:
 
 
 def mask_of(members) -> int:
+    """The mask of an iterable of 1-indexed members."""
     m = 0
     for x in members:
         m |= 1 << (x - 1)
     return m
+
+
+def members_of(mask: int) -> list[int]:
+    """The 1-indexed members of ``mask`` in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def submasks(lower: int, upper: int) -> Iterator[int]:
+    """Every mask C with lower <= C <= upper, from ``upper`` down to
+    ``lower``; ``lower`` must be a submask of ``upper``."""
+    diff = upper & ~lower
+    sub = diff
+    while True:
+        yield lower | sub
+        if not sub:
+            return
+        sub = (sub - 1) & diff

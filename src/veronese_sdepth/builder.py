@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .core import (
     RegimeDecomposition,
     large_n_density_shift,
     regime_of,
+    sdepth_upper_bound,
 )
 from .errors import (
     InternalCheckError,
@@ -53,7 +54,6 @@ from .lifting import (
     IntervalFamily,
     PosetInterval,
     closure_upper_mask,
-    is_covered,
     validate_lift_params,
 )
 
@@ -61,6 +61,13 @@ DEFAULT_SWEEP_CAP = 5_000_000
 
 # Full materialization enumerates all 2^n masks.
 MATERIALIZE_LIMIT = 26
+
+
+def within_cap(n: int, cap: int) -> bool:
+    """True when materializing (or verifying) a partition of [n] stays
+    within ``cap``: the largest level, C(n, ceil(n/2)), is its biggest
+    sweep."""
+    return n <= MATERIALIZE_LIMIT and comb(n, (n + 1) // 2) <= cap
 
 
 @dataclass(frozen=True)
@@ -167,18 +174,40 @@ class LayeredCertificate:
     trace: BuilderTrace
 
 
-def _plan_for(reg: RegimeDecomposition) -> list[tuple[int, int]]:
+class _Plan(NamedTuple):
+    """What one construction stacks: the (level, s) layers, the sizes the
+    base layer must cover on its own, and the minimum upper size the
+    partition reaches (exact through the Mid regime and for k3, a floor
+    beyond the threshold)."""
+
+    layers: list[tuple[int, int]]
+    ensure: tuple[int, ...]
+    min_upper: int
+
+
+def _plan_for(reg: RegimeDecomposition, k3: bool = False) -> _Plan:
     n, d, k = reg.n, reg.d, reg.k
-    if reg.regime is Regime.TRIVIAL_RANGE:
-        return []
-    if reg.regime is Regime.K1:
-        return [(d, 1)]
-    if reg.regime is Regime.K2:
-        return [(d, 2), (d + 1, 1)]
-    if reg.regime is Regime.MID:
-        return [(d, k)] + [(d + l, k - 1) for l in range(1, k)]
-    s = large_n_density_shift(n, d)
-    return [(d, k)] + [(d + q, s) for q in range(1, s + 1)]
+    ensure: tuple[int, ...] = ()
+    if k3:
+        if n != 4 * d + 3:
+            raise PreconditionViolatedError("the k3 construction needs n = 4d + 3")
+        layers = [(d, 3), (d + 2, 1)]
+        ensure = (d + 1,)
+    elif reg.regime is Regime.TRIVIAL_RANGE:
+        layers = []
+    elif reg.regime is Regime.K1:
+        layers = [(d, 1)]
+    elif reg.regime is Regime.K2:
+        layers = [(d, 2), (d + 1, 1)]
+    elif reg.regime is Regime.MID:
+        layers = [(d, k)] + [(d + l, k - 1) for l in range(1, k)]
+    else:
+        s = large_n_density_shift(n, d)
+        layers = [(d, k)] + [(d + q, s) for q in range(1, s + 1)]
+    # The layer levels and ensured sizes run contiguously up from d and all
+    # end up covered, so every uncovered set, and every layered upper
+    # endpoint, has at least the next size.
+    return _Plan(layers, ensure, d + len(layers) + len(ensure))
 
 
 def _check_plan(plan: Sequence[tuple[int, int]]) -> None:
@@ -192,7 +221,7 @@ def _check_plan(plan: Sequence[tuple[int, int]]) -> None:
 
 
 def _run_layers(
-    n: int, plan: Sequence[tuple[int, int]], ensure_after_first: tuple[int, ...] = ()
+    n: int, plan: Sequence[tuple[int, int]], ensure: tuple[int, ...] = ()
 ) -> tuple[list[IntervalFamily], set[int], list[LayerTrace]]:
     """Select intervals layer by layer.
 
@@ -200,6 +229,7 @@ def _run_layers(
     selected interval, and per-layer counts.  A repeated member mask means
     two selected intervals overlap, which the construction forbids; that
     is detected via the set-size delta and reported as an internal error.
+    Every set of a size in ``ensure`` must be covered by the first layer.
     """
     _check_plan(plan)
     covered: set[int] = set()
@@ -212,21 +242,13 @@ def _run_layers(
         volume = 1 << s
         for combo in combinations(range(1, n + 1), level):
             candidates += 1
-            mask = 0
-            for x in combo:
-                mask |= 1 << (x - 1)
+            mask = bitops.mask_of(combo)
             if idx and mask in covered:
                 continue
             upper = closure_upper_mask(n, level, s, combo)
             table[mask] = upper
             before = len(covered)
-            diff = upper & ~mask
-            sub = diff
-            while True:
-                covered.add(mask | sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & diff
+            covered.update(bitops.submasks(mask, upper))
             if len(covered) - before != volume:
                 raise InternalCheckError(
                     f"interval at {combo} overlaps an earlier selection"
@@ -237,7 +259,7 @@ def _run_layers(
             LayerTrace(tag, level, s + 1, candidates, len(table), candidates - len(table))
         )
         if idx == 0:
-            for size in ensure_after_first:
+            for size in ensure:
                 for combo in combinations(range(1, n + 1), size):
                     if bitops.mask_of(combo) not in covered:
                         raise InternalCheckError(
@@ -267,19 +289,16 @@ def _trivial_completion(
 
 
 def _assemble(
-    n: int,
-    d: int,
-    reg: RegimeDecomposition,
-    plan: Sequence[tuple[int, int]],
-    ensure_after_first: tuple[int, ...],
-    expected_min: tuple[str, int],
+    reg: RegimeDecomposition, k3: bool = False
 ) -> tuple[IntervalPartition, BuilderTrace]:
+    n, d = reg.n, reg.d
     if n > MATERIALIZE_LIMIT:
         raise PreconditionViolatedError(
             f"materializing all subsets of [{n}] is beyond desk scale; "
             "use certify_layered for the bound"
         )
-    layers, covered, traces = _run_layers(n, plan, ensure_after_first)
+    plan = _plan_for(reg, k3)
+    layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
     trivial = _trivial_completion(n, d, covered)
     dtype = bitops.mask_dtype(n)
     lo_parts, up_parts, id_parts = [], [], []
@@ -299,11 +318,14 @@ def _assemble(
         np.concatenate(id_parts),
         tuple(fam.label for fam in layers) + ("trivial",),
     )
-    kind, bound = expected_min
+    # Below the threshold the plan's minimum meets the upper bound, so this
+    # pins the value exactly there and brackets it beyond.
     got = part.min_upper_size()
-    if (kind == "eq" and got != bound) or (kind == "ge" and got < bound):
+    upper = sdepth_upper_bound(n, d)
+    if not plan.min_upper <= got <= upper:
         raise InternalCheckError(
-            f"built partition has min upper size {got}, expected {kind} {bound}"
+            f"built partition has min upper size {got}, "
+            f"expected between {plan.min_upper} and {upper}"
         )
     return part, BuilderTrace(tuple(traces), int(len(trivial)))
 
@@ -315,15 +337,7 @@ def build_partition(n: int, d: int) -> tuple[IntervalPartition, BuilderTrace]:
     d + k through the Mid regime, and at least d + 1 + s beyond the
     threshold.
     """
-    reg = regime_of(n, d)
-    plan = _plan_for(reg)
-    if reg.regime is Regime.TRIVIAL_RANGE:
-        expected = ("eq", d)
-    elif reg.regime is Regime.LARGE:
-        expected = ("ge", d + 1 + large_n_density_shift(n, d))
-    else:
-        expected = ("eq", d + reg.k)
-    return _assemble(n, d, reg, plan, (), expected)
+    return _assemble(regime_of(n, d))
 
 
 def build_partition_k3(d: int) -> tuple[IntervalPartition, BuilderTrace]:
@@ -333,19 +347,15 @@ def build_partition_k3(d: int) -> tuple[IntervalPartition, BuilderTrace]:
     remainder from size d + 3 up.  Minimum upper size is exactly d + 3."""
     if d < 1:
         raise PreconditionViolatedError(f"need d >= 1, got {d}")
-    n = 4 * d + 3
-    reg = regime_of(n, d)
-    plan = [(d, 3), (d + 2, 1)]
-    return _assemble(n, d, reg, plan, (d + 1,), ("eq", d + 3))
+    return _assemble(regime_of(4 * d + 3, d), k3=True)
 
 
-def coverage_query(dset: CircularSet, selected_layers) -> bool:
-    """True iff some interval in the selected layers contains ``dset``.
-
-    Probes every layer's lower-endpoint table with the subsets of ``dset``
-    at that layer's lower size and tests the upper endpoint.
-    """
-    return any(is_covered(dset, fam) for fam in selected_layers)
+def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
+    """One interval per (d+l)-subset of [n], upper size d + l + s; the
+    family is pairwise disjoint (an overlap is an internal error).  Lower
+    endpoints run in lexicographic order."""
+    layers, _, _ = _run_layers(n, [(d + l, s)])
+    return layers[0]
 
 
 def certify_layered(
@@ -362,20 +372,11 @@ def certify_layered(
     would exceed ``cap`` enumerated subsets.
     """
     reg = regime_of(n, d)
-    if use_k3:
-        if n != 4 * d + 3:
-            raise PreconditionViolatedError("the k3 construction needs n = 4d + 3")
-        plan = [(d, 3), (d + 2, 1)]
-        ensure = (d + 1,)
-        floor = d + 3
-    else:
-        plan = _plan_for(reg)
-        ensure = ()
-        floor = d + len(plan)
-    estimated = sum(comb(n, level) * ((1 << s) + 1) for level, s in plan)
+    plan = _plan_for(reg, use_k3)
+    estimated = sum(comb(n, level) * ((1 << s) + 1) for level, s in plan.layers)
     if estimated > cap:
         return None
-    layers, covered, traces = _run_layers(n, plan, ensure)
+    layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
     upper_sizes = [fam.upper_size() for fam in layers if len(fam)]
     layered_min = min(upper_sizes) if upper_sizes else None
     if covered:
@@ -385,7 +386,7 @@ def certify_layered(
     else:
         hist = np.zeros(n + 1, dtype=np.int64)
     value, exact = layered_min, True
-    for size in range(floor, n + 1):
+    for size in range(plan.min_upper, n + 1):
         total = comb(n, size)
         if total > cap:
             value = size if value is None else min(value, size)

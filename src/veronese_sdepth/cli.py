@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from math import comb
 
 import numpy as np
 
@@ -30,10 +29,10 @@ from . import bitops
 from .blocks import Density, block_structure
 from .builder import (
     DEFAULT_SWEEP_CAP,
-    MATERIALIZE_LIMIT,
     IntervalPartition,
     build_partition,
     build_partition_k3,
+    within_cap,
 )
 from .core import (
     CircularSet,
@@ -54,7 +53,12 @@ from .errors import (
     SOutOfRangeError,
     UniverseMismatchError,
 )
-from .verify import exact_sdepth, sdepth_report, verify_partition
+from .verify import (
+    DEFAULT_ORACLE_BUDGET,
+    exact_sdepth,
+    sdepth_report,
+    verify_partition,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,10 +174,6 @@ def parse_partition_file(path: str) -> IntervalPartition:
     )
 
 
-def _within_cap(n: int, cap: int) -> bool:
-    return n <= MATERIALIZE_LIMIT and comb(n, (n + 1) // 2) <= cap
-
-
 def cmd_report(args) -> int:
     rep = sdepth_report(
         args.n,
@@ -206,7 +206,7 @@ def cmd_build(args) -> int:
     if args.k3 and n != 4 * d + 3:
         print(f"--k3 requires n = 4d + 3 = {4 * d + 3}, got n={n}", file=sys.stderr)
         return EXIT_USAGE
-    if not _within_cap(n, args.cap):
+    if not within_cap(n, args.cap):
         print(
             f"materializing n={n} exceeds the enumeration cap {args.cap}; "
             "use `report` for a layered certificate",
@@ -226,7 +226,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     part = parse_partition_file(args.in_path)
-    if not _within_cap(part.n, args.cap):
+    if not within_cap(part.n, args.cap):
         print(
             f"verifying n={part.n} exceeds the enumeration cap {args.cap}",
             file=sys.stderr,
@@ -258,7 +258,7 @@ def cmd_table(args) -> int:
             reg = regime_of(n, d)
             conjectured = conjectured_sdepth(n, d)
             upper = sdepth_upper_bound(n, d)
-            if not _within_cap(n, args.cap):
+            if not within_cap(n, args.cap):
                 band = k3_band_exact(n, d)
                 cert = "" if band is None else str(band)
                 verified = "SKIPPED(cap)"
@@ -286,6 +286,16 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if value is not None else EXIT_BOUNDS_ONLY
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _range_arg(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -310,7 +320,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def add_cap(sp):
         sp.add_argument(
             "--cap",
-            type=int,
+            type=_positive_int,
             default=DEFAULT_SWEEP_CAP,
             help="max subsets enumerated per verification sweep",
         )
@@ -319,7 +329,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("--oracle", action="store_true", help="also run the exact oracle")
-    sp.add_argument("--oracle-budget", type=int, default=None)
+    sp.add_argument(
+        "--oracle-budget", type=_positive_int, default=DEFAULT_ORACLE_BUDGET
+    )
     add_cap(sp)
     sp.set_defaults(func=cmd_report)
 
@@ -339,7 +351,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="CSV of bounds over ranges")
     sp.add_argument("--d-range", type=_range_arg, required=True)
     sp.add_argument("--n-range", type=_range_arg, required=True)
-    sp.add_argument("--format", choices=["csv"], default="csv")
     add_cap(sp)
     sp.set_defaults(func=cmd_table)
 
@@ -352,7 +363,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="run only the exact oracle (tiny n)")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-d", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument(
+        "--budget", type=_positive_int, default=DEFAULT_ORACLE_BUDGET
+    )
     sp.set_defaults(func=cmd_oracle)
 
     return parser
@@ -364,14 +377,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    if getattr(args, "oracle_budget", None) is None and hasattr(args, "oracle_budget"):
-        from .verify import DEFAULT_ORACLE_BUDGET
-
-        args.oracle_budget = DEFAULT_ORACLE_BUDGET
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        from .verify import DEFAULT_ORACLE_BUDGET
-
-        args.budget = DEFAULT_ORACLE_BUDGET
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

@@ -13,7 +13,12 @@ from enum import Enum
 from math import isqrt
 from typing import Iterable, Iterator
 
-from .errors import PreconditionViolatedError, UniverseMismatchError
+from . import bitops
+from .errors import (
+    InternalCheckError,
+    PreconditionViolatedError,
+    UniverseMismatchError,
+)
 
 
 def _check_nd(n: int, d: int) -> None:
@@ -42,20 +47,11 @@ class CircularSet:
             raise ValueError(f"members {norm} not within [1, {universe}]")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "members", norm)
-        m = 0
-        for x in norm:
-            m |= 1 << (x - 1)
-        object.__setattr__(self, "mask", m)
+        object.__setattr__(self, "mask", bitops.mask_of(norm))
 
     @classmethod
     def from_mask(cls, universe: int, mask: int) -> "CircularSet":
-        members = []
-        x = mask
-        while x:
-            b = x & -x
-            members.append(b.bit_length())
-            x ^= b
-        return cls(universe, members)
+        return cls(universe, bitops.members_of(mask))
 
     @classmethod
     def parse(cls, universe: int, text: str) -> "CircularSet":
@@ -210,10 +206,13 @@ def large_n_density_shift(n: int, d: int) -> int:
             f"n={n} is not above threshold({d})={threshold(d)}"
         )
     s = (isqrt(d * d + 4 * (n + 1)) - (d + 2)) // 2
-    # Both inequalities are forced by the choice of s; failure is a bug.
-    assert s >= 1
-    assert (s + 1) * (d + s + 1) <= n + 1
-    assert all(s + 1 <= (n + 1) // (d + q + 1) for q in range(1, s + 1))
+    # All three facts are forced by the choice of s; failure is a bug.
+    if not (
+        s >= 1
+        and (s + 1) * (d + s + 1) <= n + 1
+        and all(s + 1 <= (n + 1) // (d + q + 1) for q in range(1, s + 1))
+    ):
+        raise InternalCheckError(f"density shift s={s} inadmissible at n={n}, d={d}")
     return s
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from . import bitops
 from .blocks import BlockStructure, Density, block_structure, chain_walk
 from .core import CircularBlock, CircularSet
 from .errors import (
@@ -105,13 +106,7 @@ class PosetInterval:
         return both & ~self.upper.mask == 0 and both & ~other.upper.mask == 0
 
     def member_masks(self) -> Iterator[int]:
-        diff = self.upper.mask & ~self.lower.mask
-        sub = diff
-        while True:
-            yield self.lower.mask | sub
-            if not sub:
-                return
-            sub = (sub - 1) & diff
+        return bitops.submasks(self.lower.mask, self.upper.mask)
 
 
 def lift(a: CircularSet, params: LiftParams) -> CircularSet:
@@ -127,7 +122,8 @@ def lift(a: CircularSet, params: LiftParams) -> CircularSet:
     n = params.n
     padded = a.members + tuple(range(n + 1, 2 * n - params.level_size + 1))
     lifted = CircularSet(params.m, padded)
-    assert len(lifted) == n
+    if len(lifted) != n:
+        raise InternalCheckError(f"lifted set has size {len(lifted)}, expected {n}")
     return lifted
 
 
@@ -142,23 +138,19 @@ def closure_upper_mask(n: int, level_size: int, s: int, members: tuple[int, ...]
     """
     m = (n + 1) * s + n
     elems = list(members) + list(range(n + 1, 2 * n - level_size + 1))
-    chain = chain_walk(m, elems, s + 1, 1)
-    mask = 0
-    for x in members:
-        mask |= 1 << (x - 1)
+    mask = bitops.mask_of(members)
     gap_total = 0
-    for start, blen, glen in chain:
+    for start, blen, glen in chain_walk(m, elems, s + 1, 1):
         if not glen:
             continue
+        # A gap inside [n] is the run of bits gs .. gs + glen - 1.
+        gs = (start - 1 + blen) % m
+        if gs + glen > n:
+            raise InternalCheckError(
+                f"gap at position {gs + 1} of length {glen} leaves [1, {n}] (m={m})"
+            )
+        mask |= ((1 << glen) - 1) << gs
         gap_total += glen
-        gs = start - 1 + blen
-        for off in range(glen):
-            pos = (gs + off) % m + 1
-            if pos > n:
-                raise InternalCheckError(
-                    f"gap position {pos} fell inside the padding (n={n}, m={m})"
-                )
-            mask |= 1 << (pos - 1)
     if len(elems) + gap_total != n + s:
         raise InternalCheckError(
             f"lifted closure has size {len(elems) + gap_total}, expected {n + s}"
@@ -242,28 +234,10 @@ class IntervalFamily:
             return False
         table = self.table
         for combo in combinations(members, self.lower_size):
-            key = 0
-            for x in combo:
-                key |= 1 << (x - 1)
-            up = table.get(key)
+            up = table.get(bitops.mask_of(combo))
             if up is not None and mask & ~up == 0:
                 return True
         return False
-
-
-def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
-    """One interval per (d+l)-subset of [n], upper size d + l + s; the
-    family is pairwise disjoint.  Lower endpoints run in lexicographic
-    order."""
-    level = d + l
-    validate_lift_params(n, level, s)
-    table: dict[int, int] = {}
-    for combo in combinations(range(1, n + 1), level):
-        key = 0
-        for x in combo:
-            key |= 1 << (x - 1)
-        table[key] = closure_upper_mask(n, level, s, combo)
-    return IntervalFamily(n, level, table, f"I[{n},{level},{s + 1}]")
 
 
 def _as_families(family) -> list[IntervalFamily]:

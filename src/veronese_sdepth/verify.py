@@ -16,7 +16,7 @@ size >= t can always self-cover), and returns the largest feasible t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Optional
 
@@ -30,6 +30,7 @@ from .builder import (
     build_partition,
     build_partition_k3,
     certify_layered,
+    within_cap,
 )
 from .core import (
     CircularSet,
@@ -82,21 +83,12 @@ def verify_partition(p: IntervalPartition) -> VerificationVerdict:
     diffs = bitops.popcounts(p.uppers[nt_idx] & ~p.lowers[nt_idx]).astype(np.int64)
     volumes = np.left_shift(1, diffs)
 
-    def expand():
-        lo_arr = p.lowers[nt_idx].tolist()
-        up_arr = p.uppers[nt_idx].tolist()
-        for lo, up in zip(lo_arr, up_arr):
-            diff = up & ~lo
-            sub = diff
-            while True:
-                yield lo | sub
-                if not sub:
-                    break
-                sub = (sub - 1) & diff
-
+    expanded = chain.from_iterable(
+        map(bitops.submasks, p.lowers[nt_idx].tolist(), p.uppers[nt_idx].tolist())
+    )
     members = np.concatenate(
         [
-            np.fromiter(expand(), dtype=dtype, count=int(volumes.sum())),
+            np.fromiter(expanded, dtype=dtype, count=int(volumes.sum())),
             p.lowers[t_idx],
         ]
     )
@@ -158,22 +150,10 @@ def render_stanley_decomposition(p: IntervalPartition) -> str:
     if not verdict.ok:
         raise InvalidPartitionError("refusing to render an unverified partition")
     lines = []
-    lo_list = p.lowers.tolist()
-    up_list = p.uppers.tolist()
-    for lo, up in zip(lo_list, up_list):
-        mono = []
-        x = lo
-        while x:
-            b = x & -x
-            mono.append(f"x{b.bit_length()}")
-            x ^= b
-        ring = []
-        x = up
-        while x:
-            b = x & -x
-            ring.append(f"x{b.bit_length()}")
-            x ^= b
-        lines.append("*".join(mono) + " · K[" + ",".join(ring) + "]")
+    for lo, up in zip(p.lowers.tolist(), p.uppers.tolist()):
+        mono = "*".join(f"x{i}" for i in bitops.members_of(lo))
+        ring = ",".join(f"x{i}" for i in bitops.members_of(up))
+        lines.append(f"{mono} · K[{ring}]")
     return "\n".join(lines)
 
 
@@ -188,7 +168,7 @@ def exact_sdepth(
     counting_prune: bool = True,
 ) -> int | None:
     """Exact maximum, over all interval partitions of the poset, of the
-    minimum upper-endpoint size.  Recommended for n <= 7.
+    minimum upper-endpoint size.
 
     Descends the trial target from n; the first feasible target is the
     answer (a partition with minimum >= t also witnesses every smaller
@@ -375,9 +355,8 @@ def sdepth_report(
     upper = sdepth_upper_bound(n, d)
     certified: int | None = None
     how = "none"
-    full_ok = n <= MATERIALIZE_LIMIT and comb(n, (n + 1) // 2) <= cap
     k3_here = n == 4 * d + 3
-    if full_ok:
+    if within_cap(n, cap):
         part, _ = build_partition_k3(d) if k3_here else build_partition(n, d)
         verdict = verify_partition(part)
         if not verdict.ok:

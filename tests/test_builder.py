@@ -11,8 +11,8 @@ from veronese_sdepth import (
     build_partition_k3,
     certify_layered,
     conjectured_sdepth,
-    coverage_query,
     interval_family,
+    is_covered,
     lower_bound_large_n,
     regime_of,
     sdepth_upper_bound,
@@ -138,21 +138,21 @@ class TestCoverageQuery:
         part, _ = build_partition(9, 2)
         from veronese_sdepth.builder import _plan_for, _run_layers
 
-        layers, covered, _ = _run_layers(9, _plan_for(regime_of(9, 2)))
+        layers, covered, _ = _run_layers(9, _plan_for(regime_of(9, 2)).layers)
         for size in range(2, 10):
             for combo in combinations(range(1, 10), size):
                 dset = CircularSet(9, combo)
-                assert coverage_query(dset, layers) == (dset.mask in covered)
+                assert is_covered(dset, layers) == (dset.mask in covered)
 
     def test_endpoint_examples(self):
         from veronese_sdepth.builder import _plan_for, _run_layers
 
-        layers, _, _ = _run_layers(7, _plan_for(regime_of(7, 1)))
+        layers, _, _ = _run_layers(7, _plan_for(regime_of(7, 1)).layers)
         base = layers[0]
         lower = CircularSet(7, [1])
         upper_mask = base.table[lower.mask]
-        assert coverage_query(lower, layers)
-        assert coverage_query(CircularSet.from_mask(7, upper_mask), layers)
+        assert is_covered(lower, layers)
+        assert is_covered(CircularSet.from_mask(7, upper_mask), layers)
 
 
 class TestLayeredCertificate:

@@ -198,3 +198,22 @@ class TestOracleCommand:
     def test_budget_exhaustion(self):
         code, out, _ = run(["oracle", "-n", "6", "-d", "1", "--budget", "5"])
         assert code == 10 and "oracle_exact=none" in out
+
+
+class TestNonPositiveLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "-n", "6", "-d", "1", "--budget", "0"],
+            ["oracle", "-n", "6", "-d", "1", "--budget", "-3"],
+            ["report", "-n", "6", "-d", "2", "--oracle", "--oracle-budget", "0"],
+            ["report", "-n", "22", "-d", "5", "--cap", "0"],
+            ["build", "-n", "5", "-d", "2", "--cap", "-1", "--out", "unused"],
+            ["verify", "--in", "unused", "--cap", "0"],
+            ["table", "--d-range", "1..1", "--n-range", "1..3", "--cap", "0"],
+        ],
+    )
+    def test_rejected_with_message(self, argv):
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert "must be positive" in err
