@@ -8,6 +8,7 @@ the highest reversed bit), which is what ``lex_sorted`` sorts by.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -76,6 +77,76 @@ def member_lookup(masks: np.ndarray, sorted_table: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(sorted_table, masks)
     pos = np.minimum(pos, sorted_table.size - 1)
     return sorted_table[pos] == masks
+
+
+def row_masks(rows: np.ndarray, n: int) -> np.ndarray:
+    """The mask of every row of a rows x k array of 1-indexed members."""
+    dtype = mask_dtype(n)
+    bits = np.left_shift(dtype(1), (rows - 1).astype(dtype))
+    return np.bitwise_or.reduce(bits, axis=1)
+
+
+def _all_combinations(lo: int, n: int, k: int) -> np.ndarray:
+    # Every k-subset of [lo, n] in lexicographic order, grown one column at
+    # a time: a row ending in x gets each admissible next member above x.
+    if k == 0:
+        return np.empty((1, 0), dtype=np.int16)
+    rows = np.arange(lo, n - k + 2, dtype=np.int16)[:, None]
+    for col in range(1, k):
+        last = rows[:, -1]
+        counts = (n - k + col + 1) - last
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        step = np.arange(int(counts.sum()), dtype=np.int16) - starts
+        rows = np.column_stack(
+            [np.repeat(rows, counts, axis=0), np.repeat(last, counts) + 1 + step]
+        )
+    return rows
+
+
+def _combination_blocks(n: int, k: int, chunk: int, prefix: tuple[int, ...], lo: int):
+    # Split on the next member until every completion of ``prefix`` fits
+    # in one block.
+    if comb(n - lo + 1, k) <= chunk:
+        body = _all_combinations(lo, n, k)
+        head = np.broadcast_to(np.array(prefix, dtype=np.int16), (len(body), len(prefix)))
+        yield np.hstack([head, body])
+        return
+    for first in range(lo, n - k + 2):
+        yield from _combination_blocks(n, k - 1, chunk, prefix + (first,), first + 1)
+
+
+def lex_combinations(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
+    """Every k-subset of [n] as a row of increasing 1-indexed members, in
+    lexicographic order, yielded in blocks of at most ``chunk`` rows."""
+    buf: list[np.ndarray] = []
+    size = 0
+    for block in _combination_blocks(n, k, chunk, (), 1):
+        if size + len(block) > chunk:
+            yield np.concatenate(buf)
+            buf, size = [], 0
+        buf.append(block)
+        size += len(block)
+    if buf:
+        yield np.concatenate(buf)
+
+
+def expand_uniform(lowers: np.ndarray, uppers: np.ndarray, s: int) -> np.ndarray:
+    """Every member of every interval [lowers[i], uppers[i]] of volume 2^s,
+    as a rows x 2^s array; row i runs from ``uppers[i]`` down to
+    ``lowers[i]`` in the order of ``submasks``.
+
+    The members are the s-bit counters scattered into the diff bits: each
+    pass takes the lowest remaining diff bit, which ranks above every bit
+    placed so far, so the members holding it come first."""
+    diff = uppers & ~lowers
+    if np.any(popcounts(diff) != s):
+        raise ValueError(f"not every interval has volume 2^{s}")
+    out = lowers[:, None]
+    for _ in range(s):
+        low = diff & (~diff + diff.dtype.type(1))
+        diff = diff ^ low
+        out = np.concatenate([out | low[:, None], out], axis=1)
+    return out
 
 
 def mask_of(members) -> int:

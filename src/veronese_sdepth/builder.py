@@ -22,15 +22,18 @@ a common density.
 Candidate lower endpoints run in lexicographic order within each layer
 and the trivial completion is emitted in increasing size then
 lexicographic order, so identical inputs produce byte-identical
-partitions.  Bulk storage is two parallel mask arrays; levels are
-materialized one size at a time rather than holding the whole poset as
-objects.
+partitions.  Bulk storage is numpy mask arrays throughout: candidates are
+closed in fixed-size batches by ``lifting.closure_upper_masks``, each
+family keeps parallel lower and upper arrays, and the covered set is one
+ascending mask array that filtered layers probe with
+``bitops.member_lookup`` and that grows by one uniform-volume expansion
+per layer.  Levels are materialized one size at a time rather than
+holding the whole poset as objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
@@ -54,6 +57,7 @@ from .lifting import (
     IntervalFamily,
     PosetInterval,
     closure_upper_mask,
+    closure_upper_masks,
     validate_lift_params,
 )
 
@@ -61,6 +65,9 @@ DEFAULT_SWEEP_CAP = 5_000_000
 
 # Full materialization enumerates all 2^n masks.
 MATERIALIZE_LIMIT = 26
+
+# Level sets per batch of the layer loop.
+_CHUNK = 1 << 15
 
 
 def within_cap(n: int, cap: int) -> bool:
@@ -222,70 +229,111 @@ def _check_plan(plan: Sequence[tuple[int, int]]) -> None:
 
 def _run_layers(
     n: int, plan: Sequence[tuple[int, int]], ensure: tuple[int, ...] = ()
-) -> tuple[list[IntervalFamily], set[int], list[LayerTrace]]:
+) -> tuple[list[IntervalFamily], np.ndarray, list[LayerTrace]]:
     """Select intervals layer by layer.
 
-    Returns the selected families, the set of every mask covered by a
-    selected interval, and per-layer counts.  A repeated member mask means
-    two selected intervals overlap, which the construction forbids; that
-    is detected via the set-size delta and reported as an internal error.
-    Every set of a size in ``ensure`` must be covered by the first layer.
+    Returns the selected families, the ascending array of every mask
+    covered by a selected interval, and per-layer counts.  Candidates run
+    in chunks of ``_CHUNK`` level sets through the batched closure, whose
+    first row is re-derived by the scalar ``closure_upper_mask``.  A
+    filtered layer drops the candidates covered by earlier layers; an
+    interval never covers another set of its own level, so this is the
+    same as filtering one candidate at a time.  A repeated member mask
+    means two selected intervals overlap, which the construction forbids;
+    it is reported as an internal error naming the first offending lower
+    endpoint.  Every set of a size in ``ensure`` must be covered by the
+    first layer.
     """
     _check_plan(plan)
-    covered: set[int] = set()
+    covered = np.empty(0, dtype=bitops.mask_dtype(n))
     layers: list[IntervalFamily] = []
     traces: list[LayerTrace] = []
     for idx, (level, s) in enumerate(plan):
         validate_lift_params(n, level, s)
-        table: dict[int, int] = {}
+        lo_parts, up_parts = [], []
         candidates = 0
-        volume = 1 << s
-        for combo in combinations(range(1, n + 1), level):
-            candidates += 1
-            mask = bitops.mask_of(combo)
-            if idx and mask in covered:
-                continue
-            upper = closure_upper_mask(n, level, s, combo)
-            table[mask] = upper
-            before = len(covered)
-            covered.update(bitops.submasks(mask, upper))
-            if len(covered) - before != volume:
+        # Only covered sets of this level can be candidates.
+        taken = covered[bitops.popcounts(covered) == level]
+        for rows in bitops.lex_combinations(n, level, _CHUNK):
+            candidates += len(rows)
+            lowers = bitops.row_masks(rows, n)
+            if idx:
+                fresh = ~bitops.member_lookup(lowers, taken)
+                rows, lowers = rows[fresh], lowers[fresh]
+                if not len(rows):
+                    continue
+            uppers = closure_upper_masks(n, level, s, rows)
+            first = tuple(rows[0].tolist())
+            if closure_upper_mask(n, level, s, first) != int(uppers[0]):
                 raise InternalCheckError(
-                    f"interval at {combo} overlaps an earlier selection"
+                    f"batched closure of {first} disagrees with the scalar path"
                 )
+            lo_parts.append(lowers)
+            up_parts.append(uppers)
+        lowers = np.concatenate(lo_parts) if lo_parts else covered[:0]
+        uppers = np.concatenate(up_parts) if up_parts else covered[:0]
+        covered = _add_covered(covered, lowers, uppers, s)
         tag = f"I[{n},{level},{s + 1}]"
-        layers.append(IntervalFamily(n, level, table, tag))
+        layers.append(IntervalFamily(n, level, lowers, uppers, tag))
         traces.append(
-            LayerTrace(tag, level, s + 1, candidates, len(table), candidates - len(table))
+            LayerTrace(tag, level, s + 1, candidates, len(lowers), candidates - len(lowers))
         )
         if idx == 0:
-            for size in ensure:
-                for combo in combinations(range(1, n + 1), size):
-                    if bitops.mask_of(combo) not in covered:
-                        raise InternalCheckError(
-                            f"size-{size} set {combo} escaped the base layer"
-                        )
+            _check_ensured(n, covered, ensure)
     return layers, covered, traces
 
 
-def _trivial_completion(
-    n: int, d: int, covered: set[int]
+def _add_covered(
+    covered: np.ndarray, lowers: np.ndarray, uppers: np.ndarray, s: int
 ) -> np.ndarray:
-    """Masks of every uncovered poset element, increasing size then
-    lexicographic within each size."""
-    dtype = bitops.mask_dtype(n)
-    masks, pops = bitops.all_masks(n)
-    if covered:
-        table = np.fromiter(covered, dtype=dtype, count=len(covered))
-        table.sort()
-    else:
-        table = np.empty(0, dtype=dtype)
-    parts = []
-    for size in range(d, n + 1):
-        sel = masks[pops == size]
-        sel = sel[~bitops.member_lookup(sel, table)]
-        parts.append(bitops.lex_sorted(sel, n))
-    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+    """``covered`` merged with every member of one layer's intervals; a
+    member already present, or present twice, is an overlap."""
+    members = bitops.expand_uniform(lowers, uppers, s).ravel()
+    merged = np.concatenate([covered, members])
+    merged.sort()
+    if np.any(merged[1:] == merged[:-1]):
+        # The first interval, in selection order, holding a member that an
+        # earlier layer or an earlier interval of this layer already holds.
+        seen = bitops.member_lookup(members, covered)
+        order = np.argsort(members, kind="stable")
+        ranked = members[order]
+        seen[order[1:][ranked[1:] == ranked[:-1]]] = True
+        bad = int(np.flatnonzero(seen)[0]) >> s
+        combo = tuple(bitops.members_of(int(lowers[bad])))
+        raise InternalCheckError(f"interval at {combo} overlaps an earlier selection")
+    return merged
+
+
+def _check_ensured(n: int, covered: np.ndarray, ensure: tuple[int, ...]) -> None:
+    # ``covered`` holds distinct subsets of [n], so a size is fully covered
+    # iff it is covered C(n, size) times.
+    if not ensure:
+        return
+    hist = np.bincount(bitops.popcounts(covered), minlength=n + 1)
+    for size in ensure:
+        if int(hist[size]) == comb(n, size):
+            continue
+        for rows in bitops.lex_combinations(n, size, _CHUNK):
+            missing = np.flatnonzero(~bitops.member_lookup(bitops.row_masks(rows, n), covered))
+            if missing.size:
+                combo = tuple(rows[missing[0]].tolist())
+                raise InternalCheckError(f"size-{size} set {combo} escaped the base layer")
+
+
+def _trivial_completion(n: int, d: int, covered: np.ndarray) -> np.ndarray:
+    """Masks of every poset element missing from ``covered``, increasing
+    size then lexicographic within each size."""
+    # Lexicographic order within a size is descending order of the
+    # bit-reversed mask, so walk the reversed values downward and reverse
+    # back only what is kept.
+    rev = np.arange((1 << n) - 1, -1, -1, dtype=bitops.mask_dtype(n))
+    taken = np.zeros(1 << n, dtype=bool)
+    taken[bitops.bit_reverse(covered, n)] = True
+    free = ~taken[::-1]
+    pops = bitops.popcounts(rev)
+    return np.concatenate(
+        [bitops.bit_reverse(rev[free & (pops == k)], n) for k in range(d, n + 1)]
+    )
 
 
 def _assemble(
@@ -300,12 +348,11 @@ def _assemble(
     plan = _plan_for(reg, k3)
     layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
     trivial = _trivial_completion(n, d, covered)
-    dtype = bitops.mask_dtype(n)
     lo_parts, up_parts, id_parts = [], [], []
     for li, fam in enumerate(layers):
-        lo_parts.append(np.fromiter(fam.table.keys(), dtype=dtype, count=len(fam.table)))
-        up_parts.append(np.fromiter(fam.table.values(), dtype=dtype, count=len(fam.table)))
-        id_parts.append(np.full(len(fam.table), li, dtype=np.int16))
+        lo_parts.append(fam.lowers)
+        up_parts.append(fam.uppers)
+        id_parts.append(np.full(len(fam), li, dtype=np.int16))
     lo_parts.append(trivial)
     up_parts.append(trivial)
     id_parts.append(np.full(len(trivial), len(layers), dtype=np.int16))
@@ -379,12 +426,7 @@ def certify_layered(
     layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
     upper_sizes = [fam.upper_size() for fam in layers if len(fam)]
     layered_min = min(upper_sizes) if upper_sizes else None
-    if covered:
-        dtype = bitops.mask_dtype(n)
-        arr = np.fromiter(covered, dtype=dtype, count=len(covered))
-        hist = np.bincount(bitops.popcounts(arr).astype(np.int64), minlength=n + 1)
-    else:
-        hist = np.zeros(n + 1, dtype=np.int64)
+    hist = np.bincount(bitops.popcounts(covered), minlength=n + 1)
     value, exact = layered_min, True
     for size in range(plan.min_upper, n + 1):
         total = comb(n, size)

@@ -36,6 +36,7 @@ from .builder import (
 )
 from .core import (
     CircularSet,
+    RegimeDecomposition,
     conjectured_sdepth,
     k3_band_exact,
     regime_of,
@@ -107,23 +108,29 @@ def write_partition_file(p: IntervalPartition, path: str) -> None:
             fh.write("\n")
 
 
+def _read_header(fh) -> tuple[int, int, RegimeDecomposition]:
+    """(n, d, regime) from a certificate's header line."""
+    header = fh.readline()
+    match = _HEADER_RE.match(header.rstrip("\n"))
+    if not match:
+        raise PartitionFileError(f"bad header {header!r}", lineno=1)
+    n, d = int(match.group(1)), int(match.group(2))
+    tag = match.group(3)
+    if not (1 <= d <= n):
+        raise PartitionFileError(f"header needs 1 <= d <= n, got n={n} d={d}", 1)
+    if n > bitops.MAX_UNIVERSE:
+        raise PartitionFileError(f"universe {n} too large", 1)
+    reg = regime_of(n, d)
+    if tag != reg.regime.value:
+        raise PartitionFileError(
+            f"regime tag {tag} does not match {reg.regime.value} for n={n}, d={d}", 1
+        )
+    return n, d, reg
+
+
 def parse_partition_file(path: str) -> IntervalPartition:
     with open(path, "r", encoding="ascii", newline="") as fh:
-        header = fh.readline()
-        match = _HEADER_RE.match(header.rstrip("\n"))
-        if not match:
-            raise PartitionFileError(f"bad header {header!r}", lineno=1)
-        n, d = int(match.group(1)), int(match.group(2))
-        tag = match.group(3)
-        if not (1 <= d <= n):
-            raise PartitionFileError(f"header needs 1 <= d <= n, got n={n} d={d}", 1)
-        if n > bitops.MAX_UNIVERSE:
-            raise PartitionFileError(f"universe {n} too large", 1)
-        reg = regime_of(n, d)
-        if tag != reg.regime.value:
-            raise PartitionFileError(
-                f"regime tag {tag} does not match {reg.regime.value} for n={n}, d={d}", 1
-            )
+        n, d, reg = _read_header(fh)
 
         def parse_side(text: str, lineno: int) -> int:
             mask = 0
@@ -225,13 +232,16 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    part = parse_partition_file(args.in_path)
-    if not within_cap(part.n, args.cap):
+    # Refuse an over-cap universe before reading the body.
+    with open(args.in_path, "r", encoding="ascii", newline="") as fh:
+        n, _, _ = _read_header(fh)
+    if not within_cap(n, args.cap):
         print(
-            f"verifying n={part.n} exceeds the enumeration cap {args.cap}",
+            f"verifying n={n} exceeds the enumeration cap {args.cap}",
             file=sys.stderr,
         )
         return EXIT_USAGE
+    part = parse_partition_file(args.in_path)
     verdict = verify_partition(part)
     if verdict.ok:
         print(

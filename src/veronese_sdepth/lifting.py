@@ -7,13 +7,20 @@ Closing the lifted set at density s+1 and intersecting back with [n]
 yields the interval [A, f(A~) & [n]] of upper size level_size + s.  One
 interval per level set gives a pairwise-disjoint family with the closure
 property: a set not covered by the family has no covered superset.
+
+``closure_upper_masks`` computes the upper endpoints of a whole batch of
+level sets at once; ``closure_upper_mask`` and ``lifted_closure`` are the
+scalar references it is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import bitops
 from .blocks import BlockStructure, Density, block_structure, chain_walk
@@ -162,6 +169,62 @@ def closure_upper_mask(n: int, level_size: int, s: int, members: tuple[int, ...]
     return mask
 
 
+def closure_upper_masks(n: int, level_size: int, s: int, rows: np.ndarray) -> np.ndarray:
+    """Batched ``closure_upper_mask``: the upper masks of a chunk of level
+    sets, given as a rows x level_size array of increasing members.
+
+    Walk the lifted circle with step +s at a member and -1 elsewhere; the
+    steps sum to -s over [m].  A whole block sums to 0 and its proper
+    prefixes are positive ((iii) and (iv) at density s + 1), so a position
+    is a gap iff its prefix sum over the doubled circle falls below every
+    earlier prefix value.  Non-member runs only descend, so the gaps of a
+    run are its tail, as long as the running minimum drops across the
+    run.  The running minimum only moves at the last position before a
+    member; with ``pre[j]`` the prefix sum there for the j-th lifted member
+    p_j, pre[j] = (s + 1)(j - 1) - (p_j - 1), and the second pass round the
+    circle repeats it lowered by s.  Of the padding only its first member
+    n + 1 matters: later padding members have higher ``pre`` and empty runs
+    before them.  The cost is O(rows x level_size), not O(rows x m).
+
+    Raises on the same structural facts as the scalar path: s gaps in all,
+    none outside [1, n], and upper size level_size + s.
+    """
+    count = len(rows)
+    pos = np.empty((count, level_size + 1), dtype=np.int32)
+    pos[:, :level_size] = rows
+    pos[:, level_size] = n + 1
+    pre = (s + 1) * np.arange(level_size + 1, dtype=np.int32) - (pos - 1)
+    base = pre.min(axis=1)
+    second = np.minimum(np.minimum.accumulate(pre, axis=1) - s, base[:, None])
+    gaps = np.diff(second, axis=1, prepend=base[:, None]) * -1
+    bad = np.flatnonzero(base - second[:, -1] != s)
+    if bad.size:
+        raise InternalCheckError(
+            f"lifted closure of {tuple(rows[bad[0]].tolist())} does not add {s} gaps"
+        )
+    # Only the run wrapping round from the padding can leave [1, n].  A
+    # tail reaching back past position 1 holds position m, which is judged
+    # on the first pass against all of [0, m - 1], so the refusal is exact.
+    bad = np.flatnonzero(gaps[:, 0] >= pos[:, 0])
+    if bad.size:
+        raise InternalCheckError(
+            f"gap before position {int(pos[bad[0], 0])} leaves [1, {n}] "
+            f"(m={(n + 1) * s + n}, set {tuple(rows[bad[0]].tolist())})"
+        )
+    dtype = bitops.mask_dtype(n)
+    one = dtype(1)
+    glen = gaps.astype(dtype)
+    runs = ((one << glen) - one) << (pos - 1 - gaps).astype(dtype)
+    uppers = bitops.row_masks(rows, n) | np.bitwise_or.reduce(runs, axis=1)
+    bad = np.flatnonzero(bitops.popcounts(uppers) != level_size + s)
+    if bad.size:
+        raise InternalCheckError(
+            f"upper endpoint of {tuple(rows[bad[0]].tolist())} does not have "
+            f"size {level_size + s}"
+        )
+    return uppers
+
+
 def lifted_closure(a: CircularSet, params: LiftParams) -> PosetInterval:
     """The interval [A, f(A~) & [n]] for a level set A.
 
@@ -188,15 +251,23 @@ def lifted_closure(a: CircularSet, params: LiftParams) -> PosetInterval:
 
 
 class IntervalFamily:
-    """A family of intervals with a common lower-endpoint size, stored as a
-    lower-mask -> upper-mask table so coverage probes cost one lookup per
-    lower-size subset of the probed set."""
+    """A family of intervals with a common lower-endpoint size, stored as
+    parallel lower and upper mask arrays in selection order.  ``table``, the
+    lower-mask -> upper-mask dict built on first use, makes a coverage
+    probe cost one lookup per lower-size subset of the probed set."""
 
-    def __init__(self, n: int, lower_size: int, table: dict[int, int], label: str):
+    def __init__(
+        self, n: int, lower_size: int, lowers: np.ndarray, uppers: np.ndarray, label: str
+    ):
         self.n = n
         self.lower_size = lower_size
-        self.table = table
+        self.lowers = lowers
+        self.uppers = uppers
         self.label = label
+
+    @cached_property
+    def table(self) -> dict[int, int]:
+        return dict(zip(self.lowers.tolist(), self.uppers.tolist()))
 
     @classmethod
     def from_intervals(cls, intervals: Iterable[PosetInterval], label: str = "family"):
@@ -213,21 +284,24 @@ class IntervalFamily:
             table[iv.lower.mask] = iv.upper.mask
         if n is None:
             raise PreconditionViolatedError("empty interval family")
-        return cls(n, size, table, label)
+        dtype = bitops.mask_dtype(n)
+        lowers = np.fromiter(table.keys(), dtype=dtype, count=len(table))
+        uppers = np.fromiter(table.values(), dtype=dtype, count=len(table))
+        return cls(n, size, lowers, uppers, label)
 
     def __len__(self) -> int:
-        return len(self.table)
+        return len(self.lowers)
 
     def __iter__(self) -> Iterator[PosetInterval]:
-        for lo, up in self.table.items():
+        for lo, up in zip(self.lowers.tolist(), self.uppers.tolist()):
             yield PosetInterval(
                 CircularSet.from_mask(self.n, lo), CircularSet.from_mask(self.n, up)
             )
 
     def upper_size(self) -> int:
-        if not self.table:
+        if not len(self):
             return self.lower_size
-        return next(iter(self.table.values())).bit_count()
+        return int(self.uppers[0]).bit_count()
 
     def covers_mask(self, mask: int, members: tuple[int, ...]) -> bool:
         if len(members) < self.lower_size:

@@ -1,10 +1,12 @@
 """Independent certification of partitions and a brute-force exact oracle.
 
 ``verify_partition`` recomputes everything from the interval list alone:
-it expands every interval into its member masks, sorts them, and checks
-that no mask repeats (disjointness, with the offending pair on failure)
-and that every subset of [n] of size >= d appears (coverage, streamed by
-size, with the first missing set on failure).
+it expands every interval into its member masks (one uniform-volume
+expansion per interval volume), sorts them once, and checks that no mask
+repeats (disjointness, with the offending pair on failure) and that every
+subset of [n] of size >= d appears (coverage: for distinct members, a
+per-size count against C(n, k); the first missing set is looked up only
+on failure).
 
 ``exact_sdepth`` is the cross-check oracle for tiny instances.  It shares
 nothing with the block-structure or lifting machinery: for a descending
@@ -16,7 +18,7 @@ size >= t can always self-cover), and returns the largest feasible t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -75,59 +77,65 @@ def verify_partition(p: IntervalPartition) -> VerificationVerdict:
         witness = CircularSet(n, range(1, d + 1))
         return VerificationVerdict(True, False, 0, 0, None, witness)
 
-    dtype = bitops.mask_dtype(n)
-    nontrivial = p.lowers != p.uppers
-    nt_idx = np.nonzero(nontrivial)[0]
-    t_idx = np.nonzero(~nontrivial)[0]
+    members = _members(p)
+    members.sort()
+    dup = np.flatnonzero(members[1:] == members[:-1])
+    disjoint = not dup.size
+    overlap_witness = None if disjoint else _overlap_witness(p, int(members[dup[0]]))
 
-    diffs = bitops.popcounts(p.uppers[nt_idx] & ~p.lowers[nt_idx]).astype(np.int64)
-    volumes = np.left_shift(1, diffs)
-
-    expanded = chain.from_iterable(
-        map(bitops.submasks, p.lowers[nt_idx].tolist(), p.uppers[nt_idx].tolist())
-    )
-    members = np.concatenate(
-        [
-            np.fromiter(expanded, dtype=dtype, count=int(volumes.sum())),
-            p.lowers[t_idx],
-        ]
-    )
-    owners = np.concatenate(
-        [np.repeat(nt_idx.astype(np.int64), volumes), t_idx.astype(np.int64)]
-    )
-    order = np.argsort(members, kind="stable")
-    sorted_members = members[order]
-
-    disjoint = True
-    overlap_witness = None
-    dup = np.nonzero(sorted_members[1:] == sorted_members[:-1])[0]
-    if dup.size:
-        k = int(dup[0])
-        i, j = int(owners[order[k]]), int(owners[order[k + 1]])
-        witness = CircularSet.from_mask(n, int(sorted_members[k]))
-        disjoint = False
-        overlap_witness = (min(i, j), max(i, j), witness)
-
-    covers = True
-    uncovered_witness = None
-    masks, pops = bitops.all_masks(n)
-    for size in range(d, n + 1):
-        sel = masks[pops == size]
-        present = bitops.member_lookup(sel, sorted_members)
-        if not present.all():
-            covers = False
-            missing = sel[~present][0]
-            uncovered_witness = CircularSet.from_mask(n, int(missing))
-            break
+    if disjoint:
+        # The members are then distinct subsets of [n] of size >= d, so a
+        # size is covered iff it occurs C(n, size) times.
+        hist = np.bincount(bitops.popcounts(members), minlength=n + 1)
+        sizes = [k for k in range(d, n + 1) if int(hist[k]) < comb(n, k)][:1]
+    else:
+        sizes = list(range(d, n + 1))
+    missing = _smallest_missing(n, sizes, members)
+    uncovered_witness = None if missing is None else CircularSet.from_mask(n, missing)
 
     return VerificationVerdict(
         disjoint,
-        covers,
+        uncovered_witness is None,
         p.min_upper_size(),
         count,
         overlap_witness,
         uncovered_witness,
     )
+
+
+def _members(p: IntervalPartition) -> np.ndarray:
+    """Every member of every interval, unsorted; the intervals are expanded
+    in groups of equal volume."""
+    diffs = bitops.popcounts(p.uppers & ~p.lowers)
+    parts = [p.lowers[diffs == 0]]
+    for s in np.unique(diffs[diffs > 0]).tolist():
+        sel = diffs == s
+        parts.append(bitops.expand_uniform(p.lowers[sel], p.uppers[sel], s).ravel())
+    return np.concatenate(parts)
+
+
+def _overlap_witness(p: IntervalPartition, mask: int) -> tuple[int, int, CircularSet]:
+    """The two earliest intervals holding ``mask``: non-trivial intervals by
+    index first, then singletons by index."""
+    m = p.lowers.dtype.type(mask)
+    holders = np.flatnonzero((p.lowers & ~m == 0) & (m & ~p.uppers == 0))
+    trivial = p.lowers[holders] == p.uppers[holders]
+    i, j = np.concatenate([holders[~trivial], holders[trivial]])[:2].tolist()
+    return min(i, j), max(i, j), CircularSet.from_mask(p.n, mask)
+
+
+def _smallest_missing(n: int, sizes, members: np.ndarray) -> int | None:
+    """The smallest mask of the first size in ``sizes`` that is absent from
+    the ascending array ``members``."""
+    if not sizes:
+        return None
+    masks, pops = bitops.all_masks(n)
+    for size in sizes:
+        sel = masks[pops == size]
+        absent = np.flatnonzero(~bitops.member_lookup(sel, members))
+        if absent.size:
+            return int(sel[absent[0]])
+    return None
 
 
 def sdepth_of_partition(p: IntervalPartition) -> int:

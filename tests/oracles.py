@@ -1,12 +1,20 @@
 """Independent brute-force oracles used by the tests.
 
-These deliberately share no algorithmic machinery with the package: the
-structure enumerator derives block lengths straight from the defining
+The structure enumerator deliberately shares no algorithmic machinery with
+the package: it derives block lengths straight from the defining
 conditions and validates every candidate, so it can confirm existence and
 uniqueness of block structures without trusting the production scan.
+
+``per_subset_layers`` is a frozen copy of the builder's original layer
+loop, one scalar closure and one Python-set update per level set; the
+batched layer engine is checked against it.
 """
 
 from itertools import combinations
+
+from veronese_sdepth import bitops
+from veronese_sdepth.errors import InternalCheckError
+from veronese_sdepth.lifting import closure_upper_mask, validate_lift_params
 
 
 def alternating_structures(n, members, num, den):
@@ -76,3 +84,44 @@ def brute_half_odd_sqrt(x):
     while (2 * (t + 1) - 1) ** 2 <= x:
         t += 1
     return t
+
+
+def per_subset_layers(n, plan, ensure=()):
+    """Select intervals layer by layer, one level set at a time.
+
+    Returns the lower -> upper table of each layer in selection order, the
+    set of covered masks, and per-layer (tag, level, density, candidates,
+    selected, discarded) tuples.
+    """
+    covered = set()
+    tables = []
+    traces = []
+    for idx, (level, s) in enumerate(plan):
+        validate_lift_params(n, level, s)
+        table = {}
+        candidates = 0
+        volume = 1 << s
+        for combo in combinations(range(1, n + 1), level):
+            candidates += 1
+            mask = bitops.mask_of(combo)
+            if idx and mask in covered:
+                continue
+            upper = closure_upper_mask(n, level, s, combo)
+            table[mask] = upper
+            before = len(covered)
+            covered.update(bitops.submasks(mask, upper))
+            if len(covered) - before != volume:
+                raise InternalCheckError(
+                    f"interval at {combo} overlaps an earlier selection"
+                )
+        tag = f"I[{n},{level},{s + 1}]"
+        tables.append(table)
+        traces.append((tag, level, s + 1, candidates, len(table), candidates - len(table)))
+        if idx == 0:
+            for size in ensure:
+                for combo in combinations(range(1, n + 1), size):
+                    if bitops.mask_of(combo) not in covered:
+                        raise InternalCheckError(
+                            f"size-{size} set {combo} escaped the base layer"
+                        )
+    return tables, covered, traces

@@ -7,6 +7,7 @@ from veronese_sdepth import (
     CircularSet,
     PreconditionViolatedError,
     Regime,
+    bitops,
     build_partition,
     build_partition_k3,
     certify_layered,
@@ -19,7 +20,10 @@ from veronese_sdepth import (
     threshold,
     verify_partition,
 )
+from veronese_sdepth.builder import _add_covered, _check_ensured, _plan_for, _run_layers
 from veronese_sdepth.cli import write_partition_file
+from veronese_sdepth.errors import InternalCheckError
+from oracles import per_subset_layers
 
 
 class TestRegimeBuilds:
@@ -153,6 +157,65 @@ class TestCoverageQuery:
         upper_mask = base.table[lower.mask]
         assert is_covered(lower, layers)
         assert is_covered(CircularSet.from_mask(7, upper_mask), layers)
+
+
+class TestBatchedLayers:
+    @pytest.mark.parametrize(
+        "n, d, k3, regime",
+        [
+            (9, 2, False, Regime.K2),
+            (12, 2, False, None),
+            (13, 1, False, None),
+            (19, 4, False, Regime.LARGE),
+            (15, 3, True, None),
+            (23, 5, False, Regime.MID),
+        ],
+    )
+    def test_matches_per_subset_loop(self, n, d, k3, regime):
+        reg = regime_of(n, d)
+        assert regime is None or reg.regime == regime
+        plan = _plan_for(reg, k3)
+        layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
+        tables, ref_covered, ref_traces = per_subset_layers(n, plan.layers, plan.ensure)
+        assert [list(fam.table.items()) for fam in layers] == [list(t.items()) for t in tables]
+        assert np.all(covered[1:] > covered[:-1])
+        assert set(covered.tolist()) == ref_covered
+        assert [
+            (t.tag, t.level_size, t.density, t.candidates, t.selected, t.discarded)
+            for t in traces
+        ] == ref_traces
+
+    def test_escaped_set_named_as_in_per_subset_loop(self):
+        with pytest.raises(InternalCheckError) as ref:
+            per_subset_layers(9, [(2, 1), (3, 1)], (3,))
+        with pytest.raises(InternalCheckError) as got:
+            _run_layers(9, [(2, 1), (3, 1)], (3,))
+        assert str(got.value) == str(ref.value) == "size-3 set (1, 2, 3) escaped the base layer"
+
+    def test_one_missing_set_escapes(self):
+        sets = [bitops.mask_of(c) for c in combinations(range(1, 6), 3)]
+        covered = np.array(sorted(sets), np.uint32)
+        _check_ensured(5, covered, (3,))
+        short = covered[covered != bitops.mask_of([2, 4, 5])]
+        with pytest.raises(InternalCheckError, match=r"size-3 set \(2, 4, 5\) escaped"):
+            _check_ensured(5, short, (3,))
+
+    def test_overlap_names_first_offending_lower(self):
+        m = bitops.mask_of
+        lowers = np.array([m([1, 2]), m([3, 4]), m([1, 3])], np.uint32)
+        uppers = np.array([m([1, 2, 3]), m([3, 4, 5]), m([1, 2, 3])], np.uint32)
+        # within the layer: the third interval repeats {1,2,3}
+        with pytest.raises(InternalCheckError, match=r"interval at \(1, 3\) overlaps"):
+            _add_covered(np.empty(0, np.uint32), lowers, uppers, 1)
+        # across layers: an earlier layer holds {3,4,5}, so the second
+        # interval is the first to fail
+        covered = np.array([m([3, 4, 5])], np.uint32)
+        with pytest.raises(InternalCheckError, match=r"interval at \(3, 4\) overlaps"):
+            _add_covered(covered, lowers, uppers, 1)
+        merged = _add_covered(np.empty(0, np.uint32), lowers[:2], uppers[:2], 1)
+        assert merged.tolist() == sorted(
+            m(c) for c in ([1, 2], [1, 2, 3], [3, 4], [3, 4, 5])
+        )
 
 
 class TestLayeredCertificate:

@@ -3,7 +3,7 @@ import contextlib
 
 import pytest
 
-from veronese_sdepth import build_partition
+from veronese_sdepth import build_partition, regime_of
 from veronese_sdepth.cli import main, parse_partition_file, write_partition_file
 from veronese_sdepth.errors import PartitionFileError
 
@@ -122,6 +122,14 @@ class TestBuildVerify:
         path.write_text("n=5 d=2 regime=K1\n1,6;1,6\n")
         code, _, err = run(["verify", "--in", str(path)])
         assert code == 2 and "line 2" in err
+
+    def test_over_cap_header_refused_before_body(self, tmp_path):
+        path = tmp_path / "p.txt"
+        tag = regime_of(27, 2).regime.value
+        path.write_text(f"n=27 d=2 regime={tag}\nnot an interval line\n")
+        code, _, err = run(["verify", "--in", str(path)])
+        assert code == 2
+        assert "exceeds the enumeration cap" in err and "line" not in err
 
     def test_parse_rejects_regime_mismatch(self, tmp_path):
         path = tmp_path / "p.txt"

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from veronese_sdepth import (
@@ -20,7 +21,8 @@ from veronese_sdepth import (
     lifted_closure,
     validate_lift_params,
 )
-from veronese_sdepth.lifting import closure_upper_mask
+from veronese_sdepth.errors import InternalCheckError
+from veronese_sdepth.lifting import closure_upper_mask, closure_upper_masks
 
 
 def family_cap(n, level):
@@ -90,6 +92,40 @@ class TestLiftedClosure:
                     for combo in combinations(range(1, n + 1), level):
                         iv = lifted_closure(CircularSet(n, combo), params)
                         assert closure_upper_mask(n, level, s, combo) == iv.upper.mask
+
+
+class TestBatchedClosure:
+    def test_matches_scalar_for_every_admissible_subset(self):
+        checked = 0
+        for n in range(2, 15):
+            for level in range(1, n):
+                for s in range(1, family_cap(n, level) + 1):
+                    rows = np.array(list(combinations(range(1, n + 1), level)), np.int16)
+                    got = closure_upper_masks(n, level, s, rows).tolist()
+                    assert got == [closure_upper_mask(n, level, s, tuple(r)) for r in rows.tolist()]
+                    checked += len(rows)
+        assert checked == 17157
+
+    def test_checks_fire_as_in_the_scalar_path(self):
+        # Beyond the admissible s the closure can spill into the padding;
+        # both paths must then refuse the same level sets, for a gap that
+        # leaves [1, n].
+        refused = 0
+        for n in range(2, 9):
+            for level in range(1, n):
+                for s in range(family_cap(n, level) + 1, n + 2):
+                    for combo in combinations(range(1, n + 1), level):
+                        try:
+                            expected = closure_upper_mask(n, level, s, combo)
+                        except InternalCheckError as exc:
+                            expected = "leaves [1," in str(exc)
+                        try:
+                            got = int(closure_upper_masks(n, level, s, np.array([combo]))[0])
+                        except InternalCheckError as exc:
+                            got = "leaves [1," in str(exc)
+                        assert got == expected, (n, level, s, combo)
+                        refused += expected is True
+        assert refused > 0
 
 
 class TestIntervalFamily:

@@ -77,6 +77,30 @@ class TestVerifyPartition:
         assert (i, j) == (0, len(p))
         assert witness == p.interval(0).lower
 
+    def test_mask_in_three_intervals_reports_earliest_non_trivial_pair(self):
+        # {1,2,3,4} is a singleton of the built partition; two appended
+        # copies of [{1,2,3,4}, {1,..,5}] put it in three intervals.  The
+        # witness is the smallest repeated mask, and its pair is the two
+        # earliest holders with non-trivial intervals ahead of singletons.
+        p = small_partition()
+        mask = CircularSet(5, [1, 2, 3, 4]).mask
+        singleton = int(np.flatnonzero((p.lowers == mask) & (p.uppers == mask))[0])
+        lo = np.array([mask, mask], dtype=p.lowers.dtype)
+        up = np.array([0b11111, 0b11111], dtype=p.uppers.dtype)
+        tripled = IntervalPartition(
+            p.n,
+            p.d,
+            p.regime,
+            np.concatenate([p.lowers, lo]),
+            np.concatenate([p.uppers, up]),
+            np.zeros(len(p) + 2, dtype=np.int16),
+            ("file",),
+        )
+        verdict = verify_partition(tripled)
+        assert not verdict.disjoint and verdict.covers
+        assert singleton < len(p)
+        assert verdict.overlap_witness == (len(p), len(p) + 1, CircularSet(5, [1, 2, 3, 4]))
+
     def test_shrunk_upper_reported_uncovered(self):
         p = small_partition()
         verdict = verify_partition(shrink_upper(p, 0))
