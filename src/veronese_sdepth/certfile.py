@@ -1,0 +1,250 @@
+"""Partition certificate files: a table-driven writer and a block parser.
+
+The format is described in the ``cli`` module docstring.  Both directions
+work on numpy arrays in blocks, so no per-interval Python object is made:
+
+* The writer looks every 8-bit chunk of a mask up in a fragment table
+  holding the text ``"m1,m2,...,"`` of the members that chunk stands for,
+  gathers the fragments of a block of rows, and turns the last comma of
+  each lower side into ``;`` and that of each upper side into ``\\n``.
+* The parser reads the body in blocks of about ``_BLOCK_BYTES`` cut after
+  the last newline, and decodes a block in bulk when it is in canonical
+  form: only digits, ``,``, ``;`` and ``\\n``, every token one or two
+  digits.  A block that is not canonical, or that breaks any rule of the
+  format, is parsed again line by line by ``_parse_line``, the reference,
+  which returns the same masks or raises the exact error.  The bulk path
+  only ever accepts lines that ``_parse_line`` accepts.
+"""
+
+from __future__ import annotations
+
+import re
+
+import numpy as np
+
+from . import bitops
+from .builder import IntervalPartition
+from .core import RegimeDecomposition, regime_of
+from .errors import PartitionFileError
+
+_HEADER_RE = re.compile(r"^n=(\d+) d=(\d+) regime=([A-Za-z0-9]+)$")
+# Rows encoded per write and bytes read per parsed block: small enough that
+# a block's temporaries (tens of MB) stay below what building or verifying
+# the partition itself takes, so neither direction raises peak memory.
+_WRITE_ROWS = 1 << 16
+_BLOCK_BYTES = 1 << 20
+
+_COMMA, _SEMI, _NEWLINE = ord(","), ord(";"), ord("\n")
+
+
+def _fragment_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row 256*c + v holds ``"m1,m2,...,"`` for the members of [n] that
+    bits 8c..8c+7 of a mask stand for when those bits read v, zero-padded;
+    the second array holds the fragment lengths."""
+    frags = []
+    for c in range(-(-n // 8)):
+        members = range(8 * c + 1, min(8 * c + 8, n) + 1)
+        for v in range(256):
+            text = "".join(f"{m}," for b, m in enumerate(members) if v >> b & 1)
+            frags.append(text.encode("ascii"))
+    width = max(map(len, frags))
+    table = np.array(frags, dtype=f"S{width}").view(np.uint8).reshape(len(frags), width)
+    return table, np.array([len(f) for f in frags], dtype=np.intp)
+
+
+def _encode_rows(lowers, uppers, table, lengths) -> np.ndarray:
+    """The bytes of the lines ``lower;upper\\n`` for a block of rows."""
+    chunks = len(table) // 256
+    little = lowers.dtype.newbyteorder("<")
+    ids = np.concatenate(
+        [
+            np.ascontiguousarray(m, dtype=little).view(np.uint8).reshape(len(m), -1)[:, :chunks]
+            for m in (lowers, uppers)
+        ],
+        axis=1,
+    ) + np.tile(np.arange(0, 256 * chunks, 256), 2)
+    frags = np.take(table, ids, axis=0)
+    out = frags[frags != 0]  # the padding is the only zero byte
+    lens = np.take(lengths, ids)
+    ends = np.cumsum(lens.sum(axis=1))
+    out[ends - 1] = _NEWLINE
+    out[ends - lens[:, chunks:].sum(axis=1) - 1] = _SEMI
+    return out
+
+
+def write_partition_file(p: IntervalPartition, path: str) -> None:
+    if len(p) and p.d < 1:
+        raise ValueError(f"a certificate needs d >= 1, got d={p.d}")
+    table, lengths = _fragment_table(p.n)
+    with open(path, "wb") as fh:
+        fh.write(f"n={p.n} d={p.d} regime={p.regime.regime.value}\n".encode("ascii"))
+        for start in range(0, len(p), _WRITE_ROWS):
+            stop = start + _WRITE_ROWS
+            fh.write(_encode_rows(p.lowers[start:stop], p.uppers[start:stop], table, lengths))
+
+
+def _header_fields(header: str) -> tuple[int, int, RegimeDecomposition]:
+    match = _HEADER_RE.match(header.rstrip("\n"))
+    if not match:
+        raise PartitionFileError(f"bad header {header!r}", lineno=1)
+    n, d = int(match.group(1)), int(match.group(2))
+    tag = match.group(3)
+    if not (1 <= d <= n):
+        raise PartitionFileError(f"header needs 1 <= d <= n, got n={n} d={d}", 1)
+    if n > bitops.MAX_UNIVERSE:
+        raise PartitionFileError(f"universe {n} too large", 1)
+    reg = regime_of(n, d)
+    if tag != reg.regime.value:
+        raise PartitionFileError(
+            f"regime tag {tag} does not match {reg.regime.value} for n={n}, d={d}", 1
+        )
+    return n, d, reg
+
+
+def _open_text(path: str):
+    # As the line parser reads a certificate: ASCII, with "\n", "\r\n"
+    # and a lone "\r" each ending a line, and line ends kept.
+    return open(path, "r", encoding="ascii", newline="")
+
+
+def read_header(path: str) -> tuple[int, int, RegimeDecomposition]:
+    """(n, d, regime) from a certificate's header line alone."""
+    with _open_text(path) as fh:
+        return _header_fields(fh.readline())
+
+
+def _parse_side(text: str, lineno: int, n: int) -> int:
+    mask = 0
+    prev = 0
+    for piece in text.split(","):
+        try:
+            x = int(piece)
+        except ValueError:
+            raise PartitionFileError(f"bad integer {piece!r}", lineno)
+        if x <= prev:
+            raise PartitionFileError(f"members not sorted strictly increasing at {x}", lineno)
+        if x > n:
+            raise PartitionFileError(f"member {x} outside [1, {n}]", lineno)
+        mask |= 1 << (x - 1)
+        prev = x
+    return mask
+
+
+def _parse_line(raw: str, lineno: int, n: int, d: int) -> tuple[int, int]:
+    """The (lower, upper) masks of one body line, its line end included:
+    the reference for every line the bulk path decodes."""
+    line = raw.rstrip("\n")
+    if not line:
+        raise PartitionFileError("blank line", lineno)
+    lo_s, sep, up_s = line.partition(";")
+    if not sep or ";" in up_s:
+        raise PartitionFileError("expected exactly one ';'", lineno)
+    lo = _parse_side(lo_s, lineno, n)
+    up = lo if up_s == lo_s else _parse_side(up_s, lineno, n)
+    if lo & ~up:
+        raise PartitionFileError("lower is not a subset of upper", lineno)
+    if lo.bit_count() < d:
+        raise PartitionFileError(f"lower endpoint smaller than d={d}", lineno)
+    return lo, up
+
+
+def _decode_block(buf: bytes, n: int, d: int):
+    """(lowers, uppers) of a block of lines in canonical form, each ending
+    in a newline, that ``_parse_line`` would accept one by one; None for
+    any other block."""
+    if not buf.endswith(b"\n"):
+        return None
+    a = np.frombuffer(buf, dtype=np.uint8)
+    sep = np.flatnonzero((a - np.uint8(48)) >= 10)  # every byte but a digit
+    ch = a[sep]
+    token_len = np.diff(sep, prepend=-1) - 1
+    if token_len.min() < 1 or token_len.max() > 2:
+        return None
+    # Every line is a lower side ended by ';' and an upper side ended by a
+    # newline, so the separators other than ',' must read ';', newline,
+    # ';', ...: a line without exactly one ';' or any other byte breaks it.
+    side_end = np.flatnonzero(ch != _COMMA)
+    ends = ch[side_end]
+    if np.any(ends[0::2] != _SEMI) or np.any(ends[1::2] != _NEWLINE):
+        return None
+    # uint8 arithmetic: the tens digit of a one-digit token may wrap, but
+    # it is multiplied by zero.
+    tens = (a[sep - 2] - np.uint8(48)) * (token_len == 2).astype(np.uint8)
+    value = a[sep - 1] - np.uint8(48) + np.uint8(10) * tens
+    if value.min() < 1 or value.max() > n:
+        return None
+    if np.any((value[1:] <= value[:-1]) & (ch[:-1] == _COMMA)):
+        return None
+    dtype = bitops.mask_dtype(n)
+    bits = np.left_shift(dtype(1), (value - np.uint8(1)).astype(dtype))
+    starts = np.concatenate(([0], side_end[:-1] + 1))
+    masks = np.bitwise_or.reduceat(bits, starts)
+    lowers, uppers = masks[0::2], masks[1::2]
+    if np.any(lowers & ~uppers) or bitops.popcounts(lowers).min() < d:
+        return None
+    return lowers, uppers
+
+
+def _blocks(fh, pos: int):
+    """(block, offset) for the rest of ``fh``, read from byte ``pos`` on in
+    blocks of whole lines about ``_BLOCK_BYTES`` long, each with the file
+    offset it starts at; only the last may lack a final newline."""
+    pending = []  # what was read since the last newline, joined only once
+    while data := fh.read(_BLOCK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if not cut:
+            pending.append(data)
+            continue
+        block = b"".join(pending + [data[:cut]])
+        yield block, pos
+        pos += len(block)
+        pending = [data[cut:]]
+    tail = b"".join(pending)
+    if tail:
+        yield tail, pos
+
+
+class _LineReader:
+    """The certificate read line by line from its header on, as the
+    reference parser reads it, so that decoding errors and line ends fall
+    where they would in a line-by-line parse."""
+
+    def __init__(self, fh, pos: int, n: int, d: int):
+        self.fh, self.pos, self.lineno, self.n, self.d = fh, pos, 2, n, d
+
+    def parse(self, start: int, stop: int):
+        """(lowers, uppers) of the lines in bytes [start, stop)."""
+        lowers, uppers = [], []
+        while self.pos < stop:
+            raw = self.fh.readline()
+            if not raw:
+                break
+            self.pos += len(raw)
+            if self.pos > start:  # else a line the bulk path has decoded
+                lo, up = _parse_line(raw, self.lineno, self.n, self.d)
+                lowers.append(lo)
+                uppers.append(up)
+            self.lineno += 1
+        dtype = bitops.mask_dtype(self.n)
+        return (
+            np.fromiter(lowers, dtype=dtype, count=len(lowers)),
+            np.fromiter(uppers, dtype=dtype, count=len(uppers)),
+        )
+
+
+def parse_partition_file(path: str) -> IntervalPartition:
+    with _open_text(path) as text, open(path, "rb") as body:
+        header = text.readline()
+        n, d, reg = _header_fields(header)
+        lines = _LineReader(text, len(header), n, d)
+        dtype = bitops.mask_dtype(n)
+        lowers, uppers = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=dtype)]
+        body.seek(len(header))
+        for block, start in _blocks(body, len(header)):
+            masks = _decode_block(block, n, d)
+            if masks is None:
+                masks = lines.parse(start, start + len(block))
+            lowers.append(masks[0])
+            uppers.append(masks[1])
+    lo, up = np.concatenate(lowers), np.concatenate(uppers)
+    return IntervalPartition(n, d, reg, lo, up, np.zeros(len(lo), dtype=np.int16), ("file",))

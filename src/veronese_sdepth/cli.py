@@ -8,35 +8,41 @@ structure).
 Exit codes are a stable contract:
   0   success / instance verified
   10  valid arguments but only bounds certified
-  2   usage error or unparseable input
+  2   usage error, unparseable input, or a file that cannot be read or
+      written
   3   internal verification failure
   4   a certificate file that parses but is not a valid partition
 
-Partition certificate files are ASCII with LF line endings: a header
+Partition certificate files are ASCII: a header
 ``n=<int> d=<int> regime=<tag>`` followed by one ``<lower>;<upper>`` line
-per interval, both sides comma-separated sorted 1-indexed integers.
+per interval, both sides comma-separated strictly increasing members of
+[1, n], the lower side a subset of the upper one with at least d members.
+``build`` writes the canonical form: every line, the last included, ends
+in LF, and members are plain decimal without sign, leading zeros or
+spaces.  ``verify`` reads canonical files in bulk (``certfile``); any
+other block of lines goes through the line-by-line parser, which also
+accepts CRLF or a lone CR ending a body line (not the header), a last
+line without a line end, and a member written any way Python's ``int``
+reads it (``+3``, ``007``, ``1_0``, surrounding spaces or tabs).  Blank
+lines, empty members and non-ASCII bytes are refused with exit 2, naming
+the line where the parser stopped.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
-import numpy as np
-
-from . import bitops
 from .blocks import Density, block_structure
 from .builder import (
     DEFAULT_SWEEP_CAP,
-    IntervalPartition,
     build_partition,
     build_partition_k3,
     within_cap,
 )
+from .certfile import parse_partition_file, read_header, write_partition_file
 from .core import (
     CircularSet,
-    RegimeDecomposition,
     conjectured_sdepth,
     k3_band_exact,
     regime_of,
@@ -76,109 +82,8 @@ _USAGE_ERRORS = (
     EmptySetError,
     PartitionFileError,
     ValueError,
+    OSError,
 )
-
-_HEADER_RE = re.compile(r"^n=(\d+) d=(\d+) regime=([A-Za-z0-9]+)$")
-_CHUNK = 200_000
-
-
-def write_partition_file(p: IntervalPartition, path: str) -> None:
-    names = [""] + [str(i) for i in range(1, p.n + 1)]
-
-    def csv_of(mask: int) -> str:
-        parts = []
-        while mask:
-            low = mask & -mask
-            parts.append(names[low.bit_length()])
-            mask ^= low
-        return ",".join(parts)
-
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"n={p.n} d={p.d} regime={p.regime.regime.value}\n")
-        total = len(p)
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            lo_chunk = p.lowers[start:stop].tolist()
-            up_chunk = p.uppers[start:stop].tolist()
-            lines = []
-            for lo, up in zip(lo_chunk, up_chunk):
-                s = csv_of(lo)
-                lines.append(s + ";" + (s if up == lo else csv_of(up)))
-            fh.write("\n".join(lines))
-            fh.write("\n")
-
-
-def _read_header(fh) -> tuple[int, int, RegimeDecomposition]:
-    """(n, d, regime) from a certificate's header line."""
-    header = fh.readline()
-    match = _HEADER_RE.match(header.rstrip("\n"))
-    if not match:
-        raise PartitionFileError(f"bad header {header!r}", lineno=1)
-    n, d = int(match.group(1)), int(match.group(2))
-    tag = match.group(3)
-    if not (1 <= d <= n):
-        raise PartitionFileError(f"header needs 1 <= d <= n, got n={n} d={d}", 1)
-    if n > bitops.MAX_UNIVERSE:
-        raise PartitionFileError(f"universe {n} too large", 1)
-    reg = regime_of(n, d)
-    if tag != reg.regime.value:
-        raise PartitionFileError(
-            f"regime tag {tag} does not match {reg.regime.value} for n={n}, d={d}", 1
-        )
-    return n, d, reg
-
-
-def parse_partition_file(path: str) -> IntervalPartition:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        n, d, reg = _read_header(fh)
-
-        def parse_side(text: str, lineno: int) -> int:
-            mask = 0
-            prev = 0
-            for piece in text.split(","):
-                try:
-                    x = int(piece)
-                except ValueError:
-                    raise PartitionFileError(f"bad integer {piece!r}", lineno)
-                if x <= prev:
-                    raise PartitionFileError(
-                        f"members not sorted strictly increasing at {x}", lineno
-                    )
-                if x > n:
-                    raise PartitionFileError(f"member {x} outside [1, {n}]", lineno)
-                mask |= 1 << (x - 1)
-                prev = x
-            return mask
-
-        lowers: list[int] = []
-        uppers: list[int] = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                raise PartitionFileError("blank line", lineno)
-            lo_s, sep, up_s = line.partition(";")
-            if not sep or ";" in up_s:
-                raise PartitionFileError("expected exactly one ';'", lineno)
-            lo = parse_side(lo_s, lineno)
-            up = lo if up_s == lo_s else parse_side(up_s, lineno)
-            if lo & ~up:
-                raise PartitionFileError("lower is not a subset of upper", lineno)
-            if lo.bit_count() < d:
-                raise PartitionFileError(f"lower endpoint smaller than d={d}", lineno)
-            lowers.append(lo)
-            uppers.append(up)
-
-    dtype = bitops.mask_dtype(n)
-    count = len(lowers)
-    return IntervalPartition(
-        n,
-        d,
-        reg,
-        np.fromiter(lowers, dtype=dtype, count=count),
-        np.fromiter(uppers, dtype=dtype, count=count),
-        np.zeros(count, dtype=np.int16),
-        ("file",),
-    )
 
 
 def cmd_report(args) -> int:
@@ -233,8 +138,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     # Refuse an over-cap universe before reading the body.
-    with open(args.in_path, "r", encoding="ascii", newline="") as fh:
-        n, _, _ = _read_header(fh)
+    n, _, _ = read_header(args.in_path)
     if not within_cap(n, args.cap):
         print(
             f"verifying n={n} exceeds the enumeration cap {args.cap}",

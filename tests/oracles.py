@@ -8,12 +8,22 @@ uniqueness of block structures without trusting the production scan.
 ``per_subset_layers`` is a frozen copy of the builder's original layer
 loop, one scalar closure and one Python-set update per level set; the
 batched layer engine is checked against it.
+
+``write_partition_file_per_line`` and ``parse_partition_file_per_line``
+are frozen copies of the original certificate writer and parser, one
+Python string per interval and one text line at a time; the block codec
+is checked against them.
 """
 
+import re
 from itertools import combinations
 
+import numpy as np
+
 from veronese_sdepth import bitops
-from veronese_sdepth.errors import InternalCheckError
+from veronese_sdepth.builder import IntervalPartition
+from veronese_sdepth.core import regime_of
+from veronese_sdepth.errors import InternalCheckError, PartitionFileError
 from veronese_sdepth.lifting import closure_upper_mask, validate_lift_params
 
 
@@ -125,3 +135,99 @@ def per_subset_layers(n, plan, ensure=()):
                             f"size-{size} set {combo} escaped the base layer"
                         )
     return tables, covered, traces
+
+
+def write_partition_file_per_line(p, path):
+    names = [""] + [str(i) for i in range(1, p.n + 1)]
+
+    def csv_of(mask):
+        parts = []
+        while mask:
+            low = mask & -mask
+            parts.append(names[low.bit_length()])
+            mask ^= low
+        return ",".join(parts)
+
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"n={p.n} d={p.d} regime={p.regime.regime.value}\n")
+        total = len(p)
+        for start in range(0, total, 200_000):
+            stop = min(start + 200_000, total)
+            lo_chunk = p.lowers[start:stop].tolist()
+            up_chunk = p.uppers[start:stop].tolist()
+            lines = []
+            for lo, up in zip(lo_chunk, up_chunk):
+                s = csv_of(lo)
+                lines.append(s + ";" + (s if up == lo else csv_of(up)))
+            fh.write("\n".join(lines))
+            fh.write("\n")
+
+
+_HEADER_RE = re.compile(r"^n=(\d+) d=(\d+) regime=([A-Za-z0-9]+)$")
+
+
+def parse_partition_file_per_line(path):
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        header = fh.readline()
+        match = _HEADER_RE.match(header.rstrip("\n"))
+        if not match:
+            raise PartitionFileError(f"bad header {header!r}", lineno=1)
+        n, d = int(match.group(1)), int(match.group(2))
+        tag = match.group(3)
+        if not (1 <= d <= n):
+            raise PartitionFileError(f"header needs 1 <= d <= n, got n={n} d={d}", 1)
+        if n > bitops.MAX_UNIVERSE:
+            raise PartitionFileError(f"universe {n} too large", 1)
+        reg = regime_of(n, d)
+        if tag != reg.regime.value:
+            raise PartitionFileError(
+                f"regime tag {tag} does not match {reg.regime.value} for n={n}, d={d}", 1
+            )
+
+        def parse_side(text, lineno):
+            mask = 0
+            prev = 0
+            for piece in text.split(","):
+                try:
+                    x = int(piece)
+                except ValueError:
+                    raise PartitionFileError(f"bad integer {piece!r}", lineno)
+                if x <= prev:
+                    raise PartitionFileError(
+                        f"members not sorted strictly increasing at {x}", lineno
+                    )
+                if x > n:
+                    raise PartitionFileError(f"member {x} outside [1, {n}]", lineno)
+                mask |= 1 << (x - 1)
+                prev = x
+            return mask
+
+        lowers = []
+        uppers = []
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.rstrip("\n")
+            if not line:
+                raise PartitionFileError("blank line", lineno)
+            lo_s, sep, up_s = line.partition(";")
+            if not sep or ";" in up_s:
+                raise PartitionFileError("expected exactly one ';'", lineno)
+            lo = parse_side(lo_s, lineno)
+            up = lo if up_s == lo_s else parse_side(up_s, lineno)
+            if lo & ~up:
+                raise PartitionFileError("lower is not a subset of upper", lineno)
+            if lo.bit_count() < d:
+                raise PartitionFileError(f"lower endpoint smaller than d={d}", lineno)
+            lowers.append(lo)
+            uppers.append(up)
+
+    dtype = bitops.mask_dtype(n)
+    count = len(lowers)
+    return IntervalPartition(
+        n,
+        d,
+        reg,
+        np.fromiter(lowers, dtype=dtype, count=count),
+        np.fromiter(uppers, dtype=dtype, count=count),
+        np.zeros(count, dtype=np.int16),
+        ("file",),
+    )

@@ -1,0 +1,316 @@
+"""The block certificate codec against the frozen per-line writer and parser.
+
+The writer must emit the same bytes as the per-line writer.  The parser
+must return an equal partition wherever the per-line parser does, and
+raise the same exception with the same message and line number wherever it
+raises, whatever the block size and wherever a block boundary falls.
+"""
+
+import contextlib
+import io
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from oracles import parse_partition_file_per_line, write_partition_file_per_line
+from veronese_sdepth import build_partition, build_partition_k3, certfile, regime_of
+from veronese_sdepth.builder import IntervalPartition
+from veronese_sdepth.cli import main, parse_partition_file, write_partition_file
+from veronese_sdepth.errors import PartitionFileError
+
+IDENTITY_CASES = [(n, d, False) for n in range(1, 15) for d in range(1, n + 1)] + [
+    (7, 1, True),
+    (11, 2, True),
+]
+
+
+def built(n, d, k3=False):
+    return build_partition_k3(d)[0] if k3 else build_partition(n, d)[0]
+
+
+@lru_cache(maxsize=None)
+def certificate_bytes(n, d):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.txt"
+        write_partition_file_per_line(built(n, d), str(path))
+        return path.read_bytes()
+
+
+def outcome(parse, path):
+    """A parser's result: the partition and its mask dtype, or the raised
+    exception's class, message and line number."""
+    try:
+        part = parse(str(path))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "lineno", None))
+    return ("parsed", part, part.lowers.dtype, part.uppers.dtype)
+
+
+def assert_same_outcome(path):
+    got = outcome(parse_partition_file, path)
+    want = outcome(parse_partition_file_per_line, path)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got == want
+    else:
+        assert got[1] == want[1] and got[2:] == want[2:]
+    return got
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("n,d,k3", IDENTITY_CASES)
+    def test_bytes_and_partition_match_per_line_codec(self, tmp_path, n, d, k3):
+        part = built(n, d, k3)
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        write_partition_file(part, str(new))
+        write_partition_file_per_line(part, str(old))
+        assert new.read_bytes() == old.read_bytes()
+        parsed = parse_partition_file(str(new))
+        assert parsed == part == parse_partition_file_per_line(str(new))
+        assert parsed.lowers.dtype == part.lowers.dtype
+
+    @pytest.mark.parametrize("n", [9, 10, 17, 24, 32, 33, 47, 64])
+    def test_random_intervals_in_wide_universes(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        uppers = rng.integers(1, 1 << n, size=300, dtype=np.uint64)
+        uppers[::2] |= np.uint64(1 << (n - 1))
+        lowers = uppers & rng.integers(0, 1 << n, size=300, dtype=np.uint64)
+        lowers |= uppers & (~uppers + np.uint64(1))  # keep the least member
+        dtype = np.uint32 if n <= 32 else np.uint64
+        part = IntervalPartition(
+            n,
+            1,
+            regime_of(n, 1),
+            lowers.astype(dtype),
+            uppers.astype(dtype),
+            np.zeros(len(lowers), dtype=np.int16),
+            ("file",),
+        )
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        write_partition_file(part, str(new))
+        write_partition_file_per_line(part, str(old))
+        assert new.read_bytes() == old.read_bytes()
+        assert parse_partition_file(str(new)) == part
+
+
+class TestNonCanonicalForms:
+    """Inputs outside the canonical form take the per-line path and keep
+    the per-line parser's verdict."""
+
+    def body_edit(self, edit):
+        text = certificate_bytes(7, 2).decode("ascii")
+        header, _, body = text.partition("\n")
+        return (header + "\n" + edit(body)).encode("latin-1")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda b: b.replace("\n", "\r\n"),
+            lambda b: b.replace("\n", "\r"),
+            lambda b: b.replace(";", ";+", 3),
+            lambda b: b.replace(";", ";00", 2),
+            lambda b: b.replace(",", ", ", 5),
+            lambda b: b.replace(";", "\t;", 1),
+            lambda b: b[:-1],
+        ],
+        ids=["crlf", "lone-cr", "plus", "leading-zeros", "space", "tab", "no-final-newline"],
+    )
+    def test_accepted_with_equal_partition(self, tmp_path, edit):
+        path = tmp_path / "p.txt"
+        path.write_bytes(self.body_edit(edit))
+        got = assert_same_outcome(path)
+        assert got[0] == "parsed" and got[1] == built(7, 2)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda b: b.replace("\n", "\n\n", 3),
+            lambda b: b.replace(",", "é", 1),
+            lambda b: b.replace(",", ",,", 1),
+            lambda b: b.replace(";", ";0,", 1),
+            lambda b: b.replace(";", "100;", 1),
+            lambda b: "10" + b,
+            lambda b: b.replace(";", "\n", 1),
+            lambda b: b.replace(",", ";", 1),
+            lambda b: b[: b.rindex(";")],
+            lambda b: "1;1\n" + b,
+        ],
+        ids=[
+            "blank-line",
+            "non-ascii",
+            "empty-token",
+            "zero",
+            "long-token",
+            "three-digit-token",
+            "no-semicolon",
+            "two-semicolons",
+            "last-line-cut",
+            "lower-below-d",
+        ],
+    )
+    def test_rejected_with_same_error(self, tmp_path, edit):
+        path = tmp_path / "p.txt"
+        path.write_bytes(self.body_edit(edit))
+        assert assert_same_outcome(path)[0] == "raised"
+
+
+# Body lines of six bytes each; with 24-byte reads every block holds four
+# whole lines, so line 2 + 4k opens a block and line 5 + 4k closes one.
+LINE = b"1;1,2\n"
+HEADER = f"n=9 d=1 regime={regime_of(9, 1).regime.value}\n".encode("ascii")
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(certfile, "_BLOCK_BYTES", 24)
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Whether each block was decoded in bulk (True) or per line (False)."""
+    calls = []
+    real = certfile._decode_block
+
+    def spy(buf, n, d):
+        result = real(buf, n, d)
+        calls.append(result is not None)
+        return result
+
+    monkeypatch.setattr(certfile, "_decode_block", spy)
+    return calls
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("block", [5, 16, 24, 40, 1 << 20])
+    def test_lines_split_across_reads(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(certfile, "_BLOCK_BYTES", block)
+        path = tmp_path / "p.txt"
+        path.write_bytes(certificate_bytes(8, 2))
+        got = assert_same_outcome(path)
+        assert got[0] == "parsed" and got[1] == built(8, 2)
+        assert run(["verify", "--in", str(path)])[0] == 0
+
+    @pytest.mark.parametrize("bad", [b"2;1,3\n", b"1;1,a\n", b"1;1,0\n", b"1;\n1,2\n"])
+    @pytest.mark.parametrize("index,lineno", [(4, 6), (7, 9), (8, 10)])
+    def test_bad_line_at_block_edge_carries_its_line_number(
+        self, tmp_path, small_blocks, bad, index, lineno
+    ):
+        lines = [LINE] * 16
+        lines[index] = bad
+        path = tmp_path / "p.txt"
+        path.write_bytes(HEADER + b"".join(lines))
+        got = assert_same_outcome(path)
+        assert got[0] == "raised" and got[1] is PartitionFileError and got[3] == lineno
+
+    def test_non_canonical_block_between_canonical_ones(
+        self, tmp_path, small_blocks, decode_calls
+    ):
+        lines = [LINE] * 16
+        lines[5] = b"1;1, 2\r\n"
+        path = tmp_path / "p.txt"
+        path.write_bytes(HEADER + b"".join(lines))
+        got = assert_same_outcome(path)
+        assert got[0] == "parsed"
+        assert got[1].lowers.tolist() == [1] * 16 and got[1].uppers.tolist() == [3] * 16
+        assert decode_calls.count(False) == 1
+        assert decode_calls[0] and decode_calls[-1]
+
+    def test_bulk_path_serves_canonical_files(self, tmp_path, small_blocks, decode_calls):
+        path = tmp_path / "p.txt"
+        path.write_bytes(HEADER + LINE * 16)
+        assert assert_same_outcome(path)[0] == "parsed"
+        assert decode_calls == [True] * 4
+
+    @pytest.mark.parametrize("header", [b"n=5 d=2 regime=K1\n", b"n=5 d=2 regime=K1"])
+    def test_header_only_file(self, tmp_path, small_blocks, header):
+        path = tmp_path / "p.txt"
+        path.write_bytes(header)
+        got = assert_same_outcome(path)
+        assert got[0] == "parsed" and len(got[1]) == 0
+        code, out, _ = run(["verify", "--in", str(path)])
+        assert code == 4 and "not covering" in out
+
+
+MUTATIONS = (
+    "flip", "separator", "insert", "delete", "crlf", "cr", "zero", "plus", "blank", "dup",
+    "drop", "strip_eol",
+)
+INSERTS = [b"0", b"7", b"10", b",", b";", b"\n", b"\r", b" ", b"\t", b"+", b"-", b"_", b"\xc3"]
+
+
+def token_starts(data):
+    return [i for i in range(1, len(data)) if data[i - 1] in b",;\n" and data[i] in b"0123456789"]
+
+
+@st.composite
+def mutated_certificates(draw):
+    n = draw(st.integers(1, 9))
+    d = draw(st.integers(1, n))
+    data = bytearray(certificate_bytes(n, d))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(MUTATIONS))
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if kind == "flip" and data:
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "separator":
+            seps = [i for i, byte in enumerate(data) if byte in b",;\n"]
+            if seps:
+                data[draw(st.sampled_from(seps))] = draw(st.sampled_from(b",;\n"))
+        elif kind == "insert":
+            piece = draw(st.sampled_from(INSERTS) | st.binary(min_size=1, max_size=3))
+            data[at:at] = piece
+        elif kind == "delete":
+            del data[at : at + draw(st.integers(1, 4))]
+        elif kind in ("crlf", "cr"):
+            new = b"\r\n" if kind == "crlf" else b"\r"
+            if draw(st.booleans()):
+                data = bytearray(bytes(data).replace(b"\n", new))
+            else:
+                pos = data.find(b"\n", at)
+                if pos >= 0:
+                    data[pos : pos + 1] = new
+        elif kind in ("zero", "plus"):
+            starts = token_starts(data)
+            if starts:
+                pos = draw(st.sampled_from(starts))
+                data[pos:pos] = b"0" * draw(st.integers(1, 2)) if kind == "zero" else b"+"
+        elif kind == "blank":
+            pos = data.find(b"\n", at)
+            if pos >= 0:
+                data[pos:pos] = b"\n"
+        elif kind in ("dup", "drop"):
+            lines = bytes(data).splitlines(keepends=True)
+            if lines:
+                i = draw(st.integers(0, len(lines) - 1))
+                lines[i:i + 1] = [lines[i]] * (2 if kind == "dup" else 0)
+                data = bytearray(b"".join(lines))
+        elif kind == "strip_eol" and data.endswith(b"\n"):
+            del data[-1]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def mutation_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "p.txt"
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=mutated_certificates(), block=st.sampled_from([7, 40, 1 << 20]))
+def test_mutated_certificates_match_per_line_parser(mutation_path, data, block):
+    mutation_path.write_bytes(data)
+    with mock.patch.object(certfile, "_BLOCK_BYTES", block):
+        assert_same_outcome(mutation_path)
+        code, _, _ = run(["verify", "--in", str(mutation_path)])
+    assert code in {0, 2, 3, 4, 10}

@@ -225,3 +225,16 @@ class TestNonPositiveLimits:
         code, out, err = run(argv)
         assert code == 2 and out == ""
         assert "must be positive" in err
+
+
+class TestFileErrors:
+    def test_missing_certificate(self, tmp_path):
+        code, out, err = run(["verify", "--in", str(tmp_path / "missing.txt")])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "missing.txt" in err
+
+    def test_unwritable_output(self, tmp_path):
+        out_file = tmp_path / "no-such-dir" / "p.txt"
+        code, out, err = run(["build", "-n", "5", "-d", "2", "--out", str(out_file)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "no-such-dir" in err
