@@ -79,6 +79,13 @@ def member_lookup(masks: np.ndarray, sorted_table: np.ndarray) -> np.ndarray:
     return sorted_table[pos] == masks
 
 
+def containing(lowers: np.ndarray, uppers: np.ndarray, mask: int) -> np.ndarray:
+    """Boolean array, true where lowers[i] <= ``mask`` <= uppers[i]: the
+    intervals that hold ``mask``."""
+    m = lowers.dtype.type(mask)
+    return (lowers & ~m == 0) & (m & ~uppers == 0)
+
+
 def row_masks(rows: np.ndarray, n: int) -> np.ndarray:
     """The mask of every row of a rows x k array of 1-indexed members."""
     dtype = mask_dtype(n)

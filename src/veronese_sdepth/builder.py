@@ -169,15 +169,12 @@ class IntervalPartition:
 class LayeredCertificate:
     """Outcome of building only the layered part, with the trivial remainder
     implicit: every set the layers left uncovered self-covers, so the
-    partition exists without being materialized.  ``exact`` is False when
-    the scan for the smallest uncovered size hit the enumeration cap and
-    ``min_upper_size`` is a (still valid) conservative floor."""
+    partition exists without being materialized."""
 
     n: int
     d: int
     regime: RegimeDecomposition
     min_upper_size: int
-    exact: bool
     trace: BuilderTrace
 
 
@@ -425,20 +422,11 @@ def certify_layered(
         return None
     layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
     upper_sizes = [fam.upper_size() for fam in layers if len(fam)]
-    layered_min = min(upper_sizes) if upper_sizes else None
+    # ``covered`` holds distinct sets, so a size is left uncovered iff it is
+    # counted fewer than C(n, size) times.
     hist = np.bincount(bitops.popcounts(covered), minlength=n + 1)
-    value, exact = layered_min, True
-    for size in range(plan.min_upper, n + 1):
-        total = comb(n, size)
-        if total > cap:
-            value = size if value is None else min(value, size)
-            exact = False
-            break
-        if int(hist[size]) < total:
-            value = size if value is None else min(value, size)
-            break
-    if value is None:
+    uncovered = [k for k in range(plan.min_upper, n + 1) if int(hist[k]) < comb(n, k)]
+    sizes = upper_sizes + uncovered[:1]
+    if not sizes:
         raise InternalCheckError("layered selection claims to cover the whole poset")
-    return LayeredCertificate(
-        n, d, reg, value, exact, BuilderTrace(tuple(traces), None)
-    )
+    return LayeredCertificate(n, d, reg, min(sizes), BuilderTrace(tuple(traces), None))

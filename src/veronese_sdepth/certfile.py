@@ -152,7 +152,9 @@ def _decode_block(buf: bytes, n: int, d: int):
     """(lowers, uppers) of a block of lines in canonical form, each ending
     in a newline, that ``_parse_line`` would accept one by one; None for
     any other block."""
-    if not buf.endswith(b"\n"):
+    # A CR is never canonical; finding one costs far less than the
+    # bulk pass it would fail.
+    if not buf.endswith(b"\n") or b"\r" in buf:
         return None
     a = np.frombuffer(buf, dtype=np.uint8)
     sep = np.flatnonzero((a - np.uint8(48)) >= 10)  # every byte but a digit

@@ -16,9 +16,7 @@ scalar references it is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -252,9 +250,7 @@ def lifted_closure(a: CircularSet, params: LiftParams) -> PosetInterval:
 
 class IntervalFamily:
     """A family of intervals with a common lower-endpoint size, stored as
-    parallel lower and upper mask arrays in selection order.  ``table``, the
-    lower-mask -> upper-mask dict built on first use, makes a coverage
-    probe cost one lookup per lower-size subset of the probed set."""
+    parallel lower and upper mask arrays in selection order."""
 
     def __init__(
         self, n: int, lower_size: int, lowers: np.ndarray, uppers: np.ndarray, label: str
@@ -264,30 +260,6 @@ class IntervalFamily:
         self.lowers = lowers
         self.uppers = uppers
         self.label = label
-
-    @cached_property
-    def table(self) -> dict[int, int]:
-        return dict(zip(self.lowers.tolist(), self.uppers.tolist()))
-
-    @classmethod
-    def from_intervals(cls, intervals: Iterable[PosetInterval], label: str = "family"):
-        table: dict[int, int] = {}
-        n = None
-        size = None
-        for iv in intervals:
-            if n is None:
-                n, size = iv.universe, len(iv.lower)
-            if iv.universe != n:
-                raise UniverseMismatchError("mixed universes in one family")
-            if len(iv.lower) != size:
-                raise SizeMismatchError("mixed lower sizes in one family")
-            table[iv.lower.mask] = iv.upper.mask
-        if n is None:
-            raise PreconditionViolatedError("empty interval family")
-        dtype = bitops.mask_dtype(n)
-        lowers = np.fromiter(table.keys(), dtype=dtype, count=len(table))
-        uppers = np.fromiter(table.values(), dtype=dtype, count=len(table))
-        return cls(n, size, lowers, uppers, label)
 
     def __len__(self) -> int:
         return len(self.lowers)
@@ -303,68 +275,53 @@ class IntervalFamily:
             return self.lower_size
         return int(self.uppers[0]).bit_count()
 
-    def covers_mask(self, mask: int, members: tuple[int, ...]) -> bool:
-        if len(members) < self.lower_size:
-            return False
-        table = self.table
-        for combo in combinations(members, self.lower_size):
-            up = table.get(bitops.mask_of(combo))
-            if up is not None and mask & ~up == 0:
-                return True
-        return False
 
-
-def _as_families(family) -> list[IntervalFamily]:
-    if isinstance(family, IntervalFamily):
-        return [family]
-    items = list(family)
-    if all(isinstance(x, IntervalFamily) for x in items):
-        return items
-    groups: dict[int, list[PosetInterval]] = {}
-    for iv in items:
-        groups.setdefault(len(iv.lower), []).append(iv)
-    return [
-        IntervalFamily.from_intervals(ivs, label=f"size{size}")
-        for size, ivs in sorted(groups.items())
-    ]
+def _interval_masks(n: int, family) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper masks of ``family`` as parallel arrays, in no
+    particular order.  ``family`` is an ``IntervalFamily``, an iterable of
+    them, or an iterable of ``PosetInterval``; every interval must live on
+    [n]."""
+    items = [family] if isinstance(family, IntervalFamily) else list(family)
+    fams = [x for x in items if isinstance(x, IntervalFamily)]
+    ivs = [x for x in items if not isinstance(x, IntervalFamily)]
+    for universe in {f.n for f in fams} | {iv.universe for iv in ivs}:
+        if universe != n:
+            raise UniverseMismatchError(f"set on [{n}], family on [{universe}]")
+    dtype = bitops.mask_dtype(n)
+    lowers = [f.lowers for f in fams] + [np.array([iv.lower.mask for iv in ivs], dtype)]
+    uppers = [f.uppers for f in fams] + [np.array([iv.upper.mask for iv in ivs], dtype)]
+    return np.concatenate(lowers), np.concatenate(uppers)
 
 
 def is_covered(dset: CircularSet, family) -> bool:
-    """True iff some interval [A, B] of the family has A <= dset <= B.
+    """True iff some interval [A, B] of ``family`` has A <= dset <= B.
 
-    Decided by probing the lower-endpoint table with every lower-size
-    subset of ``dset``.
+    ``family`` is an ``IntervalFamily``, an iterable of them, or an
+    iterable of ``PosetInterval``; the answer does not depend on the order
+    of the intervals or on how they are grouped.
     """
-    for fam in _as_families(family):
-        if fam.n != dset.universe:
-            raise UniverseMismatchError(
-                f"set on [{dset.universe}], family on [{fam.n}]"
-            )
-        if fam.covers_mask(dset.mask, dset.members):
-            return True
-    return False
+    lowers, uppers = _interval_masks(dset.universe, family)
+    return bool(bitops.containing(lowers, uppers, dset.mask).any())
 
 
 def check_superset_closure(dset: CircularSet, family) -> bool:
-    """For an uncovered set, verify no superset is covered either.
+    """For an uncovered set D, True iff no proper superset of D is covered.
 
-    Supersets are enumerated up to the family's largest upper size; larger
-    sets cannot fit inside any interval.
+    No superset is enumerated: if D <= B for some interval [A, B] of the
+    family, then S = D | A is a covered superset of D, and S != D because
+    D is uncovered; conversely, a covered proper superset of D lies inside
+    some upper endpoint B, and so does D.  The law therefore holds iff D
+    lies under no upper endpoint.
     """
-    fams = _as_families(family)
-    if is_covered(dset, fams):
+    if not isinstance(family, IntervalFamily):
+        family = list(family)  # read a one-shot iterable once
+    if is_covered(dset, family):
         raise PreconditionViolatedError(
             f"{dset.members} is covered; the closure check applies to uncovered sets"
         )
-    n = dset.universe
-    top = max(f.upper_size() for f in fams)
-    outside = [x for x in range(1, n + 1) if x not in dset]
-    for extra in range(1, top - len(dset) + 1):
-        for added in combinations(outside, extra):
-            sup = CircularSet(n, dset.members + added)
-            if is_covered(sup, fams):
-                return False
-    return True
+    _, uppers = _interval_masks(dset.universe, family)
+    mask = uppers.dtype.type(dset.mask)
+    return not np.any(mask & ~uppers == 0)
 
 
 def check_mixed_density_disjoint(a: CircularSet, b: CircularSet, delta, eta) -> bool:

@@ -117,8 +117,7 @@ def _members(p: IntervalPartition) -> np.ndarray:
 def _overlap_witness(p: IntervalPartition, mask: int) -> tuple[int, int, CircularSet]:
     """The two earliest intervals holding ``mask``: non-trivial intervals by
     index first, then singletons by index."""
-    m = p.lowers.dtype.type(mask)
-    holders = np.flatnonzero((p.lowers & ~m == 0) & (m & ~p.uppers == 0))
+    holders = np.flatnonzero(bitops.containing(p.lowers, p.uppers, mask))
     trivial = p.lowers[holders] == p.uppers[holders]
     i, j = np.concatenate([holders[~trivial], holders[trivial]])[:2].tolist()
     return min(i, j), max(i, j), CircularSet.from_mask(p.n, mask)
@@ -375,7 +374,7 @@ def sdepth_report(
         cert = certify_layered(n, d, cap=cap, use_k3=k3_here)
         if cert is not None:
             certified = cert.min_upper_size
-            how = "layered" if cert.exact else "layered-floor"
+            how = "layered"
     band = k3_band_exact(n, d)
     if band is not None and (certified is None or band > certified):
         certified = band

@@ -9,6 +9,10 @@ uniqueness of block structures without trusting the production scan.
 loop, one scalar closure and one Python-set update per level set; the
 batched layer engine is checked against it.
 
+``covered_by_definition`` and ``superset_closure_by_definition`` answer
+the coverage and superset-closure probes straight from their definitions,
+enumerating every proper superset; ``lifting`` is checked against them.
+
 ``write_partition_file_per_line`` and ``parse_partition_file_per_line``
 are frozen copies of the original certificate writer and parser, one
 Python string per interval and one text line at a time; the block codec
@@ -94,6 +98,20 @@ def brute_half_odd_sqrt(x):
     while (2 * (t + 1) - 1) ** 2 <= x:
         t += 1
     return t
+
+
+def covered_by_definition(dmask, intervals):
+    """Some (lower, upper) mask pair of ``intervals`` has lower <= dmask <= upper."""
+    return any(lo & ~dmask == 0 and dmask & ~up == 0 for lo, up in intervals)
+
+
+def superset_closure_by_definition(n, dmask, intervals):
+    """No proper superset of ``dmask`` inside [n] is covered by ``intervals``."""
+    return not any(
+        covered_by_definition(sup, intervals)
+        for sup in range(1 << n)
+        if sup != dmask and sup & dmask == dmask
+    )
 
 
 def per_subset_layers(n, plan, ensure=()):

@@ -81,7 +81,7 @@ class TestK3Build:
             for combo in combinations(range(1, n + 1), d + 1):
                 assert any(
                     iv_lower & ~mask == 0 and mask & ~iv_upper == 0
-                    for iv_lower, iv_upper in fam.table.items()
+                    for iv_lower, iv_upper in zip(fam.lowers.tolist(), fam.uppers.tolist())
                     for mask in [sum(1 << (x - 1) for x in combo)]
                 )
 
@@ -154,7 +154,7 @@ class TestCoverageQuery:
         layers, _, _ = _run_layers(7, _plan_for(regime_of(7, 1)).layers)
         base = layers[0]
         lower = CircularSet(7, [1])
-        upper_mask = base.table[lower.mask]
+        upper_mask = int(base.uppers[base.lowers == lower.mask][0])
         assert is_covered(lower, layers)
         assert is_covered(CircularSet.from_mask(7, upper_mask), layers)
 
@@ -177,7 +177,9 @@ class TestBatchedLayers:
         plan = _plan_for(reg, k3)
         layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
         tables, ref_covered, ref_traces = per_subset_layers(n, plan.layers, plan.ensure)
-        assert [list(fam.table.items()) for fam in layers] == [list(t.items()) for t in tables]
+        assert [
+            list(zip(fam.lowers.tolist(), fam.uppers.tolist())) for fam in layers
+        ] == [list(t.items()) for t in tables]
         assert np.all(covered[1:] > covered[:-1])
         assert set(covered.tolist()) == ref_covered
         assert [
@@ -223,12 +225,12 @@ class TestLayeredCertificate:
         for n, d in [(5, 2), (9, 2), (7, 1), (12, 1), (13, 2)]:
             cert = certify_layered(n, d)
             part, _ = build_partition(n, d)
-            assert cert is not None and cert.exact
+            assert cert is not None
             assert cert.min_upper_size == part.min_upper_size()
 
     def test_large_instance(self):
         cert = certify_layered(29, 1)
-        assert cert is not None and cert.exact
+        assert cert is not None
         assert cert.min_upper_size == 6 == lower_bound_large_n(29, 1)
 
     def test_cap_refusal(self):

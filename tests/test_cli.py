@@ -2,6 +2,7 @@ import io
 import contextlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from veronese_sdepth import build_partition, regime_of
 from veronese_sdepth.cli import main, parse_partition_file, write_partition_file
@@ -44,6 +45,15 @@ class TestReport:
         assert values["certified_lower"] == "6"
         assert values["upper_bound"] == "15"
         assert values["verified"] == "no"
+
+    def test_trivial_range_beyond_cap(self):
+        # n <= 2d: every set self-covers, so the layered certificate is
+        # exact however large C(n, d) is.
+        code, out, _ = run(["report", "-n", "30", "-d", "20"])
+        values = machine_lines(out)
+        assert code == 0
+        assert values["certification"] == "layered"
+        assert values["certified_lower"] == "20"
 
     def test_oracle_flag(self):
         code, out, _ = run(["report", "-n", "6", "-d", "2", "--oracle"])
@@ -238,3 +248,127 @@ class TestFileErrors:
         code, out, err = run(["build", "-n", "5", "-d", "2", "--out", str(out_file)])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "no-such-dir" in err
+
+
+NOT_POSITIVE = st.one_of(
+    st.integers(-2, 0).map(str), st.sampled_from(["abc", "1.5", "", "1e3", "0x5", "--"])
+)
+
+
+def mostly(valid, edge):
+    """``valid`` four times in five, else ``edge``.  Hypothesis leans
+    towards drawing 0, so 0 picks ``valid``."""
+    return st.integers(0, 4).flatmap(lambda i: edge if i == 4 else valid)
+
+
+def int_range(hi):
+    """a..b with 1 <= a <= b <= hi, or a reversed, negative, empty or
+    malformed range."""
+    return mostly(
+        st.tuples(st.integers(1, hi), st.integers(1, hi)).map(lambda t: f"{min(t)}..{max(t)}"),
+        st.one_of(
+            st.tuples(st.integers(-2, hi), st.integers(-2, hi)).map(lambda t: f"{t[0]}..{t[1]}"),
+            st.sampled_from(["..", "3..", "..3", "a..b", "1", "1...3", "5..2"]),
+        ),
+    )
+
+
+CAPS = mostly(st.sampled_from(["5000000", "100", "1"]), st.sampled_from(["0", "-1", "abc"]))
+BUDGETS = mostly(st.integers(1, 20_000).map(str), NOT_POSITIVE)
+DENSITIES = mostly(
+    st.sampled_from(["3/2", "2", "5/2", "1", "7/3", "3", "4/3", "5"]),
+    st.sampled_from(["1/0", "1.5", "abc", "0", "-1", "1/2", "2/-1", "1/1/1"]),
+)
+
+
+@st.composite
+def cli_argvs(draw, paths):
+    """An argv for ``main``, its work bounded here: n <= 14 where it builds
+    or reports, n <= 8 and a budget of at most 20,000 for the oracle."""
+    command = draw(
+        st.sampled_from(["report", "build", "verify", "table", "blocks", "oracle", "frobnicate"])
+    )
+    argv = [command]
+
+    def flag(name, values, always=False):
+        # Each flag is now and then left out, so missing arguments come up too.
+        if always or draw(st.integers(0, 19)) < 19:
+            argv.extend([name, draw(values)])
+
+    def n_and_d(hi, k3=False):
+        # With --k3, mostly an n = 4d + 3 the flag accepts.
+        d = draw(st.integers(1, (hi - 3) // 4)) if k3 and draw(st.integers(0, 3)) < 3 else None
+        n = draw(st.integers(1, hi)) if d is None else 4 * d + 3
+        flag("-n", mostly(st.just(str(n)), NOT_POSITIVE))
+        valid_d = st.integers(1, n) if d is None else st.just(d)
+        too_big = st.integers(n + 1, hi + 2)
+        flag("-d", mostly(valid_d.map(str), st.one_of(NOT_POSITIVE, too_big.map(str))))
+
+    if command == "report":
+        oracle = draw(st.booleans())
+        n_and_d(8 if oracle else 14)
+        if oracle:
+            argv.append("--oracle")
+            flag("--oracle-budget", BUDGETS, always=True)
+        flag("--cap", CAPS)
+    elif command == "build":
+        k3 = draw(st.booleans())
+        n_and_d(14, k3)
+        flag("--out", mostly(st.just(paths["out"][0]), st.sampled_from(paths["out"][1:])))
+        if k3:
+            argv.append("--k3")
+        flag("--cap", CAPS)
+    elif command == "verify":
+        flag("--in", st.sampled_from(paths["in"]))
+        flag("--cap", CAPS)
+    elif command == "table":
+        flag("--d-range", int_range(14))
+        flag("--n-range", int_range(14))
+        flag("--cap", CAPS)
+    elif command == "blocks":
+        n = draw(st.integers(1, 14))
+        flag("-n", mostly(st.just(str(n)), NOT_POSITIVE))
+        members = st.lists(st.integers(1, n), min_size=1, max_size=4).map(
+            lambda xs: ",".join(map(str, xs))
+        )
+        bad_sets = st.sampled_from(["", "0", "-1", "1,,2", "abc", str(n + 1)])
+        flag("--set", mostly(members, bad_sets))
+        flag("--density", DENSITIES)
+    elif command == "oracle":
+        n_and_d(8)
+        flag("--budget", BUDGETS, always=True)
+    else:
+        argv += draw(st.lists(st.sampled_from(["-n", "5", "--cap", "x"]), max_size=3))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "dir").mkdir()
+    valid = root / "valid.txt"
+    write_partition_file(build_partition(6, 2)[0], valid)
+    lines = valid.read_bytes().splitlines(keepends=True)
+    bad = {
+        "duplicate": b"".join(lines + lines[-1:]),  # parses, exit 4
+        "header": b"n=6 d=2 regime=XX\n" + b"".join(lines[1:]),
+        "blank": b"".join(lines[:2] + [b"\n"] + lines[2:]),
+        "member": b"".join(lines[:2] + [b"1,x;1,2\n"] + lines[2:]),
+        "separator": b"".join(lines[:2] + [b"1,2\n"] + lines[2:]),
+        "ascii": b"".join(lines[:2] + [b"1,2;1,2\xff\n"] + lines[2:]),
+    }
+    for name, data in bad.items():
+        (root / f"{name}.txt").write_bytes(data)
+    return {
+        "in": [str(valid), str(root / "missing.txt"), str(root / "dir")]
+        + [str(root / f"{name}.txt") for name in bad],
+        "out": [str(root / "out.txt"), str(root / "dir"), str(root / "missing" / "p.txt")],
+    }
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_with_a_contract_code(argv_paths, data):
+    argv = data.draw(cli_argvs(argv_paths), label="argv")
+    code, _, _ = run(argv)
+    assert code in {0, 2, 3, 4, 10}, argv

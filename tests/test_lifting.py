@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from veronese_sdepth import (
     CircularSet,
@@ -23,6 +24,7 @@ from veronese_sdepth import (
 )
 from veronese_sdepth.errors import InternalCheckError
 from veronese_sdepth.lifting import closure_upper_mask, closure_upper_masks
+from oracles import covered_by_definition, superset_closure_by_definition
 
 
 def family_cap(n, level):
@@ -192,6 +194,84 @@ class TestCoverage:
                             dset = CircularSet(n, combo)
                             if not is_covered(dset, fam):
                                 assert check_superset_closure(dset, fam)
+
+
+def check_against_definition(n, family, pairs):
+    """``is_covered`` and ``check_superset_closure`` on every subset of [n]
+    agree with the brute-force references over the mask pairs ``pairs``."""
+    for dmask in range(1 << n):
+        dset = CircularSet.from_mask(n, dmask)
+        covered = covered_by_definition(dmask, pairs)
+        assert is_covered(dset, family) == covered, (n, dmask)
+        if covered:
+            with pytest.raises(PreconditionViolatedError):
+                check_superset_closure(dset, family)
+        else:
+            assert check_superset_closure(dset, family) == superset_closure_by_definition(
+                n, dmask, pairs
+            ), (n, dmask)
+
+
+@st.composite
+def interval_lists(draw):
+    """(n, intervals) with n <= 7; lower endpoints come from a small pool,
+    so they repeat, and the uppers add any bits, so sizes mix."""
+    n = draw(st.integers(1, 7))
+    full = (1 << n) - 1
+    pool = draw(st.lists(st.integers(0, full), min_size=1, max_size=4))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, full)), max_size=10))
+    return n, [
+        PosetInterval(CircularSet.from_mask(n, lo), CircularSet.from_mask(n, lo | extra))
+        for lo, extra in pairs
+    ]
+
+
+class TestCoverageByDefinition:
+    @given(interval_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_random_interval_lists_in_both_orders(self, case):
+        n, intervals = case
+        pairs = [(iv.lower.mask, iv.upper.mask) for iv in intervals]
+        check_against_definition(n, intervals, pairs)
+        check_against_definition(n, intervals[::-1], pairs)
+
+    def test_every_small_family_exhaustively(self):
+        for n in range(2, 8):
+            for level in range(1, n):
+                for s in range(1, family_cap(n, level) + 1):
+                    fam = interval_family(n, level, 0, s)
+                    pairs = list(zip(fam.lowers.tolist(), fam.uppers.tolist()))
+                    check_against_definition(n, fam, pairs)
+
+    def test_iterable_of_families(self):
+        fams = [interval_family(7, 1, 0, 1), interval_family(7, 2, 0, 1)]
+        pairs = [p for f in fams for p in zip(f.lowers.tolist(), f.uppers.tolist())]
+        check_against_definition(7, fams, pairs)
+
+    def test_closure_reads_a_one_shot_iterable_once(self):
+        fam = interval_family(5, 2, 0, 1)
+        assert not check_superset_closure(CircularSet(5, [1]), iter(list(fam)))
+
+    def test_superset_closure_sees_every_upper_endpoint(self):
+        # {1,3} is uncovered, yet {1,3,5} lies in [{5}, {1,3,5,6}], whose
+        # upper endpoint is larger than any other interval's.
+        c, p = CircularSet, PosetInterval
+        intervals = [
+            p(c(6, [2, 3]), c(6, [2, 3])),
+            p(c(6, [1]), c(6, [1])),
+            p(c(6, [5]), c(6, [1, 3, 5, 6])),
+        ]
+        for order in (intervals, intervals[::-1]):
+            assert not is_covered(c(6, [1, 3]), order)
+            assert not check_superset_closure(c(6, [1, 3]), order)
+
+    def test_is_covered_with_a_repeated_lower_endpoint(self):
+        # Two intervals share the lower endpoint {1}, and only one of them
+        # holds {1,2}.
+        c, p = CircularSet, PosetInterval
+        intervals = [p(c(3, [1]), c(3, [1, 2])), p(c(3, [1]), c(3, [1]))]
+        for order in (intervals, intervals[::-1]):
+            assert is_covered(c(3, [1, 2]), order)
 
 
 class TestMixedDensityDisjoint:
