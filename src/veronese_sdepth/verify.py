@@ -11,8 +11,9 @@ on failure).
 ``exact_sdepth`` is the cross-check oracle for tiny instances.  It shares
 nothing with the block-structure or lifting machinery: for a descending
 trial target t it runs a backtracking exact-cover search assigning every
-subset of size below t to an interval with upper size at least t (sets of
-size >= t can always self-cover), and returns the largest feasible t.
+subset of size below t to an interval with upper size exactly t (sets of
+size >= t can always self-cover, and a larger upper set splits down to
+size t without losing a solution), and returns the largest feasible t.
 """
 
 from __future__ import annotations
@@ -179,10 +180,11 @@ def exact_sdepth(
 
     Descends the trial target from n; the first feasible target is the
     answer (a partition with minimum >= t also witnesses every smaller
-    target).  The budget counts search nodes and candidate constructions
-    across the whole descent; when it runs out the result is None, which
-    is distinct from a definite answer.  ``counting_prune`` exists so
-    tests can cross-check the pruned search against plain exhaustion.
+    target).  The budget counts search nodes, candidate constructions,
+    cached candidate members and enumerated constrained sets across the
+    whole descent; when it runs out the result is None, which is distinct
+    from a definite answer.  ``counting_prune`` exists so tests can
+    cross-check the pruned search against plain exhaustion.
     """
     if d < 1 or d > n:
         raise PreconditionViolatedError(f"need 1 <= d <= n, got n={n}, d={d}")
@@ -199,9 +201,16 @@ def exact_sdepth(
 def _cover_feasible(
     n: int, d: int, t: int, work: list[int], counting_prune: bool = True
 ) -> bool:
-    """Is there a disjoint interval cover, with every upper size >= t, of
-    all subsets of size in [d, t-1]?  Sets of size >= t self-cover, so
-    this is exactly feasibility of target t.
+    """Is there a disjoint interval cover, with every upper size t, of all
+    subsets of size in [d, t-1]?  Sets of size >= t self-cover, so this is
+    exactly feasibility of target t.
+
+    Upper size exactly t loses nothing.  Take a candidate [A, B] with
+    |B| > t and pick x in B - A.  Split it into [A, B - x] and
+    [A + x, B], and drop each piece whose lower size is >= t: its sets
+    self-cover.  Every other piece still has upper size >= t.  Repeat
+    until every upper size is t: a feasible target t always has a witness
+    that uses only |B| = t.
 
     Two sound prunes on top of the plain backtracking:
 
@@ -212,22 +221,47 @@ def _cover_feasible(
       size sigma < t contains at least x * (t - sigma) / (sigma + 1 - a)
       subsets of size sigma + 1, all of them currently uncovered, and
       a >= d, so (sigma+1-d) * U[sigma+1] >= (t-sigma) * U[sigma] must
-      hold for the uncovered counts U of every completable state.
+      hold for the uncovered counts U of every completable state.  On the
+      initial counts C(n, k) it runs before anything is enumerated.
 
     The counting prune only removes provably dead branches; the search
     stays exhaustive (cross-checked against prune-free runs on small n).
-    """
-    constrained: list[tuple[int, tuple[int, ...]]] = []
-    for size in range(d, t):
-        for combo in combinations(range(1, n + 1), size):
-            constrained.append((bitops.mask_of(combo), combo))
-    if not constrained:
-        return True
 
+    The search walks an explicit stack, so its depth is not bounded by
+    Python's recursion limit.  ``work`` is charged one unit per
+    enumerated constrained set, per search node and per candidate built,
+    plus one per member the candidate caches, so the budget bounds the
+    memory as well as the time.
+    """
     # uncovered[sz - d] counts uncovered sets of each size d..t.
     uncovered = [comb(n, sz) for sz in range(d, t + 1)]
     span = len(uncovered)
 
+    def charge(units: int) -> None:
+        work[0] -= units
+        if work[0] < 0:
+            raise _BudgetHit
+
+    def counting_dead() -> bool:
+        return counting_prune and any(
+            (i + 1) * uncovered[i + 1] < (t - d - i) * uncovered[i]
+            for i in range(span - 1)
+        )
+
+    if counting_dead():
+        return False
+
+    constrained: list[tuple[int, tuple[int, ...]]] = []
+    for size in range(d, t):
+        for combo in combinations(range(1, n + 1), size):
+            charge(1)
+            constrained.append((bitops.mask_of(combo), combo))
+
+    # Every candidate with lower size a holds C(t - a, s - a) sets of size s.
+    hists = {
+        a: tuple(comb(t - a, s - a) if s >= a else 0 for s in range(d, t + 1))
+        for a in range(d, t)
+    }
     cand_cache: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
 
     def candidates(dmask: int, dmembers: tuple[int, ...]):
@@ -239,47 +273,26 @@ def _cover_feasible(
         for asize in range(d, len(dmembers) + 1):
             for alow in combinations(dmembers, asize):
                 amask = bitops.mask_of(alow)
-                for bsize in range(t, n + 1):
-                    for extra in combinations(rest, bsize - len(dmembers)):
-                        work[0] -= 1
-                        if work[0] < 0:
-                            raise _BudgetHit
-                        bmask = dmask | bitops.mask_of(extra)
-                        diff = bmask & ~amask
-                        mems = []
-                        hist = [0] * span
-                        sub = diff
-                        while True:
-                            m = amask | sub
-                            mems.append(m)
-                            size = m.bit_count()
-                            if size <= t:
-                                hist[size - d] += 1
-                            if not sub:
-                                break
-                            sub = (sub - 1) & diff
-                        out.append((tuple(mems), tuple(hist)))
+                for extra in combinations(rest, t - len(dmembers)):
+                    charge(1 + (1 << (t - asize)))
+                    bmask = dmask | bitops.mask_of(extra)
+                    out.append((tuple(bitops.submasks(amask, bmask)), hists[asize]))
         cand_cache[dmask] = out
         return out
 
     covered: set[int] = set()
     watch: dict[int, int] = {}
 
-    def extend() -> bool:
-        work[0] -= 1
-        if work[0] < 0:
-            raise _BudgetHit
-        if counting_prune:
-            for i in range(span - 1):
-                if (i + 1) * uncovered[i + 1] < (t - d - i) * uncovered[i]:
-                    return False
-        target = None
-        for dmask, dmembers in constrained:
-            if dmask not in covered:
-                target = (dmask, dmembers)
-                break
+    def open_node():
+        """Charge one node.  None when every constrained set is covered;
+        otherwise the candidates for the first uncovered one, or () when
+        a prune shows the node is dead."""
+        charge(1)
+        if counting_dead():
+            return ()
+        target = next((c for c in constrained if c[0] not in covered), None)
         if target is None:
-            return True
+            return None
         for dmask, dmembers in constrained:
             if dmask in covered:
                 continue
@@ -293,20 +306,40 @@ def _cover_feasible(
                     watch[dmask] = idx
                     break
             else:
-                return False
-        for mems, hist in candidates(*target):
-            if covered.isdisjoint(mems):
-                covered.update(mems)
-                for i, c in enumerate(hist):
-                    uncovered[i] -= c
-                if extend():
-                    return True
-                covered.difference_update(mems)
-                for i, c in enumerate(hist):
-                    uncovered[i] += c
-        return False
+                return ()
+        return candidates(*target)
 
-    return extend()
+    def apply(cand, sign: int) -> None:
+        mems, hist = cand
+        if sign > 0:
+            covered.update(mems)
+        else:
+            covered.difference_update(mems)
+        for i, c in enumerate(hist):
+            uncovered[i] -= sign * c
+
+    cl = open_node()
+    if cl is None:
+        return True
+    # Frames: [candidate list, next index, the candidate applied or None].
+    stack = [[cl, 0, None]]
+    while stack:
+        frame = stack[-1]
+        cl, i, applied = frame
+        if applied is not None:
+            apply(applied, -1)
+        while i < len(cl) and not covered.isdisjoint(cl[i][0]):
+            i += 1
+        if i == len(cl):
+            stack.pop()
+            continue
+        apply(cl[i], 1)
+        frame[1], frame[2] = i + 1, cl[i]
+        child = open_node()
+        if child is None:
+            return True
+        stack.append([child, 0, None])
+    return False
 
 
 @dataclass(frozen=True)

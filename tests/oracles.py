@@ -17,10 +17,16 @@ enumerating every proper superset; ``lifting`` is checked against them.
 are frozen copies of the original certificate writer and parser, one
 Python string per interval and one text line at a time; the block codec
 is checked against them.
+
+``exact_sdepth_unrestricted`` is a frozen copy of the original exact
+oracle: a recursive search over every upper size >= t with the counting
+prune on; the oracle restricted to upper size exactly t is checked
+against it.
 """
 
 import re
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from veronese_sdepth import bitops
 from veronese_sdepth.builder import IntervalPartition
 from veronese_sdepth.core import regime_of
 from veronese_sdepth.errors import InternalCheckError, PartitionFileError
+from veronese_sdepth.verify import DEFAULT_ORACLE_BUDGET
 from veronese_sdepth.lifting import closure_upper_mask, validate_lift_params
 
 
@@ -153,6 +160,115 @@ def per_subset_layers(n, plan, ensure=()):
                             f"size-{size} set {combo} escaped the base layer"
                         )
     return tables, covered, traces
+
+
+class _BudgetHit(Exception):
+    pass
+
+
+def exact_sdepth_unrestricted(n, d, budget=DEFAULT_ORACLE_BUDGET):
+    """The largest target t with a feasible cover, or None when the budget
+    of search nodes and candidate constructions runs out."""
+    work = [budget]
+    try:
+        for t in range(n, d, -1):
+            if _cover_feasible_unrestricted(n, d, t, work):
+                return t
+    except _BudgetHit:
+        return None
+    return d
+
+
+def _cover_feasible_unrestricted(n, d, t, work):
+    constrained = []
+    for size in range(d, t):
+        for combo in combinations(range(1, n + 1), size):
+            constrained.append((bitops.mask_of(combo), combo))
+    if not constrained:
+        return True
+
+    # uncovered[sz - d] counts uncovered sets of each size d..t.
+    uncovered = [comb(n, sz) for sz in range(d, t + 1)]
+    span = len(uncovered)
+
+    cand_cache = {}
+
+    def candidates(dmask, dmembers):
+        cached = cand_cache.get(dmask)
+        if cached is not None:
+            return cached
+        rest = [x for x in range(1, n + 1) if not dmask >> (x - 1) & 1]
+        out = []
+        for asize in range(d, len(dmembers) + 1):
+            for alow in combinations(dmembers, asize):
+                amask = bitops.mask_of(alow)
+                for bsize in range(t, n + 1):
+                    for extra in combinations(rest, bsize - len(dmembers)):
+                        work[0] -= 1
+                        if work[0] < 0:
+                            raise _BudgetHit
+                        bmask = dmask | bitops.mask_of(extra)
+                        diff = bmask & ~amask
+                        mems = []
+                        hist = [0] * span
+                        sub = diff
+                        while True:
+                            m = amask | sub
+                            mems.append(m)
+                            size = m.bit_count()
+                            if size <= t:
+                                hist[size - d] += 1
+                            if not sub:
+                                break
+                            sub = (sub - 1) & diff
+                        out.append((tuple(mems), tuple(hist)))
+        cand_cache[dmask] = out
+        return out
+
+    covered = set()
+    watch = {}
+
+    def extend():
+        work[0] -= 1
+        if work[0] < 0:
+            raise _BudgetHit
+        for i in range(span - 1):
+            if (i + 1) * uncovered[i + 1] < (t - d - i) * uncovered[i]:
+                return False
+        target = None
+        for dmask, dmembers in constrained:
+            if dmask not in covered:
+                target = (dmask, dmembers)
+                break
+        if target is None:
+            return True
+        for dmask, dmembers in constrained:
+            if dmask in covered:
+                continue
+            cl = candidates(dmask, dmembers)
+            w = watch.get(dmask, 0)
+            if covered.isdisjoint(cl[w][0]):
+                continue
+            for k in range(1, len(cl)):
+                idx = (w + k) % len(cl)
+                if covered.isdisjoint(cl[idx][0]):
+                    watch[dmask] = idx
+                    break
+            else:
+                return False
+        for mems, hist in candidates(*target):
+            if covered.isdisjoint(mems):
+                covered.update(mems)
+                for i, c in enumerate(hist):
+                    uncovered[i] -= c
+                if extend():
+                    return True
+                covered.difference_update(mems)
+                for i, c in enumerate(hist):
+                    uncovered[i] += c
+        return False
+
+    return extend()
 
 
 def write_partition_file_per_line(p, path):

@@ -67,12 +67,16 @@ def test_criterion_2_k3_construction(c2_results):
 
 
 def test_criterion_3_oracle_agreement():
-    with criterion(3, "exact oracle equals the closed-form value (n <= 6 and (7,1))"):
+    with criterion(3, "exact oracle equals the closed-form value (every n <= 9)"):
         for n in range(1, 7):
             for d in range(1, n + 1):
                 got = exact_sdepth(n, d)
                 assert got == conjectured_sdepth(n, d), (n, d, got)
         assert exact_sdepth(7, 1) == conjectured_sdepth(7, 1) == 4
+        for n in range(7, 10):
+            for d in range(1, n + 1):
+                got = exact_sdepth(n, d)
+                assert got == conjectured_sdepth(n, d), (n, d, got)
 
 
 def test_criterion_4_large_regime_lower_bound(c4_results):

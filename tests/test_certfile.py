@@ -202,7 +202,11 @@ class TestBlockBoundaries:
         assert got[0] == "parsed" and got[1] == built(8, 2)
         assert run(["verify", "--in", str(path)])[0] == 0
 
-    @pytest.mark.parametrize("bad", [b"2;1,3\n", b"1;1,a\n", b"1;1,0\n", b"1;\n1,2\n"])
+    @pytest.mark.parametrize(
+        "bad",
+        [b"2;1,3\n", b"1;1,a\n", b"1;1,0\n", b"1;\n1,2\n"],
+        ids=["lower-not-in-upper", "letter", "zero", "split-line"],
+    )
     @pytest.mark.parametrize("index,lineno", [(4, 6), (7, 9), (8, 10)])
     def test_bad_line_at_block_edge_carries_its_line_number(
         self, tmp_path, small_blocks, bad, index, lineno

@@ -217,6 +217,10 @@ class TestOracleCommand:
         code, out, _ = run(["oracle", "-n", "6", "-d", "1", "--budget", "5"])
         assert code == 10 and "oracle_exact=none" in out
 
+    def test_deep_search_needs_no_recursion(self):
+        code, out, err = run(["oracle", "-n", "14", "-d", "2"])
+        assert code in (0, 10) and out.startswith("oracle_exact=") and not err
+
 
 class TestNonPositiveLimits:
     @pytest.mark.parametrize(

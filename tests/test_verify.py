@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import exact_sdepth_unrestricted
 
 from veronese_sdepth import (
     CircularSet,
@@ -167,10 +170,30 @@ class TestExactOracle:
         assert exact_sdepth(7, 1) == 4
         assert exact_sdepth(7, 2) == 3
 
-    def test_counting_prune_is_conservative(self):
-        for n in range(1, 6):
+    def test_agreement_with_formula_through_ten(self):
+        for n in range(1, 11):
             for d in range(1, n + 1):
-                assert exact_sdepth(n, d) == exact_sdepth(n, d, counting_prune=False)
+                assert exact_sdepth(n, d) == conjectured_sdepth(n, d), (n, d)
+
+    def test_equals_unrestricted_search_through_eight(self):
+        for n in range(1, 9):
+            for d in range(1, n + 1):
+                got = exact_sdepth(n, d)
+                assert got is not None and got == exact_sdepth_unrestricted(n, d), (n, d)
+
+    def test_counting_prune_is_conservative(self):
+        cases = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 1)]
+        for n, d in cases:
+            assert exact_sdepth(n, d) == exact_sdepth(n, d, counting_prune=False), (n, d)
+
+    def test_exhausted_budget_stops_before_enumerating(self):
+        tracemalloc.start()
+        try:
+            assert exact_sdepth(20, 1, budget=1) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_never_above_builder_certificate(self):
         for n in range(2, 7):
