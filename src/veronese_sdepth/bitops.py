@@ -137,6 +137,18 @@ def lex_combinations(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
         yield np.concatenate(buf)
 
 
+def first_absent(n: int, k: int, sorted_table: np.ndarray) -> tuple[int, ...] | None:
+    """The lexicographically first k-subset of [n], as increasing members,
+    absent from the ascending ``sorted_table``; None when all are present.
+    With h of them present it is among the first h + 1, so the walk stops
+    within the blocks of 32,768 subsets that hold them."""
+    for rows in lex_combinations(n, k, 1 << 15):
+        absent = np.flatnonzero(~member_lookup(row_masks(rows, n), sorted_table))
+        if absent.size:
+            return tuple(rows[absent[0]].tolist())
+    return None
+
+
 def expand_uniform(lowers: np.ndarray, uppers: np.ndarray, s: int) -> np.ndarray:
     """Every member of every interval [lowers[i], uppers[i]] of volume 2^s,
     as a rows x 2^s array; row i runs from ``uppers[i]`` down to

@@ -13,11 +13,13 @@ singleton intervals [D, D]:
                                s = large_n_density_shift(n, d).
 
 Selection makes every set of the visited sizes covered, so the trivial
-remainder starts at the next size up; disjointness of a kept interval
-against earlier layers follows from the families' closure property (for
-the base family) and the cross-level disjointness hypotheses, which for
-the filtered layers of one plan reduce to the levels being increasing at
-a common density.
+remainder starts at the next size up.  A compact partition lists only the
+layered intervals and leaves that remainder implicit, with the minimum
+upper size it reaches as a claim the verifier re-derives.  Disjointness
+of a kept interval against earlier layers follows from the families'
+closure property (for the base family) and the cross-level disjointness
+hypotheses, which for the filtered layers of one plan reduce to the
+levels being increasing at a common density.
 
 Candidate lower endpoints run in lexicographic order within each layer
 and the trivial completion is emitted in increasing size then
@@ -94,15 +96,20 @@ class LayerTrace:
 @dataclass(frozen=True)
 class BuilderTrace:
     layers: tuple[LayerTrace, ...]
-    trivial_count: int | None
+    trivial_count: int
 
 
 class IntervalPartition:
     """An ordered list of intervals over [n], stored as parallel mask arrays.
 
-    Equality compares (n, d, regime, interval sequence); per-interval layer
-    provenance is bookkeeping and not part of the value (the file format
-    does not carry it).
+    With ``claimed_min`` None the partition is explicit: every poset set
+    lies in a listed interval.  Otherwise it is compact: every set no
+    listed interval holds is an implicit singleton [D, D], and the whole
+    partition claims ``claimed_min`` as its minimum upper size.
+
+    Equality compares (n, d, regime, interval sequence, claim); per-interval
+    layer provenance is bookkeeping and not part of the value (the file
+    format does not carry it).
     """
 
     def __init__(
@@ -114,6 +121,7 @@ class IntervalPartition:
         uppers: np.ndarray,
         layer_ids: np.ndarray,
         layer_tags: tuple[str, ...],
+        claimed_min: int | None = None,
     ):
         if not (len(lowers) == len(uppers) == len(layer_ids)):
             raise InvalidPartitionError("parallel interval arrays differ in length")
@@ -131,6 +139,7 @@ class IntervalPartition:
         self.uppers = uppers
         self.layer_ids = layer_ids
         self.layer_tags = layer_tags
+        self.claimed_min = claimed_min
 
     def __len__(self) -> int:
         return len(self.lowers)
@@ -144,6 +153,7 @@ class IntervalPartition:
             and self.regime == other.regime
             and np.array_equal(self.lowers, other.lowers)
             and np.array_equal(self.uppers, other.uppers)
+            and self.claimed_min == other.claimed_min
         )
 
     def interval(self, i: int) -> PosetInterval:
@@ -160,9 +170,16 @@ class IntervalPartition:
         return self.layer_tags[int(self.layer_ids[i])]
 
     def min_upper_size(self) -> int:
+        """The smallest upper size among the listed intervals (0 for none)."""
         if not len(self):
             return 0
         return int(bitops.popcounts(self.uppers).min())
+
+    def volume(self) -> int:
+        """How many sets the listed intervals declare: the sum of
+        2^(|upper| - |lower|), without expanding any interval."""
+        diffs = np.bincount(bitops.popcounts(self.uppers & ~self.lowers), minlength=1)
+        return sum(int(c) << s for s, c in enumerate(diffs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -308,13 +325,24 @@ def _check_ensured(n: int, covered: np.ndarray, ensure: tuple[int, ...]) -> None
         return
     hist = np.bincount(bitops.popcounts(covered), minlength=n + 1)
     for size in ensure:
-        if int(hist[size]) == comb(n, size):
-            continue
-        for rows in bitops.lex_combinations(n, size, _CHUNK):
-            missing = np.flatnonzero(~bitops.member_lookup(bitops.row_masks(rows, n), covered))
-            if missing.size:
-                combo = tuple(rows[missing[0]].tolist())
-                raise InternalCheckError(f"size-{size} set {combo} escaped the base layer")
+        if int(hist[size]) < comb(n, size):
+            combo = bitops.first_absent(n, size, covered)
+            raise InternalCheckError(f"size-{size} set {combo} escaped the base layer")
+
+
+def _remainder(
+    n: int, d: int, layers: list[IntervalFamily], covered: np.ndarray
+) -> tuple[int, int | None]:
+    """The size of the trivial remainder, the poset sets missing from
+    ``covered``, and the minimum upper size of the layered intervals
+    together with those singletons (None when both are empty)."""
+    # ``covered`` holds distinct subsets of [n], so a size is left
+    # uncovered iff it is counted fewer than C(n, size) times.
+    hist = np.bincount(bitops.popcounts(covered), minlength=n + 1)
+    missing = [comb(n, k) - int(hist[k]) for k in range(d, n + 1)]
+    sizes = [fam.upper_size() for fam in layers if len(fam)]
+    sizes += [d + i for i, m in enumerate(missing) if m][:1]
+    return sum(missing), min(sizes, default=None)
 
 
 def _trivial_completion(n: int, d: int, covered: np.ndarray) -> np.ndarray:
@@ -333,65 +361,90 @@ def _trivial_completion(n: int, d: int, covered: np.ndarray) -> np.ndarray:
     )
 
 
+def _sweep_estimate(n: int, plan: _Plan) -> int:
+    """A bound on the sets the layer sweep handles: every candidate of a
+    layer, plus the 2^s members of each one it keeps."""
+    return sum(comb(n, level) * ((1 << s) + 1) for level, s in plan.layers)
+
+
 def _assemble(
-    reg: RegimeDecomposition, k3: bool = False
+    reg: RegimeDecomposition,
+    k3: bool = False,
+    compact: bool = False,
+    sweep_cap: int = 1 << MATERIALIZE_LIMIT,
 ) -> tuple[IntervalPartition, BuilderTrace]:
     n, d = reg.n, reg.d
-    if n > MATERIALIZE_LIMIT:
+    plan = _plan_for(reg, k3)
+    # An explicit build enumerates all 2^n sets; a compact one only the
+    # layered sweep, which by default may be as large as the explicit
+    # build at MATERIALIZE_LIMIT.
+    sweep = _sweep_estimate(n, plan)
+    if compact and sweep > sweep_cap:
+        raise PreconditionViolatedError(
+            f"the layered sweep at n={n}, d={d} would handle about "
+            f"{sweep} sets, beyond the cap {sweep_cap}"
+        )
+    if not compact and n > MATERIALIZE_LIMIT:
         raise PreconditionViolatedError(
             f"materializing all subsets of [{n}] is beyond desk scale; "
-            "use certify_layered for the bound"
+            "build it compact or use certify_layered for the bound"
         )
-    plan = _plan_for(reg, k3)
     layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
-    trivial = _trivial_completion(n, d, covered)
-    lo_parts, up_parts, id_parts = [], [], []
-    for li, fam in enumerate(layers):
-        lo_parts.append(fam.lowers)
-        up_parts.append(fam.uppers)
-        id_parts.append(np.full(len(fam), li, dtype=np.int16))
-    lo_parts.append(trivial)
-    up_parts.append(trivial)
-    id_parts.append(np.full(len(trivial), len(layers), dtype=np.int16))
+    remainder, minimum = _remainder(n, d, layers, covered)
+    lo_parts = [fam.lowers for fam in layers]
+    up_parts = [fam.uppers for fam in layers]
+    tags = tuple(fam.label for fam in layers)
+    if not compact:
+        trivial = _trivial_completion(n, d, covered)
+        lo_parts.append(trivial)
+        up_parts.append(trivial)
+        tags += ("trivial",)
+    claim = minimum if compact else None
     part = IntervalPartition(
         n,
         d,
         reg,
-        np.concatenate(lo_parts),
-        np.concatenate(up_parts),
-        np.concatenate(id_parts),
-        tuple(fam.label for fam in layers) + ("trivial",),
+        np.concatenate([covered[:0], *lo_parts]),
+        np.concatenate([covered[:0], *up_parts]),
+        np.repeat(np.arange(len(tags), dtype=np.int16), [len(x) for x in lo_parts]),
+        tags,
+        claim,
     )
     # Below the threshold the plan's minimum meets the upper bound, so this
     # pins the value exactly there and brackets it beyond.
-    got = part.min_upper_size()
+    got = part.min_upper_size() if claim is None else claim
     upper = sdepth_upper_bound(n, d)
     if not plan.min_upper <= got <= upper:
         raise InternalCheckError(
             f"built partition has min upper size {got}, "
             f"expected between {plan.min_upper} and {upper}"
         )
-    return part, BuilderTrace(tuple(traces), int(len(trivial)))
+    return part, BuilderTrace(tuple(traces), remainder)
 
 
-def build_partition(n: int, d: int) -> tuple[IntervalPartition, BuilderTrace]:
-    """Construct and fully materialize the partition for (n, d).
+def build_partition(
+    n: int, d: int, compact: bool = False
+) -> tuple[IntervalPartition, BuilderTrace]:
+    """Construct the partition for (n, d): fully materialized, or with
+    ``compact`` only the layered intervals and a claimed minimum.
 
     The minimum upper-endpoint size comes out as d in the trivial range,
     d + k through the Mid regime, and at least d + 1 + s beyond the
     threshold.
     """
-    return _assemble(regime_of(n, d))
+    return _assemble(regime_of(n, d), compact=compact)
 
 
-def build_partition_k3(d: int) -> tuple[IntervalPartition, BuilderTrace]:
+def build_partition_k3(
+    d: int, compact: bool = False
+) -> tuple[IntervalPartition, BuilderTrace]:
     """The dedicated construction at n = 4d + 3: the base family at
     density 4 (which covers every (d+1)-set, asserted with zero
     exceptions), a filtered level at d+2 with density 2, and a trivial
     remainder from size d + 3 up.  Minimum upper size is exactly d + 3."""
     if d < 1:
         raise PreconditionViolatedError(f"need d >= 1, got {d}")
-    return _assemble(regime_of(4 * d + 3, d), k3=True)
+    return _assemble(regime_of(4 * d + 3, d), k3=True, compact=compact)
 
 
 def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
@@ -405,7 +458,8 @@ def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
 def certify_layered(
     n: int, d: int, cap: int = DEFAULT_SWEEP_CAP, use_k3: bool = False
 ) -> LayeredCertificate | None:
-    """Build and check only the layered part; the trivial remainder stays
+    """The compact build, kept as its claimed minimum and trace: only the
+    layered part is built and checked, and the trivial remainder stays
     implicit.
 
     Sound because a singleton [D, D] for an uncovered D meets no other
@@ -416,17 +470,7 @@ def certify_layered(
     would exceed ``cap`` enumerated subsets.
     """
     reg = regime_of(n, d)
-    plan = _plan_for(reg, use_k3)
-    estimated = sum(comb(n, level) * ((1 << s) + 1) for level, s in plan.layers)
-    if estimated > cap:
+    if _sweep_estimate(n, _plan_for(reg, use_k3)) > cap:
         return None
-    layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
-    upper_sizes = [fam.upper_size() for fam in layers if len(fam)]
-    # ``covered`` holds distinct sets, so a size is left uncovered iff it is
-    # counted fewer than C(n, size) times.
-    hist = np.bincount(bitops.popcounts(covered), minlength=n + 1)
-    uncovered = [k for k in range(plan.min_upper, n + 1) if int(hist[k]) < comb(n, k)]
-    sizes = upper_sizes + uncovered[:1]
-    if not sizes:
-        raise InternalCheckError("layered selection claims to cover the whole poset")
-    return LayeredCertificate(n, d, reg, min(sizes), BuilderTrace(tuple(traces), None))
+    part, trace = _assemble(reg, use_k3, compact=True, sweep_cap=cap)
+    return LayeredCertificate(n, d, reg, part.claimed_min, trace)

@@ -27,7 +27,7 @@ from .builder import IntervalPartition
 from .core import RegimeDecomposition, regime_of
 from .errors import PartitionFileError
 
-_HEADER_RE = re.compile(r"^n=(\d+) d=(\d+) regime=([A-Za-z0-9]+)$")
+_HEADER_RE = re.compile(r"^n=(\d+) d=(\d+) regime=([A-Za-z0-9]+)(?: min_upper=(\d+))?$")
 # Rows encoded per write and bytes read per parsed block: small enough that
 # a block's temporaries (tens of MB) stay below what building or verifying
 # the partition itself takes, so neither direction raises peak memory.
@@ -77,20 +77,24 @@ def write_partition_file(p: IntervalPartition, path: str) -> None:
         raise ValueError(f"a certificate needs d >= 1, got d={p.d}")
     table, lengths = _fragment_table(p.n)
     with open(path, "wb") as fh:
-        fh.write(f"n={p.n} d={p.d} regime={p.regime.regime.value}\n".encode("ascii"))
+        claim = "" if p.claimed_min is None else f" min_upper={p.claimed_min}"
+        fh.write(f"n={p.n} d={p.d} regime={p.regime.regime.value}{claim}\n".encode("ascii"))
         for start in range(0, len(p), _WRITE_ROWS):
             stop = start + _WRITE_ROWS
             fh.write(_encode_rows(p.lowers[start:stop], p.uppers[start:stop], table, lengths))
 
 
-def _header_fields(header: str) -> tuple[int, int, RegimeDecomposition]:
+def _header_fields(header: str) -> tuple[int, int, RegimeDecomposition, int | None]:
     match = _HEADER_RE.match(header.rstrip("\n"))
     if not match:
         raise PartitionFileError(f"bad header {header!r}", lineno=1)
     n, d = int(match.group(1)), int(match.group(2))
     tag = match.group(3)
+    claim = None if match.group(4) is None else int(match.group(4))
     if not (1 <= d <= n):
         raise PartitionFileError(f"header needs 1 <= d <= n, got n={n} d={d}", 1)
+    if claim is not None and not (d <= claim <= n):
+        raise PartitionFileError(f"header needs d <= min_upper <= n, got {claim}", 1)
     if n > bitops.MAX_UNIVERSE:
         raise PartitionFileError(f"universe {n} too large", 1)
     reg = regime_of(n, d)
@@ -98,7 +102,7 @@ def _header_fields(header: str) -> tuple[int, int, RegimeDecomposition]:
         raise PartitionFileError(
             f"regime tag {tag} does not match {reg.regime.value} for n={n}, d={d}", 1
         )
-    return n, d, reg
+    return n, d, reg, claim
 
 
 def _open_text(path: str):
@@ -107,8 +111,9 @@ def _open_text(path: str):
     return open(path, "r", encoding="ascii", newline="")
 
 
-def read_header(path: str) -> tuple[int, int, RegimeDecomposition]:
-    """(n, d, regime) from a certificate's header line alone."""
+def read_header(path: str) -> tuple[int, int, RegimeDecomposition, int | None]:
+    """(n, d, regime, claimed minimum or None) from a certificate's header
+    line alone."""
     with _open_text(path) as fh:
         return _header_fields(fh.readline())
 
@@ -237,7 +242,7 @@ class _LineReader:
 def parse_partition_file(path: str) -> IntervalPartition:
     with _open_text(path) as text, open(path, "rb") as body:
         header = text.readline()
-        n, d, reg = _header_fields(header)
+        n, d, reg, claim = _header_fields(header)
         lines = _LineReader(text, len(header), n, d)
         dtype = bitops.mask_dtype(n)
         lowers, uppers = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=dtype)]
@@ -249,4 +254,6 @@ def parse_partition_file(path: str) -> IntervalPartition:
             lowers.append(masks[0])
             uppers.append(masks[1])
     lo, up = np.concatenate(lowers), np.concatenate(uppers)
-    return IntervalPartition(n, d, reg, lo, up, np.zeros(len(lo), dtype=np.int16), ("file",))
+    return IntervalPartition(
+        n, d, reg, lo, up, np.zeros(len(lo), dtype=np.int16), ("file",), claim
+    )

@@ -13,10 +13,30 @@ Exit codes are a stable contract:
   3   internal verification failure
   4   a certificate file that parses but is not a valid partition
 
-Partition certificate files are ASCII: a header
-``n=<int> d=<int> regime=<tag>`` followed by one ``<lower>;<upper>`` line
-per interval, both sides comma-separated strictly increasing members of
-[1, n], the lower side a subset of the upper one with at least d members.
+Partition certificate files are ASCII: a one-line header followed by one
+``<lower>;<upper>`` line per listed interval, both sides comma-separated
+strictly increasing members of [1, n], the lower side a subset of the
+upper one with at least d members.  The header comes in two forms:
+
+* ``n=<int> d=<int> regime=<tag> min_upper=<t>``, the compact form that
+  ``build`` writes: only the non-trivial intervals are listed, every other
+  set of size >= d is an implicit singleton [D, D], and t, with
+  d <= t <= n, is the claimed minimum upper size.  The remainder is sound
+  because no listed interval holds such a D, so its singleton meets none
+  of them.  ``verify`` accepts the file when the listed intervals are
+  disjoint and the smaller of their minimum upper size and the smallest
+  size they leave uncovered reaches t.
+* ``n=<int> d=<int> regime=<tag>``, the explicit form, which earlier
+  versions of ``build`` wrote and ``write_partition_file`` writes for a
+  partition from ``build_partition(n, d)``: every interval is listed,
+  singletons included, and a set no line holds is uncovered.
+
+``--cap`` on ``verify`` bounds the listed volume, the sum of
+2^(|upper| - |lower|), of a compact file before any interval is expanded,
+and the header's n of an explicit one before its body is read.  Either
+file is refused as not disjoint, before expansion, when its listed volume
+exceeds the number of sets of size >= d.
+
 ``build`` writes the canonical form: every line, the last included, ends
 in LF, and members are plain decimal without sign, leading zeros or
 spaces.  ``verify`` reads canonical files in bulk (``certfile``); any
@@ -32,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import comb
 
 from .blocks import Density, block_structure
 from .builder import (
@@ -125,7 +146,10 @@ def cmd_build(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    part, _ = build_partition_k3(d) if args.k3 else build_partition(n, d)
+    if args.k3:
+        part, _ = build_partition_k3(d, compact=True)
+    else:
+        part, _ = build_partition(n, d, compact=True)
     verdict = verify_partition(part)
     if not verdict.ok:
         print("internal error: built partition failed verification", file=sys.stderr)
@@ -137,15 +161,28 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # Refuse an over-cap universe before reading the body.
-    n, _, _ = read_header(args.in_path)
-    if not within_cap(n, args.cap):
+    # An explicit file lists every set: refuse an over-cap universe before
+    # reading the body.
+    n, d, _, claim = read_header(args.in_path)
+    if claim is None and not within_cap(n, args.cap):
         print(
             f"verifying n={n} exceeds the enumeration cap {args.cap}",
             file=sys.stderr,
         )
         return EXIT_USAGE
     part = parse_partition_file(args.in_path)
+    # What expanding the listed intervals would cost, known before it is paid.
+    volume = part.volume()
+    if claim is not None and volume > args.cap:
+        print(
+            f"verifying {volume} listed sets exceeds the enumeration cap {args.cap}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    poset = sum(comb(n, k) for k in range(d, n + 1))
+    if volume > poset:
+        print(f"not disjoint: declared volume {volume} exceeds the {poset} sets of the poset")
+        return EXIT_INVALID_CERTIFICATE
     verdict = verify_partition(part)
     if verdict.ok:
         print(
@@ -158,6 +195,14 @@ def cmd_verify(args) -> int:
         print(f"not disjoint: intervals {i} and {j} share {{{witness.serialize()}}}")
     if not verdict.covers:
         print(f"not covering: {{{verdict.uncovered_witness.serialize()}}} is uncovered")
+    if verdict.short_witness is not None:
+        i, short = verdict.short_witness
+        where = (
+            f"{{{short.serialize()}}} is uncovered, so its implicit singleton"
+            if i is None
+            else f"interval {i} has upper {{{short.serialize()}}}, which"
+        )
+        print(f"below claim: {where} has size {len(short)} < min_upper={claim}")
     return EXIT_INVALID_CERTIFICATE
 
 

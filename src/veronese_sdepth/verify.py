@@ -1,12 +1,14 @@
 """Independent certification of partitions and a brute-force exact oracle.
 
 ``verify_partition`` recomputes everything from the interval list alone:
-it expands every interval into its member masks (one uniform-volume
-expansion per interval volume), sorts them once, and checks that no mask
-repeats (disjointness, with the offending pair on failure) and that every
-subset of [n] of size >= d appears (coverage: for distinct members, a
-per-size count against C(n, k); the first missing set is looked up only
-on failure).
+it expands every listed interval into its member masks (one
+uniform-volume expansion per interval volume), sorts them once, and
+checks that no mask repeats (disjointness, with the offending pair on
+failure), then counts the distinct members per size against C(n, k).  An
+explicit partition must cover every size; the first missing set is looked
+up only on failure.  In a compact partition every uncovered set is an
+implicit singleton, so the minimum upper size is the smaller of the listed
+minimum and the smallest uncovered size, and it must reach the claim.
 
 ``exact_sdepth`` is the cross-check oracle for tiny instances.  It shares
 nothing with the block-structure or lifting machinery: for a descending
@@ -60,47 +62,60 @@ class VerificationVerdict:
     interval_count: int
     overlap_witness: Optional[tuple[int, int, CircularSet]]
     uncovered_witness: Optional[CircularSet]
+    # For a compact partition whose minimum falls below its claim: the
+    # index and upper endpoint of a listed interval that is too small, or
+    # None and a set left to a too small implicit singleton.
+    short_witness: Optional[tuple[Optional[int], CircularSet]] = None
 
     @property
     def ok(self) -> bool:
-        return self.disjoint and self.covers
+        return self.disjoint and self.covers and self.short_witness is None
 
 
 def verify_partition(p: IntervalPartition) -> VerificationVerdict:
-    """Check disjointness and coverage of a claimed partition from scratch."""
-    n, d = p.n, p.d
-    if n > MATERIALIZE_LIMIT:
+    """Check disjointness and coverage of a claimed partition from scratch,
+    and for a compact one that its minimum upper size reaches the claim.
+
+    The intervals and the minimum count the implicit singletons of a
+    compact partition too.  Only an explicit partition needs every subset
+    of [n] enumerable; a compact one expands just its listed intervals.
+    """
+    n, d, claim = p.n, p.d, p.claimed_min
+    if claim is None and n > MATERIALIZE_LIMIT:
         raise PreconditionViolatedError(
             f"verification enumerates all subsets of [{n}]; beyond desk scale"
         )
-    count = len(p)
-    if count == 0:
-        witness = CircularSet(n, range(1, d + 1))
-        return VerificationVerdict(True, False, 0, 0, None, witness)
-
     members = _members(p)
     members.sort()
-    dup = np.flatnonzero(members[1:] == members[:-1])
+    repeats = members[1:] == members[:-1]
+    dup = np.flatnonzero(repeats)
     disjoint = not dup.size
     overlap_witness = None if disjoint else _overlap_witness(p, int(members[dup[0]]))
+    if not disjoint:
+        members = members[np.concatenate(([True], ~repeats))]
+    # The members are now distinct subsets of [n] of size >= d, so a size
+    # is covered iff it occurs C(n, size) times.
+    hist = np.bincount(bitops.popcounts(members), minlength=n + 1)
+    missing = [comb(n, k) - int(hist[k]) for k in range(d, n + 1)]
+    first = next((d + i for i, m in enumerate(missing) if m), None)
 
-    if disjoint:
-        # The members are then distinct subsets of [n] of size >= d, so a
-        # size is covered iff it occurs C(n, size) times.
-        hist = np.bincount(bitops.popcounts(members), minlength=n + 1)
-        sizes = [k for k in range(d, n + 1) if int(hist[k]) < comb(n, k)][:1]
-    else:
-        sizes = list(range(d, n + 1))
-    missing = _smallest_missing(n, sizes, members)
-    uncovered_witness = None if missing is None else CircularSet.from_mask(n, missing)
+    if claim is None:
+        witness = None if first is None else CircularSet(n, bitops.first_absent(n, first, members))
+        return VerificationVerdict(
+            disjoint, witness is None, p.min_upper_size(), len(p), overlap_witness, witness
+        )
 
+    listed = p.min_upper_size() if len(p) else None
+    minimum = min(s for s in (listed, first) if s is not None)
+    short = None
+    if minimum < claim:
+        if minimum == listed:
+            i = int(np.flatnonzero(bitops.popcounts(p.uppers) == listed)[0])
+            short = (i, CircularSet.from_mask(n, int(p.uppers[i])))
+        else:
+            short = (None, CircularSet(n, bitops.first_absent(n, first, members)))
     return VerificationVerdict(
-        disjoint,
-        uncovered_witness is None,
-        p.min_upper_size(),
-        count,
-        overlap_witness,
-        uncovered_witness,
+        disjoint, True, minimum, len(p) + sum(missing), overlap_witness, None, short
     )
 
 
@@ -124,20 +139,6 @@ def _overlap_witness(p: IntervalPartition, mask: int) -> tuple[int, int, Circula
     return min(i, j), max(i, j), CircularSet.from_mask(p.n, mask)
 
 
-def _smallest_missing(n: int, sizes, members: np.ndarray) -> int | None:
-    """The smallest mask of the first size in ``sizes`` that is absent from
-    the ascending array ``members``."""
-    if not sizes:
-        return None
-    masks, pops = bitops.all_masks(n)
-    for size in sizes:
-        sel = masks[pops == size]
-        absent = np.flatnonzero(~bitops.member_lookup(sel, members))
-        if absent.size:
-            return int(sel[absent[0]])
-    return None
-
-
 def sdepth_of_partition(p: IntervalPartition) -> int:
     """The certified lower bound a verified partition yields: its minimum
     upper-endpoint size."""
@@ -154,6 +155,8 @@ def render_stanley_decomposition(p: IntervalPartition) -> str:
     """One summand per interval: the monomial supported on the lower
     endpoint times the polynomial subring on the upper endpoint's
     variables.  Summand order matches interval order."""
+    if p.claimed_min is not None:
+        raise PreconditionViolatedError("rendering needs an explicit partition")
     verdict = verify_partition(p)
     if not verdict.ok:
         raise InvalidPartitionError("refusing to render an unverified partition")
@@ -397,7 +400,10 @@ def sdepth_report(
     how = "none"
     k3_here = n == 4 * d + 3
     if within_cap(n, cap):
-        part, _ = build_partition_k3(d) if k3_here else build_partition(n, d)
+        if k3_here:
+            part, _ = build_partition_k3(d, compact=True)
+        else:
+            part, _ = build_partition(n, d, compact=True)
         verdict = verify_partition(part)
         if not verdict.ok:
             raise InternalCheckError("builder produced an unverifiable partition")

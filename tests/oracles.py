@@ -18,6 +18,11 @@ are frozen copies of the original certificate writer and parser, one
 Python string per interval and one text line at a time; the block codec
 is checked against them.
 
+``verify_compact_by_materializing`` checks a compact partition the slow
+way: it writes out every implicit singleton, runs the explicit verifier
+and then compares the minimum with the claim; the compact verifier is
+checked against it.
+
 ``exact_sdepth_unrestricted`` is a frozen copy of the original exact
 oracle: a recursive search over every upper size >= t with the counting
 prune on; the oracle restricted to upper size exactly t is checked
@@ -34,7 +39,7 @@ from veronese_sdepth import bitops
 from veronese_sdepth.builder import IntervalPartition
 from veronese_sdepth.core import regime_of
 from veronese_sdepth.errors import InternalCheckError, PartitionFileError
-from veronese_sdepth.verify import DEFAULT_ORACLE_BUDGET
+from veronese_sdepth.verify import DEFAULT_ORACLE_BUDGET, verify_partition
 from veronese_sdepth.lifting import closure_upper_mask, validate_lift_params
 
 
@@ -365,3 +370,25 @@ def parse_partition_file_per_line(path):
         np.zeros(count, dtype=np.int16),
         ("file",),
     )
+
+
+def verify_compact_by_materializing(p):
+    """(ok, min_upper_size, interval_count) of a compact partition, with its
+    remainder listed as singletons and verified as an explicit partition."""
+    covered = set()
+    for lo, up in zip(p.lowers.tolist(), p.uppers.tolist()):
+        covered.update(bitops.submasks(lo, up))
+    rest = [m for m in range(1 << p.n) if m.bit_count() >= p.d and m not in covered]
+    rest = np.array(rest, dtype=p.lowers.dtype)
+    explicit = IntervalPartition(
+        p.n,
+        p.d,
+        p.regime,
+        np.concatenate([p.lowers, rest]),
+        np.concatenate([p.uppers, rest]),
+        np.zeros(len(p) + len(rest), dtype=np.int16),
+        ("file",),
+    )
+    verdict = verify_partition(explicit)
+    ok = verdict.ok and verdict.min_upper_size >= p.claimed_min
+    return ok, verdict.min_upper_size, verdict.interval_count

@@ -91,11 +91,19 @@ class TestBuildVerify:
 
     def test_trivial_build(self, tmp_path):
         out_file = tmp_path / "p.txt"
-        code, _, _ = run(["build", "-n", "4", "-d", "2", "--out", str(out_file)])
-        assert code == 0
+        write_partition_file(build_partition(4, 2)[0], str(out_file))
         lines = out_file.read_text().splitlines()
         assert lines[0] == "n=4 d=2 regime=TrivialRange"
         assert all(line.split(";")[0] == line.split(";")[1] for line in lines[1:])
+
+    def test_trivial_build_compact(self, tmp_path):
+        # Every set is a singleton, so the compact certificate lists nothing.
+        out_file = tmp_path / "p.txt"
+        code, out, _ = run(["build", "-n", "4", "-d", "2", "--out", str(out_file)])
+        assert code == 0 and out == "intervals=11\nmin_upper_size=2\n"
+        assert out_file.read_text() == "n=4 d=2 regime=TrivialRange min_upper=2\n"
+        code, out, _ = run(["verify", "--in", str(out_file)])
+        assert code == 0 and "intervals=11 min_upper_size=2" in out
 
     def test_cap_guard(self, tmp_path):
         code, _, err = run(

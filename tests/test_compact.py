@@ -1,0 +1,254 @@
+"""Compact certificates: only the non-trivial intervals are listed, every
+other set of size >= d is an implicit singleton, and the header claims the
+minimum upper size.
+
+The compact verifier is checked against ``verify_compact_by_materializing``
+(every singleton written out, then the explicit verifier and the claim
+check), the explicit writer against the frozen per-line writer, and the
+outputs of ``build``, ``verify``, ``table`` and ``report`` against the
+values the explicit path printed.
+"""
+
+import contextlib
+import importlib.util
+import io
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from oracles import verify_compact_by_materializing, write_partition_file_per_line
+from test_certfile import IDENTITY_CASES
+
+from veronese_sdepth import (
+    IntervalPartition,
+    PreconditionViolatedError,
+    build_partition,
+    build_partition_k3,
+    regime_of,
+    render_stanley_decomposition,
+    sdepth_report,
+    verify_partition,
+)
+from veronese_sdepth.cli import main, parse_partition_file, write_partition_file
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def built(n, d, k3=False, compact=False):
+    if k3:
+        return build_partition_k3(d, compact=compact)[0]
+    return build_partition(n, d, compact=compact)[0]
+
+
+def compact(n, d, k3=False):
+    return built(n, d, k3, compact=True)
+
+
+def edited(p, lowers=None, uppers=None, claim=None):
+    lowers = p.lowers if lowers is None else lowers
+    uppers = p.uppers if uppers is None else uppers
+    return IntervalPartition(
+        p.n,
+        p.d,
+        p.regime,
+        lowers,
+        uppers,
+        np.zeros(len(lowers), dtype=np.int16),
+        ("file",),
+        p.claimed_min if claim is None else claim,
+    )
+
+
+def mutations(p):
+    """Each listed interval dropped, the first duplicated, the first upper
+    shrunk by its lowest free member, and the claim raised by one."""
+    for i in range(len(p)):
+        keep = np.arange(len(p)) != i
+        yield f"drop {i}", edited(p, p.lowers[keep], p.uppers[keep])
+    if len(p):
+        yield "duplicate 0", edited(
+            p, np.concatenate([p.lowers, p.lowers[:1]]), np.concatenate([p.uppers, p.uppers[:1]])
+        )
+        uppers = p.uppers.copy()
+        free = int(uppers[0] & ~p.lowers[0])
+        uppers[0] ^= free & -free
+        yield "shrink 0", edited(p, uppers=uppers)
+    yield "raise claim", edited(p, claim=p.claimed_min + 1)
+
+
+def outcome(verdict):
+    return verdict.ok, verdict.min_upper_size, verdict.interval_count
+
+
+COMPACT_CASES = [(n, d, False) for n in range(1, 13) for d in range(1, n + 1)] + [
+    (7, 1, True),
+    (11, 2, True),
+]
+
+
+class TestAgainstMaterializedReference:
+    @pytest.mark.parametrize("n,d,k3", COMPACT_CASES)
+    def test_built_partition(self, n, d, k3):
+        part = compact(n, d, k3)
+        got = outcome(verify_partition(part))
+        assert got == verify_compact_by_materializing(part)
+        assert got == outcome(verify_partition(built(n, d, k3)))
+        assert got[0] and part.claimed_min == got[1]
+
+    @pytest.mark.parametrize("n,d,k3", [(5, 2, False), (8, 2, False), (7, 1, True)])
+    def test_mutations(self, n, d, k3):
+        seen = set()
+        for name, mutant in mutations(compact(n, d, k3)):
+            got = outcome(verify_partition(mutant))
+            assert got == verify_compact_by_materializing(mutant), name
+            assert not got[0], name
+            seen.add(name.split()[0])
+        assert seen == {"drop", "duplicate", "shrink", "raise"}
+
+
+class TestFormat:
+    @pytest.mark.parametrize("n,d,k3", IDENTITY_CASES)
+    def test_explicit_writer_matches_per_line_writer(self, tmp_path, n, d, k3):
+        explicit, compact_file, old = tmp_path / "e.txt", tmp_path / "c.txt", tmp_path / "o.txt"
+        write_partition_file(built(n, d, k3), str(explicit))
+        write_partition_file_per_line(built(n, d, k3), old)
+        assert explicit.read_bytes() == old.read_bytes()
+        # The compact file `build` writes is the explicit one cut after the
+        # listed intervals, with the claim in its header; `verify` prints
+        # the same for both.
+        base = ["build", "-n", str(n), "-d", str(d)] + (["--k3"] if k3 else [])
+        code, _, _ = run(base + ["--out", str(compact_file)])
+        assert code == 0
+        part = compact(n, d, k3)
+        header, *body = compact_file.read_bytes().splitlines(keepends=True)
+        first, *rest = explicit.read_bytes().splitlines(keepends=True)
+        assert header == first.rstrip(b"\n") + f" min_upper={part.claimed_min}\n".encode()
+        assert body == rest[: len(body)]
+        assert parse_partition_file(str(compact_file)) == part
+        verified = [run(["verify", "--in", str(path)])[1] for path in (compact_file, explicit)]
+        assert verified[0] == verified[1]
+
+    @pytest.mark.parametrize(
+        "claim", ["min_upper=0", "min_upper=1", "min_upper=6", "min_upper=", "min_upper=x"]
+    )
+    def test_claim_outside_d_to_n_is_a_bad_header(self, tmp_path, claim):
+        path = tmp_path / "p.txt"
+        path.write_text(f"n=5 d=2 regime=K1 {claim}\n1,2;1,2,5\n")
+        code, out, err = run(["verify", "--in", str(path)])
+        assert code == 2 and out == "" and "line 1" in err
+
+    def test_compact_beyond_materialization(self, tmp_path):
+        # n = 40 lists nothing, so nothing is enumerated: the remainder is
+        # every set of size >= 20, and the claim must match the smallest.
+        path = tmp_path / "p.txt"
+        path.write_text("n=40 d=20 regime=TrivialRange min_upper=20\n")
+        code, out, _ = run(["verify", "--in", str(path)])
+        assert code == 0 and "intervals=618679078298 min_upper_size=20" in out
+        path.write_text("n=40 d=20 regime=TrivialRange min_upper=21\n")
+        code, out, _ = run(["verify", "--in", str(path)])
+        assert code == 4 and out.startswith("below claim: {1,2,3,4,5,6,7,8,9,10,11,12")
+
+    def test_compact_build_refuses_an_oversized_sweep(self):
+        # (40, 5) would sweep C(40, 10) level sets and more; it is refused
+        # from the plan alone.
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionViolatedError, match="layered sweep"):
+                build_partition(40, 5, compact=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_render_refuses_compact(self):
+        with pytest.raises(PreconditionViolatedError):
+            render_stanley_decomposition(compact(5, 2))
+
+
+def repeated_interval_file(path, claim):
+    line = "1;" + ",".join(map(str, range(1, 21))) + "\n"
+    path.write_text(f"n=20 d=1 regime={regime_of(20, 1).regime.value}{claim}\n" + line * 40)
+
+
+class TestDeclaredVolume:
+    """40 copies of [{1}, [20]] declare 40 * 2^19 sets: more than the 2^20 - 1
+    of the poset, and more than the default cap of 5,000,000."""
+
+    @pytest.mark.parametrize(
+        "claim,code,message",
+        [
+            ("", 4, "not disjoint: declared volume 20971520 exceeds the 1048575 sets"),
+            (" min_upper=1", 2, "verifying 20971520 listed sets exceeds the enumeration cap"),
+        ],
+        ids=["explicit", "compact"],
+    )
+    def test_refused_before_expansion(self, tmp_path, claim, code, message):
+        path = tmp_path / "p.txt"
+        repeated_interval_file(path, claim)
+        tracemalloc.start()
+        try:
+            got, out, err = run(["verify", "--in", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == code and message in out + err
+        assert peak < 20 * 2**20
+
+
+class TestSameAnswers:
+    def test_table_matches_recorded_output(self):
+        code, out, _ = run(["table", "--d-range", "1..5", "--n-range", "1..20"])
+        assert code == 0
+        assert out.encode("ascii") == (DATA / "table_d1-5_n1-20.csv").read_bytes()
+
+    def test_report_on_benchmarked_instances(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        for (n, d), (value, how, _) in workloads.REPORT_EXPECT.items():
+            rep = sdepth_report(n, d)
+            assert (rep.certified_lower, rep.certification) == (value, how), (n, d)
+
+    def test_k3_23_5_round_trip(self, tmp_path):
+        path = tmp_path / "p.txt"
+        code, out, _ = run(["build", "--k3", "-n", "23", "-d", "5", "--out", str(path)])
+        assert code == 0 and out == "intervals=7997952\nmin_upper_size=8\n"
+        code, out, _ = run(["verify", "--in", str(path)])
+        assert code == 0 and "intervals=7997952 min_upper_size=8" in out
+        assert path.stat().st_size < 10 * 2**20
+
+
+@pytest.mark.parametrize("cut", ["drop-last-line", "raise-claim"])
+def test_rejected_under_python_O(tmp_path, cut):
+    path = tmp_path / "p.txt"
+    write_partition_file(compact(5, 2), str(path))
+    text = path.read_text()
+    if cut == "drop-last-line":
+        text = text[: text.rstrip("\n").rindex("\n") + 1]
+    else:
+        text = text.replace("min_upper=3", "min_upper=4", 1)
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "veronese_sdepth", "verify", "--in", str(path)],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 4 and result.stdout.startswith(b"below claim:")
