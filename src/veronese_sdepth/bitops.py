@@ -3,7 +3,8 @@
 Subsets of [n] are masks with bit i-1 standing for element i.  Mask value
 order is not lexicographic order on member tuples; lexicographic order is
 descending order of the bit-reversed mask (the smallest member occupies
-the highest reversed bit), which is what ``lex_sorted`` sorts by.
+the highest reversed bit), which is what ``lex_sorted`` sorts by, and
+``lex_ranks`` gives each k-subset its position in that order.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from math import comb
 from typing import Iterator
 
 import numpy as np
+
+from .errors import InternalCheckError
 
 MAX_UNIVERSE = 64
 
@@ -89,24 +92,33 @@ def containing(lowers: np.ndarray, uppers: np.ndarray, mask: int) -> np.ndarray:
 def row_masks(rows: np.ndarray, n: int) -> np.ndarray:
     """The mask of every row of a rows x k array of 1-indexed members."""
     dtype = mask_dtype(n)
-    bits = np.left_shift(dtype(1), (rows - 1).astype(dtype))
-    return np.bitwise_or.reduce(bits, axis=1)
+    masks = np.zeros(len(rows), dtype=dtype)
+    # One pass per column: numpy reduces along a short last axis far more
+    # slowly than it ORs whole columns.
+    for col in (rows - 1).astype(dtype).T:
+        masks |= dtype(1) << col
+    return masks
 
 
-def _all_combinations(lo: int, n: int, k: int) -> np.ndarray:
-    # Every k-subset of [lo, n] in lexicographic order, grown one column at
-    # a time: a row ending in x gets each admissible next member above x.
+def _all_combinations(lo: int, n: int, k: int, prefix: tuple[int, ...]) -> np.ndarray:
+    # ``prefix`` followed by every k-subset of [lo, n], in lexicographic
+    # order, grown one member at a time: a row ending in x gets each
+    # admissible next member above x.  The members are kept as one column
+    # array each, re-indexed by the row each new row extends, and written
+    # into the result once, instead of re-stacking a growing matrix.
     if k == 0:
-        return np.empty((1, 0), dtype=np.int16)
-    rows = np.arange(lo, n - k + 2, dtype=np.int16)[:, None]
+        return np.array([prefix], dtype=np.int16)
+    cols = [np.arange(lo, n - k + 2, dtype=np.int16)]
     for col in range(1, k):
-        last = rows[:, -1]
+        last = cols[-1]
         counts = (n - k + col + 1) - last
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        step = np.arange(int(counts.sum()), dtype=np.int16) - starts
-        rows = np.column_stack(
-            [np.repeat(rows, counts, axis=0), np.repeat(last, counts) + 1 + step]
-        )
+        link = np.repeat(np.arange(len(last)), counts)
+        step = np.arange(len(link)) - (np.cumsum(counts) - counts)[link]
+        cols = [c[link] for c in cols] + [last[link] + 1 + step.astype(np.int16)]
+    rows = np.empty((len(cols[0]), len(prefix) + k), dtype=np.int16)
+    rows[:, : len(prefix)] = prefix
+    for col, members in enumerate(cols, start=len(prefix)):
+        rows[:, col] = members
     return rows
 
 
@@ -114,9 +126,7 @@ def _combination_blocks(n: int, k: int, chunk: int, prefix: tuple[int, ...], lo:
     # Split on the next member until every completion of ``prefix`` fits
     # in one block.
     if comb(n - lo + 1, k) <= chunk:
-        body = _all_combinations(lo, n, k)
-        head = np.broadcast_to(np.array(prefix, dtype=np.int16), (len(body), len(prefix)))
-        yield np.hstack([head, body])
+        yield _all_combinations(lo, n, k, prefix)
         return
     for first in range(lo, n - k + 2):
         yield from _combination_blocks(n, k - 1, chunk, prefix + (first,), first + 1)
@@ -135,6 +145,39 @@ def lex_combinations(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
         size += len(block)
     if buf:
         yield np.concatenate(buf)
+
+
+def lex_rank(members: tuple[int, ...], n: int) -> int:
+    """The position of the increasing ``members`` among the k-subsets of
+    [n] in lexicographic order: C(n, k) - 1 - sum_i C(n - a_i, k - i + 1)
+    over the members a_1 < ... < a_k.  The sum is the combinatorial number
+    system's (colexicographic) rank of the reversed set {n + 1 - a_i}, and
+    reversal turns lexicographic order into reversed colexicographic
+    order."""
+    k = len(members)
+    return comb(n, k) - 1 - sum(comb(n - a, k - i) for i, a in enumerate(members))
+
+
+def lex_ranks(masks: np.ndarray, n: int, k: int) -> np.ndarray:
+    """``lex_rank`` of every k-subset mask of [n], as exact int64.
+
+    Pass i strips the lowest remaining bit of every mask, the (i+1)-th
+    member, and subtracts its term from C(n, k) - 1 through a table
+    indexed by bit position.  A mask that is not a k-subset of [n] is an
+    internal error: it has no rank, and a wrong one would index silently."""
+    if np.any(popcounts(masks) != k) or (
+        n < 8 * masks.dtype.itemsize and np.any(masks >> masks.dtype.type(n))
+    ):
+        raise InternalCheckError(f"a mask to rank is not a {k}-subset of [{n}]")
+    one = masks.dtype.type(1)
+    rest = masks.copy()
+    ranks = np.full(masks.shape, comb(n, k) - 1, dtype=np.int64)
+    for i in range(k):
+        terms = np.array([comb(n - 1 - bit, k - i) for bit in range(n)], dtype=np.int64)
+        low = rest & (~rest + one)
+        rest ^= low
+        ranks -= terms[popcounts(low - one)]
+    return ranks
 
 
 def first_absent(n: int, k: int, sorted_table: np.ndarray) -> tuple[int, ...] | None:

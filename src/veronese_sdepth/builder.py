@@ -27,10 +27,13 @@ lexicographic order, so identical inputs produce byte-identical
 partitions.  Bulk storage is numpy mask arrays throughout: candidates are
 closed in fixed-size batches by ``lifting.closure_upper_masks``, each
 family keeps parallel lower and upper arrays, and the covered set is one
-ascending mask array that filtered layers probe with
-``bitops.member_lookup`` and that grows by one uniform-volume expansion
-per layer.  Levels are materialized one size at a time rather than
-holding the whole poset as objects.
+ascending mask array that grows by one uniform-volume expansion per
+layer.  A filtered level does not search that array: it ranks the
+covered sets of its own size (``bitops.lex_ranks``) into one flag per
+level set, and since candidates are swept in lexicographic order, a
+candidate's rank is its position in the sweep, so each batch reads its
+flags as one slice.  Levels are materialized one size at a time rather
+than holding the whole poset as objects.
 """
 
 from __future__ import annotations
@@ -248,15 +251,18 @@ def _run_layers(
 
     Returns the selected families, the ascending array of every mask
     covered by a selected interval, and per-layer counts.  Candidates run
-    in chunks of ``_CHUNK`` level sets through the batched closure, whose
-    first row is re-derived by the scalar ``closure_upper_mask``.  A
-    filtered layer drops the candidates covered by earlier layers; an
-    interval never covers another set of its own level, so this is the
-    same as filtering one candidate at a time.  A repeated member mask
-    means two selected intervals overlap, which the construction forbids;
-    it is reported as an internal error naming the first offending lower
-    endpoint.  Every set of a size in ``ensure`` must be covered by the
-    first layer.
+    in lexicographic order, in chunks of ``_CHUNK`` level sets, so the
+    candidate at sweep position p has lexicographic rank p; the first of
+    each chunk has its rank re-derived by the scalar ``bitops.lex_rank``.
+    A filtered layer drops the candidates whose rank is flagged covered by
+    earlier layers (``_covered_flags``); an interval never covers another
+    set of its own level, so this is the same as filtering one candidate
+    at a time.  The kept candidates' masks are computed once and closed by
+    the batched closure, whose first row is re-derived by the scalar
+    ``closure_upper_mask``.  A repeated member mask means two selected
+    intervals overlap, which the construction forbids; it is reported as
+    an internal error naming the first offending lower endpoint.  Every
+    set of a size in ``ensure`` must be covered by the first layer.
     """
     _check_plan(plan)
     covered = np.empty(0, dtype=bitops.mask_dtype(n))
@@ -265,18 +271,22 @@ def _run_layers(
     for idx, (level, s) in enumerate(plan):
         validate_lift_params(n, level, s)
         lo_parts, up_parts = [], []
-        candidates = 0
-        # Only covered sets of this level can be candidates.
-        taken = covered[bitops.popcounts(covered) == level]
+        taken = _covered_flags(n, level, covered) if idx else None
+        start = 0
         for rows in bitops.lex_combinations(n, level, _CHUNK):
-            candidates += len(rows)
+            first = tuple(rows[0].tolist())
+            if bitops.lex_rank(first, n) != start:
+                raise InternalCheckError(
+                    f"{first} is swept at position {start}, not at its lexicographic rank"
+                )
+            end = start + len(rows)
+            if taken is not None:
+                rows = rows[~taken[start:end]]
+            start = end
+            if not len(rows):
+                continue
             lowers = bitops.row_masks(rows, n)
-            if idx:
-                fresh = ~bitops.member_lookup(lowers, taken)
-                rows, lowers = rows[fresh], lowers[fresh]
-                if not len(rows):
-                    continue
-            uppers = closure_upper_masks(n, level, s, rows)
+            uppers = closure_upper_masks(n, level, s, rows, lowers)
             first = tuple(rows[0].tolist())
             if closure_upper_mask(n, level, s, first) != int(uppers[0]):
                 raise InternalCheckError(
@@ -284,6 +294,11 @@ def _run_layers(
                 )
             lo_parts.append(lowers)
             up_parts.append(uppers)
+        candidates = start
+        if candidates != comb(n, level):
+            raise InternalCheckError(
+                f"the sweep of level {level} visited {candidates} of {comb(n, level)} sets"
+            )
         lowers = np.concatenate(lo_parts) if lo_parts else covered[:0]
         uppers = np.concatenate(up_parts) if up_parts else covered[:0]
         covered = _add_covered(covered, lowers, uppers, s)
@@ -295,6 +310,24 @@ def _run_layers(
         if idx == 0:
             _check_ensured(n, covered, ensure)
     return layers, covered, traces
+
+
+def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:
+    """One flag per ``level``-subset of [n], at its lexicographic rank,
+    set when ``covered`` holds that subset.  Only ``covered``'s sets of
+    this size are ranked, and the flags are as many as the sweep's
+    candidates.  A rank outside the level, or two sets of one rank, is an
+    internal error rather than a wrapped or merged index."""
+    ranks = bitops.lex_ranks(covered[bitops.popcounts(covered) == level], n, level)
+    flags = np.zeros(comb(n, level), dtype=bool)
+    if ranks.size and (int(ranks.min()) < 0 or int(ranks.max()) >= flags.size):
+        raise InternalCheckError(
+            f"a covered {level}-set ranks outside [0, {flags.size}) in the sweep"
+        )
+    flags[ranks] = True
+    if np.count_nonzero(flags) != ranks.size:
+        raise InternalCheckError(f"two covered {level}-sets share a lexicographic rank")
+    return flags
 
 
 def _add_covered(

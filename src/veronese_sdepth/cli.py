@@ -57,6 +57,7 @@ from math import comb
 from .blocks import Density, block_structure
 from .builder import (
     DEFAULT_SWEEP_CAP,
+    MATERIALIZE_LIMIT,
     build_partition,
     build_partition_k3,
     within_cap,
@@ -265,6 +266,8 @@ def _range_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected integers in {text!r}")
     if lo_i > hi_i:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if lo_i < 1:
+        raise argparse.ArgumentTypeError(f"range must start at 1 or above, got {text!r}")
     return lo_i, hi_i
 
 
@@ -276,13 +279,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cap(sp):
+    def add_cap(sp, bounds):
         sp.add_argument(
             "--cap",
             type=_positive_int,
             default=DEFAULT_SWEEP_CAP,
-            help="max subsets enumerated per verification sweep",
+            help=f"enumeration cap, default {DEFAULT_SWEEP_CAP}: {bounds}",
         )
+
+    within = (
+        f"n is within the cap when C(n, ceil(n/2)) <= CAP and n <= {MATERIALIZE_LIMIT} "
+        "(within_cap)"
+    )
 
     sp = sub.add_parser("report", help="bounds and certification for one instance")
     sp.add_argument("-n", type=int, required=True)
@@ -291,7 +299,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--oracle-budget", type=_positive_int, default=DEFAULT_ORACLE_BUDGET
     )
-    add_cap(sp)
+    add_cap(
+        sp,
+        f"{within}, and is then built and verified; beyond it, the layered "
+        "sweep's estimate, the sum of C(n, level) * (2^s + 1) over the plan's "
+        "layers, must not exceed CAP",
+    )
     sp.set_defaults(func=cmd_report)
 
     sp = sub.add_parser("build", help="build and write a partition certificate")
@@ -299,18 +312,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--k3", action="store_true", help="use the n = 4d+3 construction")
-    add_cap(sp)
+    add_cap(sp, f"{within}; beyond it, exit 2")
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("verify", help="verify a partition certificate file")
     sp.add_argument("--in", dest="in_path", required=True)
-    add_cap(sp)
+    add_cap(
+        sp,
+        "bounds the listed volume, the sum of 2^(|upper| - |lower|), of a "
+        "compact file, and n of an explicit one as within_cap does; beyond "
+        "it, exit 2",
+    )
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("table", help="CSV of bounds over ranges")
     sp.add_argument("--d-range", type=_range_arg, required=True)
     sp.add_argument("--n-range", type=_range_arg, required=True)
-    add_cap(sp)
+    add_cap(sp, f"{within}; beyond it, the row reads SKIPPED(cap)")
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("blocks", help="debug view of one block structure")

@@ -167,9 +167,12 @@ def closure_upper_mask(n: int, level_size: int, s: int, members: tuple[int, ...]
     return mask
 
 
-def closure_upper_masks(n: int, level_size: int, s: int, rows: np.ndarray) -> np.ndarray:
+def closure_upper_masks(
+    n: int, level_size: int, s: int, rows: np.ndarray, lowers: np.ndarray
+) -> np.ndarray:
     """Batched ``closure_upper_mask``: the upper masks of a chunk of level
-    sets, given as a rows x level_size array of increasing members.
+    sets, given as a rows x level_size array of increasing members and as
+    their masks ``lowers`` (``bitops.row_masks(rows, n)``).
 
     Walk the lifted circle with step +s at a member and -1 elsewhere; the
     steps sum to -s over [m].  A whole block sums to 0 and its proper
@@ -187,15 +190,17 @@ def closure_upper_masks(n: int, level_size: int, s: int, rows: np.ndarray) -> np
     Raises on the same structural facts as the scalar path: s gaps in all,
     none outside [1, n], and upper size level_size + s.
     """
-    count = len(rows)
-    pos = np.empty((count, level_size + 1), dtype=np.int32)
-    pos[:, :level_size] = rows
-    pos[:, level_size] = n + 1
-    pre = (s + 1) * np.arange(level_size + 1, dtype=np.int32) - (pos - 1)
-    base = pre.min(axis=1)
-    second = np.minimum(np.minimum.accumulate(pre, axis=1) - s, base[:, None])
-    gaps = np.diff(second, axis=1, prepend=base[:, None]) * -1
-    bad = np.flatnonzero(base - second[:, -1] != s)
+    # One column per level set: every pass below then runs along whole
+    # rows of the array, which numpy does far faster than along a short
+    # last axis.
+    pos = np.empty((level_size + 1, len(rows)), dtype=np.int32)
+    pos[:level_size] = rows.T
+    pos[level_size] = n + 1
+    pre = ((s + 1) * np.arange(level_size + 1, dtype=np.int32))[:, None] - (pos - 1)
+    base = pre.min(axis=0)
+    second = np.minimum(np.minimum.accumulate(pre, axis=0) - s, base)
+    gaps = np.diff(second, axis=0, prepend=base[None]) * -1
+    bad = np.flatnonzero(base - second[-1] != s)
     if bad.size:
         raise InternalCheckError(
             f"lifted closure of {tuple(rows[bad[0]].tolist())} does not add {s} gaps"
@@ -203,17 +208,19 @@ def closure_upper_masks(n: int, level_size: int, s: int, rows: np.ndarray) -> np
     # Only the run wrapping round from the padding can leave [1, n].  A
     # tail reaching back past position 1 holds position m, which is judged
     # on the first pass against all of [0, m - 1], so the refusal is exact.
-    bad = np.flatnonzero(gaps[:, 0] >= pos[:, 0])
+    bad = np.flatnonzero(gaps[0] >= pos[0])
     if bad.size:
         raise InternalCheckError(
-            f"gap before position {int(pos[bad[0], 0])} leaves [1, {n}] "
+            f"gap before position {int(pos[0, bad[0]])} leaves [1, {n}] "
             f"(m={(n + 1) * s + n}, set {tuple(rows[bad[0]].tolist())})"
         )
     dtype = bitops.mask_dtype(n)
     one = dtype(1)
     glen = gaps.astype(dtype)
     runs = ((one << glen) - one) << (pos - 1 - gaps).astype(dtype)
-    uppers = bitops.row_masks(rows, n) | np.bitwise_or.reduce(runs, axis=1)
+    uppers = lowers.copy()
+    for run in runs:
+        uppers |= run
     bad = np.flatnonzero(bitops.popcounts(uppers) != level_size + s)
     if bad.size:
         raise InternalCheckError(

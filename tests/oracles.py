@@ -23,6 +23,13 @@ way: it writes out every implicit singleton, runs the explicit verifier
 and then compares the minimum with the claim; the compact verifier is
 checked against it.
 
+``searchsorted_layers`` is a frozen copy of the batched layer loop as it
+filtered before rank flags: every chunk's candidate masks binary-searched
+in the ascending covered sets of their size (``bitops.member_lookup``);
+the rank-indexed filter is checked against it.  ``lex_rank_by_counting``
+ranks a subset mask by counting, position by position, the subsets that
+come before it; ``bitops.lex_ranks`` is checked against it.
+
 ``exact_sdepth_unrestricted`` is a frozen copy of the original exact
 oracle: a recursive search over every upper size >= t with the counting
 prune on; the oracle restricted to upper size exactly t is checked
@@ -36,11 +43,22 @@ from math import comb
 import numpy as np
 
 from veronese_sdepth import bitops
-from veronese_sdepth.builder import IntervalPartition
+from veronese_sdepth.builder import (
+    _CHUNK,
+    IntervalPartition,
+    _add_covered,
+    _check_ensured,
+    _check_plan,
+)
 from veronese_sdepth.core import regime_of
 from veronese_sdepth.errors import InternalCheckError, PartitionFileError
 from veronese_sdepth.verify import DEFAULT_ORACLE_BUDGET, verify_partition
-from veronese_sdepth.lifting import closure_upper_mask, validate_lift_params
+from veronese_sdepth.lifting import (
+    IntervalFamily,
+    closure_upper_mask,
+    closure_upper_masks,
+    validate_lift_params,
+)
 
 
 def alternating_structures(n, members, num, den):
@@ -165,6 +183,52 @@ def per_subset_layers(n, plan, ensure=()):
                             f"size-{size} set {combo} escaped the base layer"
                         )
     return tables, covered, traces
+
+
+def searchsorted_layers(n, plan, ensure=()):
+    """The selected families, covered array and per-layer (candidates,
+    selected) of the batched layer loop, filtering each chunk by
+    membership of its candidate masks in the covered sets of their size."""
+    _check_plan(plan)
+    covered = np.empty(0, dtype=bitops.mask_dtype(n))
+    layers, counts = [], []
+    for idx, (level, s) in enumerate(plan):
+        validate_lift_params(n, level, s)
+        lo_parts, up_parts = [], []
+        candidates = 0
+        taken = covered[bitops.popcounts(covered) == level]
+        for rows in bitops.lex_combinations(n, level, _CHUNK):
+            candidates += len(rows)
+            lowers = bitops.row_masks(rows, n)
+            if idx:
+                fresh = ~bitops.member_lookup(lowers, taken)
+                rows, lowers = rows[fresh], lowers[fresh]
+                if not len(rows):
+                    continue
+            lo_parts.append(lowers)
+            up_parts.append(closure_upper_masks(n, level, s, rows, lowers))
+        lowers = np.concatenate(lo_parts) if lo_parts else covered[:0]
+        uppers = np.concatenate(up_parts) if up_parts else covered[:0]
+        covered = _add_covered(covered, lowers, uppers, s)
+        layers.append(IntervalFamily(n, level, lowers, uppers, f"I[{n},{level},{s + 1}]"))
+        counts.append((candidates, len(lowers)))
+        if idx == 0:
+            _check_ensured(n, covered, ensure)
+    return layers, covered, counts
+
+
+def lex_rank_by_counting(mask, n):
+    """How many subsets of [n] of the size of ``mask`` come before it in
+    lexicographic order: for each member a_i, those that agree with it
+    below a_i and take some x with a_(i-1) < x < a_i as their i-th member,
+    C(n - x, k - i) of them for each such x."""
+    members = [i + 1 for i in range(n) if mask >> i & 1]
+    k = len(members)
+    rank, prev = 0, 0
+    for i, a in enumerate(members, start=1):
+        rank += sum(comb(n - x, k - i) for x in range(prev + 1, a))
+        prev = a
+    return rank
 
 
 class _BudgetHit(Exception):

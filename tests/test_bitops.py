@@ -1,11 +1,14 @@
 import ast
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import lex_rank_by_counting
 
 from veronese_sdepth import bitops
+from veronese_sdepth.errors import InternalCheckError
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "veronese_sdepth"
 
@@ -49,7 +52,7 @@ class TestMaskHelpers:
             bitops.expand_uniform(lowers, uppers, 1)
 
     def test_lex_combinations_match_itertools(self):
-        for n in range(1, 11):
+        for n in range(1, 13):
             for k in range(n + 1):
                 expected = list(combinations(range(1, n + 1), k))
                 for chunk in (1, 3, 17, 1 << 15):
@@ -65,6 +68,53 @@ class TestMaskHelpers:
             members = bitops.members_of(m)
             assert members == sorted(set(members))
             assert bitops.mask_of(members) == m
+
+
+class TestLexRanks:
+    def test_match_enumeration_order(self):
+        for n in range(13):
+            for k in range(n + 1):
+                masks = np.concatenate(
+                    [bitops.row_masks(b, n) for b in bitops.lex_combinations(n, k, 1 << 15)]
+                )
+                expected = np.arange(comb(n, k))
+                for masks_as in (masks, masks.astype(np.uint64)):
+                    got = bitops.lex_ranks(masks_as, n, k)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, expected), (n, k, masks_as.dtype)
+                rows = np.concatenate(list(bitops.lex_combinations(n, k, 1 << 15)))
+                assert [bitops.lex_rank(tuple(r), n) for r in rows.tolist()] == expected.tolist()
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 40, 64])
+    def test_match_counting_reference_on_random_masks(self, n):
+        rng = np.random.default_rng(n)
+        dtypes = [bitops.mask_dtype(n)] + ([np.uint64] if n <= 32 else [])
+        for k in sorted({1, 2, n // 4, n // 2, n - 1, n}):
+            picks = [rng.choice(n, size=k, replace=False) for _ in range(40)]
+            # The first and last ranks; at n = 64, k = 32 the last is
+            # C(64, 32) - 1, above 2^60, the top of the int64 range used.
+            picks += [np.arange(k), np.arange(n - k, n)]
+            masks = [sum(1 << int(b) for b in bits) for bits in picks]
+            expected = [lex_rank_by_counting(m, n) for m in masks]
+            assert expected[-2:] == [0, comb(n, k) - 1]
+            for dtype in dtypes:
+                got = bitops.lex_ranks(np.array(masks, dtype=dtype), n, k)
+                assert got.tolist() == expected, (n, k, dtype)
+            assert [bitops.lex_rank(tuple(bitops.members_of(m)), n) for m in masks] == expected
+
+    @pytest.mark.parametrize(
+        "n,k,masks",
+        [
+            (10, 3, [0b111, 0b1111]),  # a 3-subset and a 4-subset
+            (10, 3, [0b11]),  # too small
+            (10, 3, [0b11 | 1 << 10]),  # a member beyond [n]
+            (40, 2, [1 | 1 << 40]),
+            (64, 1, [0]),
+        ],
+    )
+    def test_out_of_range_mask_size_raises(self, n, k, masks):
+        with pytest.raises(InternalCheckError, match=f"not a {k}-subset of \\[{n}\\]"):
+            bitops.lex_ranks(np.array(masks, dtype=bitops.mask_dtype(n)), n, k)
 
 
 class TestNoAssertStatements:

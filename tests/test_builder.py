@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -20,10 +21,16 @@ from veronese_sdepth import (
     threshold,
     verify_partition,
 )
-from veronese_sdepth.builder import _add_covered, _check_ensured, _plan_for, _run_layers
+from veronese_sdepth.builder import (
+    _add_covered,
+    _check_ensured,
+    _covered_flags,
+    _plan_for,
+    _run_layers,
+)
 from veronese_sdepth.cli import write_partition_file
 from veronese_sdepth.errors import InternalCheckError
-from oracles import per_subset_layers
+from oracles import per_subset_layers, searchsorted_layers
 
 
 class TestRegimeBuilds:
@@ -239,3 +246,90 @@ class TestLayeredCertificate:
     def test_k3_variant(self):
         cert = certify_layered(7, 1, use_k3=True)
         assert cert is not None and cert.min_upper_size == 4
+
+
+RANK_FILTER_PLANS = [(n, d, False) for n in range(1, 13) for d in range(1, n + 1)] + [
+    (7, 1, True),
+    (11, 2, True),
+]
+
+# Captured from the searchsorted filter on the benchmarked instances: per
+# layer (candidates, selected), the trivial count, and the SHA-256 of the
+# compact build's lowers.tobytes() + uppers.tobytes().
+PINNED_BUILDS = {
+    (25, 5, False): (
+        [(53130, 53130), (177100, 17710), (480700, 285890)],
+        31899716,
+        "7ff72cf58a7dbfbeed4142c8c4c7de6128e192c7ea1373087f0d208c6d629368",
+    ),
+    (29, 1, False): (
+        [(29, 29), (406, 0), (3654, 1015), (23751, 9135), (118755, 47096)],
+        535479839,
+        "9f68cd14121bca8b7de5bd0ff45599412707b74a7660856a77987e55d764d786",
+    ),
+    (30, 2, False): (
+        [(435, 435), (4060, 145), (27405, 11310), (142506, 71601)],
+        1072854625,
+        "0607e5069d7224860bf796c8d5cb457d4ae661d27b57851340fe29a00e9baf0e",
+    ),
+    (22, 5, False): (
+        [(26334, 26334), (74613, 21945)],
+        4035969,
+        "14c03e4b7bfbfddd3212d8d30915cc3c8c8e46334a3948224efe2f93e7ef6089",
+    ),
+    (23, 5, True): (
+        [(33649, 33649), (245157, 144210)],
+        7820093,
+        "9436acf07ca1780cf53f732be270f39949f15d34306cb833bf6ff998dcdae4fa",
+    ),
+}
+
+
+class TestRankFilter:
+    @pytest.mark.parametrize("n,d,k3", RANK_FILTER_PLANS)
+    def test_matches_searchsorted_filter(self, n, d, k3):
+        plan = _plan_for(regime_of(n, d), k3)
+        layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
+        ref_layers, ref_covered, ref_counts = searchsorted_layers(n, plan.layers, plan.ensure)
+        for got, ref in zip(layers, ref_layers, strict=True):
+            assert np.array_equal(got.lowers, ref.lowers)
+            assert np.array_equal(got.uppers, ref.uppers)
+        assert np.array_equal(covered, ref_covered)
+        assert [(t.candidates, t.selected) for t in traces] == ref_counts
+
+    @pytest.mark.parametrize("n,d,k3", list(PINNED_BUILDS))
+    def test_benchmarked_builds_are_unchanged(self, n, d, k3):
+        if k3:
+            part, trace = build_partition_k3(d, compact=True)
+        else:
+            part, trace = build_partition(n, d, compact=True)
+        counts, trivial, digest = PINNED_BUILDS[n, d, k3]
+        assert [(t.candidates, t.selected) for t in trace.layers] == counts
+        assert trace.trivial_count == trivial
+        assert hashlib.sha256(part.lowers.tobytes() + part.uppers.tobytes()).hexdigest() == digest
+
+    def test_flags_follow_ranks(self):
+        m = bitops.mask_of
+        covered = np.array(sorted([m([1, 2]), m([2, 5]), m([1, 2, 3]), m([4, 5])]), np.uint32)
+        flags = _covered_flags(5, 2, covered)
+        # lexicographic order: 12 13 14 15 23 24 25 34 35 45
+        assert np.flatnonzero(flags).tolist() == [0, 6, 9]
+
+    def test_repeated_rank_raises(self):
+        covered = np.array([bitops.mask_of([2, 5])] * 2, np.uint32)
+        with pytest.raises(InternalCheckError, match="share a lexicographic rank"):
+            _covered_flags(5, 2, covered)
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_out_of_range_rank_raises(self, monkeypatch, bad):
+        # A negative rank would index the flags from the end; it must not.
+        monkeypatch.setattr(bitops, "lex_ranks", lambda masks, n, k: np.array([bad]))
+        covered = np.array([bitops.mask_of([1, 2])], np.uint32)
+        with pytest.raises(InternalCheckError, match=r"ranks outside \[0, 10\)"):
+            _covered_flags(5, 2, covered)
+
+    def test_sweep_position_checked_against_scalar_rank(self, monkeypatch):
+        rank = bitops.lex_rank
+        monkeypatch.setattr(bitops, "lex_rank", lambda members, n: rank(members, n) + 1)
+        with pytest.raises(InternalCheckError, match=r"\(1, 2\) is swept at position 0"):
+            _run_layers(9, [(2, 1), (3, 1)])

@@ -195,6 +195,13 @@ class TestTable:
         code, _, _ = run(["table", "--d-range", "x", "--n-range", "1..4"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "d_range,n_range", [("0..2", "1..3"), ("1..2", "0..3"), ("0..0", "0..0")]
+    )
+    def test_range_below_1_fails_before_any_output(self, d_range, n_range):
+        code, out, err = run(["table", "--d-range", d_range, "--n-range", n_range])
+        assert code == 2 and out == "" and "range must start at 1 or above" in err
+
 
 class TestBlocks:
     def test_examples(self):

@@ -252,3 +252,27 @@ def test_rejected_under_python_O(tmp_path, cut):
         timeout=120,
     )
     assert result.returncode == 4 and result.stdout.startswith(b"below claim:")
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["report", "-n", "25", "-d", "5"], b"certified_lower=8\n"),
+        (["build", "--k3", "-n", "11", "-d", "2"], b"min_upper_size=5\n"),
+    ],
+    ids=["report-layered", "build-k3"],
+)
+def test_layer_sweep_under_python_O(tmp_path, argv, expected):
+    # The sweep's rank and closure checks are not asserts, so ``-O`` keeps
+    # them and prints the same answers.
+    if argv[0] == "build":
+        argv = argv + ["--out", str(tmp_path / "p.txt")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "veronese_sdepth", *argv],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert expected in result.stdout

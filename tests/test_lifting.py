@@ -11,6 +11,7 @@ from veronese_sdepth import (
     SizeMismatchError,
     SOutOfRangeError,
     UniverseMismatchError,
+    bitops,
     block_structure,
     check_cross_level_disjoint,
     check_mixed_density_disjoint,
@@ -103,7 +104,8 @@ class TestBatchedClosure:
             for level in range(1, n):
                 for s in range(1, family_cap(n, level) + 1):
                     rows = np.array(list(combinations(range(1, n + 1), level)), np.int16)
-                    got = closure_upper_masks(n, level, s, rows).tolist()
+                    lowers = bitops.row_masks(rows, n)
+                    got = closure_upper_masks(n, level, s, rows, lowers).tolist()
                     assert got == [closure_upper_mask(n, level, s, tuple(r)) for r in rows.tolist()]
                     checked += len(rows)
         assert checked == 17157
@@ -122,7 +124,9 @@ class TestBatchedClosure:
                         except InternalCheckError as exc:
                             expected = "leaves [1," in str(exc)
                         try:
-                            got = int(closure_upper_masks(n, level, s, np.array([combo]))[0])
+                            row = np.array([combo])
+                            lowers = bitops.row_masks(row, n)
+                            got = int(closure_upper_masks(n, level, s, row, lowers)[0])
                         except InternalCheckError as exc:
                             got = "leaves [1," in str(exc)
                         assert got == expected, (n, level, s, combo)
