@@ -15,7 +15,9 @@ singleton intervals [D, D]:
 Selection makes every set of the visited sizes covered, so the trivial
 remainder starts at the next size up.  A compact partition lists only the
 layered intervals and leaves that remainder implicit, with the minimum
-upper size it reaches as a claim the verifier re-derives.  Disjointness
+upper size it reaches as a claim the verifier re-derives.
+``build_partition``, ``build_partition_k3`` and ``certify_layered`` all
+return one ``Build(partition, trace)``.  Disjointness
 of a kept interval against earlier layers follows from the families'
 closure property (for the base family) and the cross-level disjointness
 hypotheses, which for the filtered layers of one plan reduce to the
@@ -76,9 +78,8 @@ _CHUNK = 1 << 15
 
 
 def within_cap(n: int, cap: int) -> bool:
-    """True when materializing (or verifying) a partition of [n] stays
-    within ``cap``: the largest level, C(n, ceil(n/2)), is its biggest
-    sweep."""
+    """True when materializing a partition of [n] stays within ``cap``:
+    the largest level, C(n, ceil(n/2)), is its biggest sweep."""
     return n <= MATERIALIZE_LIMIT and comb(n, (n + 1) // 2) <= cap
 
 
@@ -103,16 +104,13 @@ class BuilderTrace:
 
 
 class IntervalPartition:
-    """An ordered list of intervals over [n], stored as parallel mask arrays.
+    """An ordered list of intervals over [n], stored as parallel mask arrays,
+    holding exactly what its certificate file holds.
 
     With ``claimed_min`` None the partition is explicit: every poset set
     lies in a listed interval.  Otherwise it is compact: every set no
     listed interval holds is an implicit singleton [D, D], and the whole
     partition claims ``claimed_min`` as its minimum upper size.
-
-    Equality compares (n, d, regime, interval sequence, claim); per-interval
-    layer provenance is bookkeeping and not part of the value (the file
-    format does not carry it).
     """
 
     def __init__(
@@ -122,11 +120,9 @@ class IntervalPartition:
         regime: RegimeDecomposition,
         lowers: np.ndarray,
         uppers: np.ndarray,
-        layer_ids: np.ndarray,
-        layer_tags: tuple[str, ...],
         claimed_min: int | None = None,
     ):
-        if not (len(lowers) == len(uppers) == len(layer_ids)):
+        if len(lowers) != len(uppers):
             raise InvalidPartitionError("parallel interval arrays differ in length")
         if len(lowers):
             if np.any(lowers & ~uppers):
@@ -140,8 +136,6 @@ class IntervalPartition:
         self.regime = regime
         self.lowers = lowers
         self.uppers = uppers
-        self.layer_ids = layer_ids
-        self.layer_tags = layer_tags
         self.claimed_min = claimed_min
 
     def __len__(self) -> int:
@@ -169,9 +163,6 @@ class IntervalPartition:
         for i in range(len(self)):
             yield self.interval(i)
 
-    def layer_tag(self, i: int) -> str:
-        return self.layer_tags[int(self.layer_ids[i])]
-
     def min_upper_size(self) -> int:
         """The smallest upper size among the listed intervals (0 for none)."""
         if not len(self):
@@ -185,16 +176,13 @@ class IntervalPartition:
         return sum(int(c) << s for s, c in enumerate(diffs.tolist()))
 
 
-@dataclass(frozen=True)
-class LayeredCertificate:
-    """Outcome of building only the layered part, with the trivial remainder
-    implicit: every set the layers left uncovered self-covers, so the
-    partition exists without being materialized."""
+class Build(NamedTuple):
+    """What every construction returns: the partition, explicit or compact,
+    and how its layers were selected.  The lowers list each layer's
+    selection in plan order (``trace.layers[i].selected`` of them), then,
+    in an explicit partition, the trivial completion."""
 
-    n: int
-    d: int
-    regime: RegimeDecomposition
-    min_upper_size: int
+    partition: IntervalPartition
     trace: BuilderTrace
 
 
@@ -405,7 +393,7 @@ def _assemble(
     k3: bool = False,
     compact: bool = False,
     sweep_cap: int = 1 << MATERIALIZE_LIMIT,
-) -> tuple[IntervalPartition, BuilderTrace]:
+) -> Build:
     n, d = reg.n, reg.d
     plan = _plan_for(reg, k3)
     # An explicit build enumerates all 2^n sets; a compact one only the
@@ -426,12 +414,10 @@ def _assemble(
     remainder, minimum = _remainder(n, d, layers, covered)
     lo_parts = [fam.lowers for fam in layers]
     up_parts = [fam.uppers for fam in layers]
-    tags = tuple(fam.label for fam in layers)
     if not compact:
         trivial = _trivial_completion(n, d, covered)
         lo_parts.append(trivial)
         up_parts.append(trivial)
-        tags += ("trivial",)
     claim = minimum if compact else None
     part = IntervalPartition(
         n,
@@ -439,8 +425,6 @@ def _assemble(
         reg,
         np.concatenate([covered[:0], *lo_parts]),
         np.concatenate([covered[:0], *up_parts]),
-        np.repeat(np.arange(len(tags), dtype=np.int16), [len(x) for x in lo_parts]),
-        tags,
         claim,
     )
     # Below the threshold the plan's minimum meets the upper bound, so this
@@ -452,12 +436,10 @@ def _assemble(
             f"built partition has min upper size {got}, "
             f"expected between {plan.min_upper} and {upper}"
         )
-    return part, BuilderTrace(tuple(traces), remainder)
+    return Build(part, BuilderTrace(tuple(traces), remainder))
 
 
-def build_partition(
-    n: int, d: int, compact: bool = False
-) -> tuple[IntervalPartition, BuilderTrace]:
+def build_partition(n: int, d: int, compact: bool = False) -> Build:
     """Construct the partition for (n, d): fully materialized, or with
     ``compact`` only the layered intervals and a claimed minimum.
 
@@ -468,9 +450,7 @@ def build_partition(
     return _assemble(regime_of(n, d), compact=compact)
 
 
-def build_partition_k3(
-    d: int, compact: bool = False
-) -> tuple[IntervalPartition, BuilderTrace]:
+def build_partition_k3(d: int, compact: bool = False) -> Build:
     """The dedicated construction at n = 4d + 3: the base family at
     density 4 (which covers every (d+1)-set, asserted with zero
     exceptions), a filtered level at d+2 with density 2, and a trivial
@@ -490,20 +470,19 @@ def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
 
 def certify_layered(
     n: int, d: int, cap: int = DEFAULT_SWEEP_CAP, use_k3: bool = False
-) -> LayeredCertificate | None:
-    """The compact build, kept as its claimed minimum and trace: only the
-    layered part is built and checked, and the trivial remainder stays
-    implicit.
+) -> Build | None:
+    """The compact build within ``cap``: only the layered part is built and
+    checked, and the trivial remainder stays implicit.
 
     Sound because a singleton [D, D] for an uncovered D meets no other
     interval (an interval containing D would have covered it), so the
     layered selection plus implicit singletons is a partition whose
     minimum upper size is the smaller of the layered minimum and the
     smallest uncovered size.  Returns None when even the layered sweep
-    would exceed ``cap`` enumerated subsets.
+    would exceed ``cap`` enumerated subsets, or when [n] is wider than a
+    mask holds.
     """
     reg = regime_of(n, d)
-    if _sweep_estimate(n, _plan_for(reg, use_k3)) > cap:
+    if n > bitops.MAX_UNIVERSE or _sweep_estimate(n, _plan_for(reg, use_k3)) > cap:
         return None
-    part, trace = _assemble(reg, use_k3, compact=True, sweep_cap=cap)
-    return LayeredCertificate(n, d, reg, part.claimed_min, trace)
+    return _assemble(reg, use_k3, compact=True, sweep_cap=cap)

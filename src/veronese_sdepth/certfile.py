@@ -253,7 +253,4 @@ def parse_partition_file(path: str) -> IntervalPartition:
                 masks = lines.parse(start, start + len(block))
             lowers.append(masks[0])
             uppers.append(masks[1])
-    lo, up = np.concatenate(lowers), np.concatenate(uppers)
-    return IntervalPartition(
-        n, d, reg, lo, up, np.zeros(len(lo), dtype=np.int16), ("file",), claim
-    )
+    return IntervalPartition(n, d, reg, np.concatenate(lowers), np.concatenate(uppers), claim)

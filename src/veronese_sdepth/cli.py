@@ -70,18 +70,7 @@ from .core import (
     regime_of,
     sdepth_upper_bound,
 )
-from .errors import (
-    DensityOutOfRangeError,
-    EmptySetError,
-    InternalCheckError,
-    InvalidPartitionError,
-    PartitionFileError,
-    PreconditionViolatedError,
-    SdepthError,
-    SizeMismatchError,
-    SOutOfRangeError,
-    UniverseMismatchError,
-)
+from .errors import InternalCheckError, InvalidPartitionError, SdepthError
 from .verify import (
     DEFAULT_ORACLE_BUDGET,
     exact_sdepth,
@@ -94,18 +83,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_INVALID_CERTIFICATE = 4
 EXIT_BOUNDS_ONLY = 10
-
-_USAGE_ERRORS = (
-    PreconditionViolatedError,
-    DensityOutOfRangeError,
-    SOutOfRangeError,
-    SizeMismatchError,
-    UniverseMismatchError,
-    EmptySetError,
-    PartitionFileError,
-    ValueError,
-    OSError,
-)
 
 
 def cmd_report(args) -> int:
@@ -356,13 +333,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (InternalCheckError, InvalidPartitionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except SdepthError as exc:
+    except (SdepthError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

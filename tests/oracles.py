@@ -431,8 +431,6 @@ def parse_partition_file_per_line(path):
         reg,
         np.fromiter(lowers, dtype=dtype, count=count),
         np.fromiter(uppers, dtype=dtype, count=count),
-        np.zeros(count, dtype=np.int16),
-        ("file",),
     )
 
 
@@ -450,8 +448,6 @@ def verify_compact_by_materializing(p):
         p.regime,
         np.concatenate([p.lowers, rest]),
         np.concatenate([p.uppers, rest]),
-        np.zeros(len(p) + len(rest), dtype=np.int16),
-        ("file",),
     )
     verdict = verify_partition(explicit)
     ok = verdict.ok and verdict.min_upper_size >= p.claimed_min

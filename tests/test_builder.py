@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from veronese_sdepth import (
+    Build,
     CircularSet,
     PreconditionViolatedError,
     Regime,
@@ -43,7 +44,7 @@ class TestRegimeBuilds:
         assert min(sizes) == 3
         # everything of size >= 4 is trivial
         for iv in part:
-            if part.layer_tag(0) not in ("trivial",) and len(iv.lower) >= 4:
+            if len(iv.lower) >= 4:
                 assert iv.lower == iv.upper
 
     def test_trivial_range_example(self):
@@ -118,7 +119,6 @@ class TestPartitionInvariants:
         a, _ = build_partition(9, 2)
         b, _ = build_partition(9, 2)
         assert a == b
-        assert np.array_equal(a.layer_ids, b.layer_ids)
 
     def test_determinism_on_disk(self, tmp_path):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -227,25 +227,38 @@ class TestBatchedLayers:
         )
 
 
-class TestLayeredCertificate:
+class TestCertifyLayered:
     def test_matches_full_build_when_both_apply(self):
         for n, d in [(5, 2), (9, 2), (7, 1), (12, 1), (13, 2)]:
             cert = certify_layered(n, d)
             part, _ = build_partition(n, d)
             assert cert is not None
-            assert cert.min_upper_size == part.min_upper_size()
+            assert cert.partition.claimed_min == part.min_upper_size()
 
     def test_large_instance(self):
         cert = certify_layered(29, 1)
         assert cert is not None
-        assert cert.min_upper_size == 6 == lower_bound_large_n(29, 1)
+        assert cert.partition.claimed_min == 6 == lower_bound_large_n(29, 1)
 
     def test_cap_refusal(self):
         assert certify_layered(29, 1, cap=100) is None
 
     def test_k3_variant(self):
         cert = certify_layered(7, 1, use_k3=True)
-        assert cert is not None and cert.min_upper_size == 4
+        assert cert is not None and cert.partition.claimed_min == 4
+
+    def test_is_the_compact_build(self):
+        # Every construction returns one Build; the layered certificate is
+        # the compact build itself, partition and trace alike.
+        pairs = [
+            (build_partition(9, 2, compact=True), certify_layered(9, 2)),
+            (build_partition_k3(2, compact=True), certify_layered(11, 2, use_k3=True)),
+        ]
+        for built, cert in pairs:
+            assert type(built) is Build and type(cert) is Build
+            assert cert.partition == built.partition and cert.trace == built.trace
+        assert type(build_partition(9, 2)) is Build
+        assert type(build_partition_k3(2)) is Build
 
 
 RANK_FILTER_PLANS = [(n, d, False) for n in range(1, 13) for d in range(1, n + 1)] + [

@@ -95,8 +95,6 @@ class TestIdentity:
             regime_of(n, 1),
             lowers.astype(dtype),
             uppers.astype(dtype),
-            np.zeros(len(lowers), dtype=np.int16),
-            ("file",),
         )
         new, old = tmp_path / "new.txt", tmp_path / "old.txt"
         write_partition_file(part, str(new))

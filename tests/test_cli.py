@@ -55,6 +55,25 @@ class TestReport:
         assert values["certification"] == "layered"
         assert values["certified_lower"] == "20"
 
+    @pytest.mark.parametrize(
+        "argv", [["-n", "65", "-d", "40"], ["-n", "65", "-d", "1", "--cap", "1000000000000000"]]
+    )
+    def test_universe_wider_than_a_mask_is_bounds_only(self, argv):
+        # No mask holds a subset of [65], so nothing is certified, in the
+        # trivial range or under a cap the sweep estimate passes.
+        code, out, err = run(["report", *argv])
+        values = machine_lines(out)
+        assert code == 10 and not err
+        assert values["certified_lower"] == "none"
+        assert values["certification"] == "none"
+
+    def test_trivial_range_at_the_widest_mask(self):
+        code, out, _ = run(["report", "-n", "64", "-d", "40"])
+        values = machine_lines(out)
+        assert code == 0
+        assert values["certified_lower"] == "40"
+        assert values["certification"] == "layered"
+
     def test_oracle_flag(self):
         code, out, _ = run(["report", "-n", "6", "-d", "2", "--oracle"])
         assert code == 0 and machine_lines(out)["oracle_exact"] == "3"

@@ -65,8 +65,6 @@ def edited(p, lowers=None, uppers=None, claim=None):
         p.regime,
         lowers,
         uppers,
-        np.zeros(len(lowers), dtype=np.int16),
-        ("file",),
         p.claimed_min if claim is None else claim,
     )
 

@@ -28,9 +28,7 @@ def small_partition():
 def drop_interval(p, idx):
     keep = np.ones(len(p), dtype=bool)
     keep[idx] = False
-    return IntervalPartition(
-        p.n, p.d, p.regime, p.lowers[keep], p.uppers[keep], p.layer_ids[keep], p.layer_tags
-    )
+    return IntervalPartition(p.n, p.d, p.regime, p.lowers[keep], p.uppers[keep])
 
 
 def duplicate_interval(p, idx):
@@ -40,8 +38,6 @@ def duplicate_interval(p, idx):
         p.regime,
         np.concatenate([p.lowers, p.lowers[idx : idx + 1]]),
         np.concatenate([p.uppers, p.uppers[idx : idx + 1]]),
-        np.concatenate([p.layer_ids, p.layer_ids[idx : idx + 1]]),
-        p.layer_tags,
     )
 
 
@@ -51,9 +47,7 @@ def shrink_upper(p, idx):
     removable = up & ~lo
     assert removable
     uppers[idx] = up ^ (removable & -removable)
-    return IntervalPartition(
-        p.n, p.d, p.regime, p.lowers.copy(), uppers, p.layer_ids.copy(), p.layer_tags
-    )
+    return IntervalPartition(p.n, p.d, p.regime, p.lowers.copy(), uppers)
 
 
 class TestVerifyPartition:
@@ -96,8 +90,6 @@ class TestVerifyPartition:
             p.regime,
             np.concatenate([p.lowers, lo]),
             np.concatenate([p.uppers, up]),
-            np.zeros(len(p) + 2, dtype=np.int16),
-            ("file",),
         )
         verdict = verify_partition(tripled)
         assert not verdict.disjoint and verdict.covers
@@ -112,17 +104,29 @@ class TestVerifyPartition:
 
     def test_empty_partition(self):
         p = small_partition()
-        empty = IntervalPartition(
-            5,
-            2,
-            p.regime,
-            p.lowers[:0],
-            p.uppers[:0],
-            p.layer_ids[:0],
-            ("trivial",),
-        )
+        empty = IntervalPartition(5, 2, p.regime, p.lowers[:0], p.uppers[:0])
         verdict = verify_partition(empty)
         assert not verdict.covers and verdict.min_upper_size == 0
+
+    def test_explicit_partition_beyond_materializing_reports_first_missing(self):
+        # At n = 30 the verifier expands only the listed intervals and walks
+        # to the first absent 2-set, {1, 5}, without touching all 2^30 sets.
+        def masks(*sets):
+            return np.array([CircularSet(30, s).mask for s in sets], dtype=np.uint32)
+
+        lowers = masks([1, 2], [1, 3], [1, 4])
+        uppers = masks([1, 2, 3], [1, 3], [1, 4, 5])
+        sparse = IntervalPartition(30, 2, regime_of(30, 2), lowers, uppers)
+        tracemalloc.start()
+        try:
+            verdict = verify_partition(sparse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.disjoint and not verdict.covers
+        assert verdict.uncovered_witness == CircularSet(30, [1, 5])
+        assert verdict.min_upper_size == 2 and verdict.interval_count == 3
+        assert peak < 4 * 2**20
 
 
 class TestSdepthOfPartition:
