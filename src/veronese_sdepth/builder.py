@@ -78,8 +78,10 @@ _CHUNK = 1 << 15
 
 
 def within_cap(n: int, cap: int) -> bool:
-    """True when materializing a partition of [n] stays within ``cap``:
-    the largest level, C(n, ceil(n/2)), is its biggest sweep."""
+    """True when the compact build of [n] that ``report``, ``build`` and
+    ``table`` run stays within ``cap``: no layer sweeps more than the
+    largest level, C(n, ceil(n/2)), and n is small enough that an explicit
+    build could still list every set."""
     return n <= MATERIALIZE_LIMIT and comb(n, (n + 1) // 2) <= cap
 
 

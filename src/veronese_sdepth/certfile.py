@@ -105,19 +105,6 @@ def _header_fields(header: str) -> tuple[int, int, RegimeDecomposition, int | No
     return n, d, reg, claim
 
 
-def _open_text(path: str):
-    # As the line parser reads a certificate: ASCII, with "\n", "\r\n"
-    # and a lone "\r" each ending a line, and line ends kept.
-    return open(path, "r", encoding="ascii", newline="")
-
-
-def read_header(path: str) -> tuple[int, int, RegimeDecomposition, int | None]:
-    """(n, d, regime, claimed minimum or None) from a certificate's header
-    line alone."""
-    with _open_text(path) as fh:
-        return _header_fields(fh.readline())
-
-
 def _parse_side(text: str, lineno: int, n: int) -> int:
     mask = 0
     prev = 0
@@ -240,7 +227,9 @@ class _LineReader:
 
 
 def parse_partition_file(path: str) -> IntervalPartition:
-    with _open_text(path) as text, open(path, "rb") as body:
+    # The line parser reads a certificate as ASCII, with "\n", "\r\n" and a
+    # lone "\r" each ending a line, and line ends kept.
+    with open(path, "r", encoding="ascii", newline="") as text, open(path, "rb") as body:
         header = text.readline()
         n, d, reg, claim = _header_fields(header)
         lines = _LineReader(text, len(header), n, d)

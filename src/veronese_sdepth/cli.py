@@ -31,11 +31,10 @@ upper one with at least d members.  The header comes in two forms:
   partition from ``build_partition(n, d)``: every interval is listed,
   singletons included, and a set no line holds is uncovered.
 
-``--cap`` on ``verify`` bounds the listed volume, the sum of
-2^(|upper| - |lower|), of a compact file before any interval is expanded,
-and the header's n of an explicit one before its body is read.  Either
-file is refused as not disjoint, before expansion, when its listed volume
-exceeds the number of sets of size >= d.
+``--cap`` on ``verify`` bounds the listed volume of either form, the sum
+of 2^(|upper| - |lower|), before any interval is expanded; a file whose
+listed volume exceeds the number of sets of size >= d is first refused as
+not disjoint.
 
 ``build`` writes the canonical form: every line, the last included, ends
 in LF, and members are plain decimal without sign, leading zeros or
@@ -62,7 +61,7 @@ from .builder import (
     build_partition_k3,
     within_cap,
 )
-from .certfile import parse_partition_file, read_header, write_partition_file
+from .certfile import parse_partition_file, write_partition_file
 from .core import (
     CircularSet,
     conjectured_sdepth,
@@ -83,6 +82,10 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_INVALID_CERTIFICATE = 4
 EXIT_BOUNDS_ONLY = 10
+
+# ``blocks`` walks every position of its circle and keeps them in sets.
+# The package's own lifted circles, m = (n+1)s + n, never exceed 2,079.
+BLOCKS_MAX_N = 100_000
 
 
 def cmd_report(args) -> int:
@@ -139,28 +142,19 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # An explicit file lists every set: refuse an over-cap universe before
-    # reading the body.
-    n, d, _, claim = read_header(args.in_path)
-    if claim is None and not within_cap(n, args.cap):
-        print(
-            f"verifying n={n} exceeds the enumeration cap {args.cap}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     part = parse_partition_file(args.in_path)
     # What expanding the listed intervals would cost, known before it is paid.
     volume = part.volume()
-    if claim is not None and volume > args.cap:
+    poset = sum(comb(part.n, k) for k in range(part.d, part.n + 1))
+    if volume > poset:
+        print(f"not disjoint: declared volume {volume} exceeds the {poset} sets of the poset")
+        return EXIT_INVALID_CERTIFICATE
+    if volume > args.cap:
         print(
             f"verifying {volume} listed sets exceeds the enumeration cap {args.cap}",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    poset = sum(comb(n, k) for k in range(d, n + 1))
-    if volume > poset:
-        print(f"not disjoint: declared volume {volume} exceeds the {poset} sets of the poset")
-        return EXIT_INVALID_CERTIFICATE
     verdict = verify_partition(part)
     if verdict.ok:
         print(
@@ -180,7 +174,7 @@ def cmd_verify(args) -> int:
             if i is None
             else f"interval {i} has upper {{{short.serialize()}}}, which"
         )
-        print(f"below claim: {where} has size {len(short)} < min_upper={claim}")
+        print(f"below claim: {where} has size {len(short)} < min_upper={part.claimed_min}")
     return EXIT_INVALID_CERTIFICATE
 
 
@@ -208,6 +202,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_blocks(args) -> int:
+    if args.n > BLOCKS_MAX_N:
+        print(f"blocks: n={args.n} exceeds {BLOCKS_MAX_N} positions", file=sys.stderr)
+        return EXIT_USAGE
     a = CircularSet.parse(args.n, args.set)
     density = Density.coerce(args.density)
     bs = block_structure(a, density)
@@ -296,9 +293,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="in_path", required=True)
     add_cap(
         sp,
-        "bounds the listed volume, the sum of 2^(|upper| - |lower|), of a "
-        "compact file, and n of an explicit one as within_cap does; beyond "
-        "it, exit 2",
+        "bounds the listed volume, the sum of 2^(|upper| - |lower|), of "
+        "either form; beyond it, exit 2",
     )
     sp.set_defaults(func=cmd_verify)
 
@@ -309,7 +305,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("blocks", help="debug view of one block structure")
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=int, required=True, help=f"circle size, at most {BLOCKS_MAX_N}")
     sp.add_argument("--set", required=True, help="comma-separated members, e.g. 1,2")
     sp.add_argument("--density", required=True, help="integer or rational, e.g. 2 or 3/2")
     sp.set_defaults(func=cmd_blocks)

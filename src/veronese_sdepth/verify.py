@@ -182,11 +182,14 @@ def exact_sdepth(
     target).  The budget counts search nodes, candidate constructions,
     cached candidate members and enumerated constrained sets across the
     whole descent; when it runs out the result is None, which is distinct
-    from a definite answer.  ``counting_prune`` exists so tests can
-    cross-check the pruned search against plain exhaustion.
+    from a definite answer.  It is None too, before any count is formed,
+    when [n] is wider than a mask holds.  ``counting_prune`` exists so
+    tests can cross-check the pruned search against plain exhaustion.
     """
     if d < 1 or d > n:
         raise PreconditionViolatedError(f"need 1 <= d <= n, got n={n}, d={d}")
+    if n > bitops.MAX_UNIVERSE:
+        return None
     work = [budget]
     try:
         for t in range(n, d, -1):

@@ -1,5 +1,7 @@
 import io
 import contextlib
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,13 +162,13 @@ class TestBuildVerify:
         code, _, err = run(["verify", "--in", str(path)])
         assert code == 2 and "line 2" in err
 
-    def test_over_cap_header_refused_before_body(self, tmp_path):
+    def test_bad_body_line_beyond_26_carries_its_line_number(self, tmp_path):
         path = tmp_path / "p.txt"
         tag = regime_of(27, 2).regime.value
-        path.write_text(f"n=27 d=2 regime={tag}\nnot an interval line\n")
-        code, _, err = run(["verify", "--in", str(path)])
-        assert code == 2
-        assert "exceeds the enumeration cap" in err and "line" not in err
+        path.write_text(f"n=27 d=2 regime={tag}\n1,2;1,2,3\nnot an interval line\n")
+        code, out, err = run(["verify", "--in", str(path)])
+        assert code == 2 and out == ""
+        assert "line 3" in err and "cap" not in err
 
     def test_parse_rejects_regime_mismatch(self, tmp_path):
         path = tmp_path / "p.txt"
@@ -241,6 +243,16 @@ class TestBlocks:
         code, _, _ = run(["blocks", "-n", "5", "--set", "", "--density", "2"])
         assert code == 2
 
+    def test_too_wide_circle_refused_at_once(self):
+        tracemalloc.start()
+        try:
+            code, out, err = run(["blocks", "-n", "1000000", "--set", "1", "--density", "2"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and "100000" in err
+        assert peak < 2**20
+
 
 class TestOracleCommand:
     def test_value(self):
@@ -250,6 +262,12 @@ class TestOracleCommand:
     def test_budget_exhaustion(self):
         code, out, _ = run(["oracle", "-n", "6", "-d", "1", "--budget", "5"])
         assert code == 10 and "oracle_exact=none" in out
+
+    def test_universe_beyond_a_mask_is_none_at_once(self):
+        start = time.perf_counter()
+        code, out, err = run(["oracle", "-n", "1000", "-d", "1", "--budget", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (10, "oracle_exact=none\n", "")
 
     def test_deep_search_needs_no_recursion(self):
         code, out, err = run(["oracle", "-n", "14", "-d", "2"])

@@ -16,10 +16,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import verify_compact_by_materializing, write_partition_file_per_line
 from test_certfile import IDENTITY_CASES
 
@@ -180,29 +182,108 @@ def repeated_interval_file(path, claim):
     path.write_text(f"n=20 d=1 regime={regime_of(20, 1).regime.value}{claim}\n" + line * 40)
 
 
+def peak_of(argv):
+    """``run(argv)`` and the peak traced allocation it made."""
+    tracemalloc.start()
+    try:
+        result = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestDeclaredVolume:
     """40 copies of [{1}, [20]] declare 40 * 2^19 sets: more than the 2^20 - 1
-    of the poset, and more than the default cap of 5,000,000."""
+    of the poset, and more than the default cap of 5,000,000.  The poset
+    bound is checked first, so either form is refused as not disjoint."""
 
-    @pytest.mark.parametrize(
-        "claim,code,message",
-        [
-            ("", 4, "not disjoint: declared volume 20971520 exceeds the 1048575 sets"),
-            (" min_upper=1", 2, "verifying 20971520 listed sets exceeds the enumeration cap"),
-        ],
-        ids=["explicit", "compact"],
-    )
-    def test_refused_before_expansion(self, tmp_path, claim, code, message):
+    @pytest.mark.parametrize("claim", ["", " min_upper=1"], ids=["explicit", "compact"])
+    def test_refused_before_expansion(self, tmp_path, claim):
         path = tmp_path / "p.txt"
         repeated_interval_file(path, claim)
-        tracemalloc.start()
-        try:
-            got, out, err = run(["verify", "--in", str(path)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert got == code and message in out + err
+        (code, out, _), peak = peak_of(["verify", "--in", str(path)])
+        assert code == 4
+        assert out == (
+            "not disjoint: declared volume 20971520 exceeds the 1048575 sets of the poset\n"
+        )
         assert peak < 20 * 2**20
+
+
+def interval_file(path, n, d, claim, lines):
+    """A certificate at (n, d) whose body is ``lines`` of member lists
+    (lower, upper), with ``min_upper=claim`` in the header unless claim is
+    None."""
+    head = f"n={n} d={d} regime={regime_of(n, d).regime.value}"
+    head += "" if claim is None else f" min_upper={claim}"
+    body = "".join(f"{','.join(map(str, lo))};{','.join(map(str, up))}\n" for lo, up in lines)
+    path.write_text(head + "\n" + body)
+
+
+@st.composite
+def interval_lists(draw):
+    """(n, d, claim or None, intervals, cap): up to five intervals over
+    [n], n <= 30, each with at most 12 free members, and a cap below 2^16,
+    so no draw expands more than a few hundred thousand sets."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, n))
+    claim = draw(st.one_of(st.none(), st.integers(d, n)))
+    intervals = []
+    for _ in range(draw(st.integers(0, 5))):
+        lower = sorted(draw(st.sets(st.integers(1, n), min_size=d, max_size=n)))
+        rest = sorted(set(range(1, n + 1)) - set(lower))
+        free = draw(st.sets(st.sampled_from(rest), max_size=12)) if rest else set()
+        intervals.append((lower, sorted(set(lower) | free)))
+    return n, d, claim, intervals, draw(st.integers(1, 1 << 16))
+
+
+class TestVerifyCap:
+    """``verify`` bounds every certificate, explicit or compact, by its
+    listed volume: above the poset size it exits 4, else above ``--cap`` it
+    exits 2, else it prints what ``verify_partition`` decides."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=interval_lists())
+    def test_listed_volume_decides_before_expansion(self, tmp_path_factory, case):
+        n, d, claim, intervals, cap = case
+        path = tmp_path_factory.mktemp("cap") / "p.txt"
+        interval_file(path, n, d, claim, intervals)
+        code, out, err = run(["verify", "--in", str(path), "--cap", str(cap)])
+        volume = sum(2 ** (len(up) - len(lo)) for lo, up in intervals)
+        poset = sum(comb(n, k) for k in range(d, n + 1))
+        if volume > poset:
+            assert code == 4 and out.startswith("not disjoint: declared volume"), out
+        elif volume > cap:
+            assert code == 2 and out == ""
+            assert f"verifying {volume} listed sets exceeds the enumeration cap {cap}" in err
+        else:
+            verdict = verify_partition(parse_partition_file(str(path)))
+            assert code == (0 if verdict.ok else 4) and err == ""
+            if verdict.ok:
+                assert f"intervals={verdict.interval_count} " in out
+                assert f"min_upper_size={verdict.min_upper_size}\n" in out
+            assert out.startswith("not disjoint") == (not verdict.disjoint)
+            assert ("not covering" in out) == (not verdict.covers)
+
+    @pytest.mark.parametrize("claim", [None, 1], ids=["explicit", "compact"])
+    def test_within_poset_but_over_cap(self, tmp_path, claim):
+        # [{1}, [24]] holds 2^23 sets: within the 2^24 - 1 of the poset, over
+        # the default cap of 5,000,000.
+        path = tmp_path / "p.txt"
+        interval_file(path, 24, 1, claim, [([1], list(range(1, 25)))])
+        (code, out, err), peak = peak_of(["verify", "--in", str(path)])
+        assert code == 2 and out == ""
+        assert "verifying 8388608 listed sets exceeds the enumeration cap 5000000" in err
+        assert peak < 4 * 2**20  # one parser block; the expansion would take 32 MB
+
+    @pytest.mark.parametrize("cap", [None, "1000000000000"])
+    def test_sparse_explicit_file_beyond_26(self, tmp_path, cap):
+        # Three listed intervals: whatever the cap, the volume is 7 sets.
+        path = tmp_path / "p.txt"
+        lines = [([1, 2], [1, 2, 3]), ([4, 5], [4, 5]), ([6, 7], [6, 7, 8, 9])]
+        interval_file(path, 30, 2, None, lines)
+        argv = ["verify", "--in", str(path)] + ([] if cap is None else ["--cap", cap])
+        assert run(argv) == (4, "not covering: {1,3} is uncovered\n", "")
 
 
 class TestSameAnswers:
