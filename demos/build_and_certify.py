@@ -2,10 +2,11 @@
 
 The poset of a squarefree Veronese ideal (n, d) consists of every subset
 of [n] of size at least d.  The builder stacks interval families layer by
-layer, keeps an interval only when its lower endpoint is still uncovered,
-and finishes with singletons.  The verifier recomputes disjointness and
-coverage from nothing but the interval list; its minimum upper-endpoint
-size is a certified lower bound for the Stanley depth.
+layer and keeps an interval only when its lower endpoint is still
+uncovered; every set left over is an implicit singleton.  The verifier
+recomputes disjointness and coverage from nothing but the interval list;
+its minimum upper-endpoint size is a certified lower bound for the
+Stanley depth.
 """
 
 import tempfile
@@ -38,12 +39,14 @@ part, _ = build_partition_k3(1)
 print(f"\nn=7, d=1 dedicated construction: certified {sdepth_of_partition(part)}")
 
 # A verified partition transcribes directly into a Stanley decomposition:
-# one summand per interval.
+# one summand per interval, the implicit singletons included.
 small, _ = build_partition(4, 2)
 print("\nStanley decomposition for (n=4, d=2):")
 print(render_stanley_decomposition(small))
 
 # Partitions round-trip through the certificate file format losslessly.
+# The file lists only the non-trivial intervals (none here) and claims the
+# minimum upper size.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "partition.txt"
     write_partition_file(small, str(path))

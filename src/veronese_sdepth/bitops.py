@@ -37,32 +37,11 @@ def all_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def bit_reverse(arr: np.ndarray, n: int) -> np.ndarray:
     """Reverse the low ``n`` bits of every mask."""
-    if arr.dtype == np.uint32:
-        x = arr.copy()
-        x = ((x >> 1) & np.uint32(0x55555555)) | ((x & np.uint32(0x55555555)) << 1)
-        x = ((x >> 2) & np.uint32(0x33333333)) | ((x & np.uint32(0x33333333)) << 2)
-        x = ((x >> 4) & np.uint32(0x0F0F0F0F)) | ((x & np.uint32(0x0F0F0F0F)) << 4)
-        x = ((x >> 8) & np.uint32(0x00FF00FF)) | ((x & np.uint32(0x00FF00FF)) << 8)
-        x = (x >> 16) | (x << 16)
-        return x >> (32 - n)
-    x = arr.astype(np.uint64, copy=True)
-    x = ((x >> np.uint64(1)) & np.uint64(0x5555555555555555)) | (
-        (x & np.uint64(0x5555555555555555)) << np.uint64(1)
-    )
-    x = ((x >> np.uint64(2)) & np.uint64(0x3333333333333333)) | (
-        (x & np.uint64(0x3333333333333333)) << np.uint64(2)
-    )
-    x = ((x >> np.uint64(4)) & np.uint64(0x0F0F0F0F0F0F0F0F)) | (
-        (x & np.uint64(0x0F0F0F0F0F0F0F0F)) << np.uint64(4)
-    )
-    x = ((x >> np.uint64(8)) & np.uint64(0x00FF00FF00FF00FF)) | (
-        (x & np.uint64(0x00FF00FF00FF00FF)) << np.uint64(8)
-    )
-    x = ((x >> np.uint64(16)) & np.uint64(0x0000FFFF0000FFFF)) | (
-        (x & np.uint64(0x0000FFFF0000FFFF)) << np.uint64(16)
-    )
-    x = (x >> np.uint64(32)) | (x << np.uint64(32))
-    return x >> np.uint64(64 - n)
+    t = arr.dtype.type
+    out = np.zeros_like(arr)
+    for i in range(n):
+        out |= ((arr >> t(i)) & t(1)) << t(n - 1 - i)
+    return out
 
 
 def lex_sorted(masks: np.ndarray, n: int) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Layer-by-layer construction of interval partitions of the (n, d) poset.
+"""Layer-by-layer construction of compact interval partitions of the
+(n, d) poset.
 
 The poset consists of every subset of [n] of size at least d.  The builder
 stacks interval families level by level, keeps an interval only when its
-lower endpoint is not already covered, and completes the remainder with
-singleton intervals [D, D]:
+lower endpoint is not already covered, and leaves every remaining set to
+an implicit singleton interval [D, D]:
 
   TrivialRange (d <= n <= 2d)  everything trivial.
   K1                           one family at density 2.
@@ -13,29 +14,27 @@ singleton intervals [D, D]:
                                s = large_n_density_shift(n, d).
 
 Selection makes every set of the visited sizes covered, so the trivial
-remainder starts at the next size up.  A compact partition lists only the
-layered intervals and leaves that remainder implicit, with the minimum
-upper size it reaches as a claim the verifier re-derives.
+remainder starts at the next size up.  A partition lists only the layered
+intervals and claims the minimum upper size they reach together with the
+implicit singletons; the verifier re-derives that claim.
 ``build_partition``, ``build_partition_k3`` and ``certify_layered`` all
-return one ``Build(partition, trace)``.  Disjointness
-of a kept interval against earlier layers follows from the families'
-closure property (for the base family) and the cross-level disjointness
-hypotheses, which for the filtered layers of one plan reduce to the
-levels being increasing at a common density.
+return one ``Build(partition, trace)``.  Disjointness of a kept interval
+against earlier layers follows from the families' closure property (for
+the base family) and the cross-level disjointness hypotheses, which for
+the filtered layers of one plan reduce to the levels being increasing at
+a common density; the builder does not re-check it, the verifier does.
 
-Candidate lower endpoints run in lexicographic order within each layer
-and the trivial completion is emitted in increasing size then
-lexicographic order, so identical inputs produce byte-identical
-partitions.  Bulk storage is numpy mask arrays throughout: candidates are
-closed in fixed-size batches by ``lifting.closure_upper_masks``, each
-family keeps parallel lower and upper arrays, and the covered set is one
-ascending mask array that grows by one uniform-volume expansion per
-layer.  A filtered level does not search that array: it ranks the
-covered sets of its own size (``bitops.lex_ranks``) into one flag per
-level set, and since candidates are swept in lexicographic order, a
-candidate's rank is its position in the sweep, so each batch reads its
-flags as one slice.  Levels are materialized one size at a time rather
-than holding the whole poset as objects.
+Candidate lower endpoints run in lexicographic order within each layer,
+so identical inputs produce byte-identical partitions.  Bulk storage is
+numpy mask arrays throughout: candidates are closed in fixed-size batches
+by ``lifting.closure_upper_masks`` and each family keeps parallel lower
+and upper arrays.  Covered sets are kept only for the sizes a later layer
+filters (or the base layer must cover), one member array per size; how
+many sets of each size the layers cover is C(s, j - level) arithmetic on
+the selected counts.  A filtered level does not search its member array:
+it ranks those sets (``bitops.lex_ranks``) into one flag per level set,
+and since candidates are swept in lexicographic order, a candidate's rank
+is its position in the sweep, so each batch reads its flags as one slice.
 """
 
 from __future__ import annotations
@@ -70,7 +69,8 @@ from .lifting import (
 
 DEFAULT_SWEEP_CAP = 5_000_000
 
-# Full materialization enumerates all 2^n masks.
+# The largest n that ``within_cap`` admits; 2^26 also bounds the layered
+# sweep of a default build.
 MATERIALIZE_LIMIT = 26
 
 # Level sets per batch of the layer loop.
@@ -78,10 +78,9 @@ _CHUNK = 1 << 15
 
 
 def within_cap(n: int, cap: int) -> bool:
-    """True when the compact build of [n] that ``report``, ``build`` and
-    ``table`` run stays within ``cap``: no layer sweeps more than the
-    largest level, C(n, ceil(n/2)), and n is small enough that an explicit
-    build could still list every set."""
+    """True when ``report``, ``build`` and ``table`` run the build of [n]
+    within ``cap``: no layer sweeps more than the largest level,
+    C(n, ceil(n/2)), and n is at most ``MATERIALIZE_LIMIT``."""
     return n <= MATERIALIZE_LIMIT and comb(n, (n + 1) // 2) <= cap
 
 
@@ -179,10 +178,9 @@ class IntervalPartition:
 
 
 class Build(NamedTuple):
-    """What every construction returns: the partition, explicit or compact,
-    and how its layers were selected.  The lowers list each layer's
-    selection in plan order (``trace.layers[i].selected`` of them), then,
-    in an explicit partition, the trivial completion."""
+    """What every construction returns: the compact partition and how its
+    layers were selected.  The lowers list each layer's selection in plan
+    order, ``trace.layers[i].selected`` of them."""
 
     partition: IntervalPartition
     trace: BuilderTrace
@@ -236,12 +234,12 @@ def _check_plan(plan: Sequence[tuple[int, int]]) -> None:
 
 def _run_layers(
     n: int, plan: Sequence[tuple[int, int]], ensure: tuple[int, ...] = ()
-) -> tuple[list[IntervalFamily], np.ndarray, list[LayerTrace]]:
+) -> tuple[list[IntervalFamily], list[int], list[LayerTrace]]:
     """Select intervals layer by layer.
 
-    Returns the selected families, the ascending array of every mask
-    covered by a selected interval, and per-layer counts.  Candidates run
-    in lexicographic order, in chunks of ``_CHUNK`` level sets, so the
+    Returns the selected families, how many sets of each size 0..n the
+    selected intervals cover, and per-layer counts.  Candidates run in
+    lexicographic order, in chunks of ``_CHUNK`` level sets, so the
     candidate at sweep position p has lexicographic rank p; the first of
     each chunk has its rank re-derived by the scalar ``bitops.lex_rank``.
     A filtered layer drops the candidates whose rank is flagged covered by
@@ -249,19 +247,26 @@ def _run_layers(
     set of its own level, so this is the same as filtering one candidate
     at a time.  The kept candidates' masks are computed once and closed by
     the batched closure, whose first row is re-derived by the scalar
-    ``closure_upper_mask``.  A repeated member mask means two selected
-    intervals overlap, which the construction forbids; it is reported as
-    an internal error naming the first offending lower endpoint.  Every
-    set of a size in ``ensure`` must be covered by the first layer.
+    ``closure_upper_mask``.  Members are expanded only for the sizes a
+    later layer filters or the base layer must cover (``ensure``), one
+    array per size; every other count comes from C(s, j - level)
+    arithmetic.  Disjointness of the whole selection is left to the
+    verifier.
     """
     _check_plan(plan)
-    covered = np.empty(0, dtype=bitops.mask_dtype(n))
+    kept: dict[int, list[np.ndarray]] = {
+        size: [] for size in {lv for lv, _ in plan[1:]} | set(ensure)
+    }
+    counts = [0] * (n + 1)
+    empty = np.empty(0, dtype=bitops.mask_dtype(n))
     layers: list[IntervalFamily] = []
     traces: list[LayerTrace] = []
     for idx, (level, s) in enumerate(plan):
         validate_lift_params(n, level, s)
-        lo_parts, up_parts = [], []
-        taken = _covered_flags(n, level, covered) if idx else None
+        lo_parts, up_parts = [empty], [empty]
+        taken = None
+        if idx:
+            taken = _covered_flags(n, level, np.concatenate([empty, *kept.pop(level)]))
         start = 0
         for rows in bitops.lex_combinations(n, level, _CHUNK):
             first = tuple(rows[0].tolist())
@@ -289,26 +294,45 @@ def _run_layers(
             raise InternalCheckError(
                 f"the sweep of level {level} visited {candidates} of {comb(n, level)} sets"
             )
-        lowers = np.concatenate(lo_parts) if lo_parts else covered[:0]
-        uppers = np.concatenate(up_parts) if up_parts else covered[:0]
-        covered = _add_covered(covered, lowers, uppers, s)
+        lowers, uppers = np.concatenate(lo_parts), np.concatenate(up_parts)
+        _count_covered(counts, n, level, s, len(lowers))
+        sizes = [j for j in kept if level < j <= level + s]
+        if sizes and len(lowers):
+            members = bitops.expand_uniform(lowers, uppers, s)
+            # Column c of the expansion adds s - popcount(c) free members.
+            added = s - bitops.popcounts(np.arange(1 << s))
+            for j in sizes:
+                kept[j].append(members[:, added == j - level].ravel())
         tag = f"I[{n},{level},{s + 1}]"
         layers.append(IntervalFamily(n, level, lowers, uppers, tag))
         traces.append(
             LayerTrace(tag, level, s + 1, candidates, len(lowers), candidates - len(lowers))
         )
         if idx == 0:
-            _check_ensured(n, covered, ensure)
-    return layers, covered, traces
+            for size in ensure:
+                _check_ensured(n, size, counts[size], np.concatenate([empty, *kept[size]]))
+    return layers, counts, traces
+
+
+def _count_covered(counts: list[int], n: int, level: int, s: int, selected: int) -> None:
+    """Add to ``counts`` the sets that ``selected`` intervals at ``level``
+    with s free members cover: C(s, j - level) each of every size j.  A
+    size counted beyond its C(n, j) sets is an internal error."""
+    for j in range(level, level + s + 1):
+        counts[j] += selected * comb(s, j - level)
+        if counts[j] > comb(n, j):
+            raise InternalCheckError(
+                f"the layers cover {counts[j]} sets of size {j}, more than C({n}, {j})"
+            )
 
 
 def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:
     """One flag per ``level``-subset of [n], at its lexicographic rank,
-    set when ``covered`` holds that subset.  Only ``covered``'s sets of
-    this size are ranked, and the flags are as many as the sweep's
-    candidates.  A rank outside the level, or two sets of one rank, is an
-    internal error rather than a wrapped or merged index."""
-    ranks = bitops.lex_ranks(covered[bitops.popcounts(covered) == level], n, level)
+    set for each of the ``covered`` sets, which all have this size.  The
+    flags are as many as the sweep's candidates.  A rank outside the
+    level, or two sets of one rank, is an internal error rather than a
+    wrapped or merged index."""
+    ranks = bitops.lex_ranks(covered, n, level)
     flags = np.zeros(comb(n, level), dtype=bool)
     if ranks.size and (int(ranks.min()) < 0 or int(ranks.max()) >= flags.size):
         raise InternalCheckError(
@@ -320,68 +344,24 @@ def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _add_covered(
-    covered: np.ndarray, lowers: np.ndarray, uppers: np.ndarray, s: int
-) -> np.ndarray:
-    """``covered`` merged with every member of one layer's intervals; a
-    member already present, or present twice, is an overlap."""
-    members = bitops.expand_uniform(lowers, uppers, s).ravel()
-    merged = np.concatenate([covered, members])
-    merged.sort()
-    if np.any(merged[1:] == merged[:-1]):
-        # The first interval, in selection order, holding a member that an
-        # earlier layer or an earlier interval of this layer already holds.
-        seen = bitops.member_lookup(members, covered)
-        order = np.argsort(members, kind="stable")
-        ranked = members[order]
-        seen[order[1:][ranked[1:] == ranked[:-1]]] = True
-        bad = int(np.flatnonzero(seen)[0]) >> s
-        combo = tuple(bitops.members_of(int(lowers[bad])))
-        raise InternalCheckError(f"interval at {combo} overlaps an earlier selection")
-    return merged
-
-
-def _check_ensured(n: int, covered: np.ndarray, ensure: tuple[int, ...]) -> None:
-    # ``covered`` holds distinct subsets of [n], so a size is fully covered
-    # iff it is covered C(n, size) times.
-    if not ensure:
-        return
-    hist = np.bincount(bitops.popcounts(covered), minlength=n + 1)
-    for size in ensure:
-        if int(hist[size]) < comb(n, size):
-            combo = bitops.first_absent(n, size, covered)
-            raise InternalCheckError(f"size-{size} set {combo} escaped the base layer")
+def _check_ensured(n: int, size: int, count: int, present: np.ndarray) -> None:
+    """Every ``size``-set must be covered: ``count`` of them are, and on
+    failure the first one missing from ``present`` is named."""
+    if count < comb(n, size):
+        combo = bitops.first_absent(n, size, np.sort(present))
+        raise InternalCheckError(f"size-{size} set {combo} escaped the base layer")
 
 
 def _remainder(
-    n: int, d: int, layers: list[IntervalFamily], covered: np.ndarray
+    n: int, d: int, layers: list[IntervalFamily], counts: list[int]
 ) -> tuple[int, int | None]:
-    """The size of the trivial remainder, the poset sets missing from
-    ``covered``, and the minimum upper size of the layered intervals
-    together with those singletons (None when both are empty)."""
-    # ``covered`` holds distinct subsets of [n], so a size is left
-    # uncovered iff it is counted fewer than C(n, size) times.
-    hist = np.bincount(bitops.popcounts(covered), minlength=n + 1)
-    missing = [comb(n, k) - int(hist[k]) for k in range(d, n + 1)]
+    """The size of the trivial remainder, the poset sets the layers leave
+    uncovered by ``counts``, and the minimum upper size of the layered
+    intervals together with those singletons (None when both are empty)."""
+    missing = [comb(n, k) - counts[k] for k in range(d, n + 1)]
     sizes = [fam.upper_size() for fam in layers if len(fam)]
     sizes += [d + i for i, m in enumerate(missing) if m][:1]
     return sum(missing), min(sizes, default=None)
-
-
-def _trivial_completion(n: int, d: int, covered: np.ndarray) -> np.ndarray:
-    """Masks of every poset element missing from ``covered``, increasing
-    size then lexicographic within each size."""
-    # Lexicographic order within a size is descending order of the
-    # bit-reversed mask, so walk the reversed values downward and reverse
-    # back only what is kept.
-    rev = np.arange((1 << n) - 1, -1, -1, dtype=bitops.mask_dtype(n))
-    taken = np.zeros(1 << n, dtype=bool)
-    taken[bitops.bit_reverse(covered, n)] = True
-    free = ~taken[::-1]
-    pops = bitops.popcounts(rev)
-    return np.concatenate(
-        [bitops.bit_reverse(rev[free & (pops == k)], n) for k in range(d, n + 1)]
-    )
 
 
 def _sweep_estimate(n: int, plan: _Plan) -> int:
@@ -391,81 +371,66 @@ def _sweep_estimate(n: int, plan: _Plan) -> int:
 
 
 def _assemble(
-    reg: RegimeDecomposition,
-    k3: bool = False,
-    compact: bool = False,
-    sweep_cap: int = 1 << MATERIALIZE_LIMIT,
+    reg: RegimeDecomposition, k3: bool = False, sweep_cap: int = 1 << MATERIALIZE_LIMIT
 ) -> Build:
     n, d = reg.n, reg.d
     plan = _plan_for(reg, k3)
-    # An explicit build enumerates all 2^n sets; a compact one only the
-    # layered sweep, which by default may be as large as the explicit
-    # build at MATERIALIZE_LIMIT.
+    # Only the layered sweep is enumerated; by default it may be as large
+    # as listing all 2^n sets at MATERIALIZE_LIMIT.
     sweep = _sweep_estimate(n, plan)
-    if compact and sweep > sweep_cap:
+    if sweep > sweep_cap:
         raise PreconditionViolatedError(
             f"the layered sweep at n={n}, d={d} would handle about "
             f"{sweep} sets, beyond the cap {sweep_cap}"
         )
-    if not compact and n > MATERIALIZE_LIMIT:
-        raise PreconditionViolatedError(
-            f"materializing all subsets of [{n}] is beyond desk scale; "
-            "build it compact or use certify_layered for the bound"
-        )
-    layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
-    remainder, minimum = _remainder(n, d, layers, covered)
-    lo_parts = [fam.lowers for fam in layers]
-    up_parts = [fam.uppers for fam in layers]
-    if not compact:
-        trivial = _trivial_completion(n, d, covered)
-        lo_parts.append(trivial)
-        up_parts.append(trivial)
-    claim = minimum if compact else None
+    layers, counts, traces = _run_layers(n, plan.layers, plan.ensure)
+    remainder, minimum = _remainder(n, d, layers, counts)
+    empty = np.empty(0, dtype=bitops.mask_dtype(n))
     part = IntervalPartition(
         n,
         d,
         reg,
-        np.concatenate([covered[:0], *lo_parts]),
-        np.concatenate([covered[:0], *up_parts]),
-        claim,
+        np.concatenate([empty, *(fam.lowers for fam in layers)]),
+        np.concatenate([empty, *(fam.uppers for fam in layers)]),
+        minimum,
     )
     # Below the threshold the plan's minimum meets the upper bound, so this
     # pins the value exactly there and brackets it beyond.
-    got = part.min_upper_size() if claim is None else claim
     upper = sdepth_upper_bound(n, d)
-    if not plan.min_upper <= got <= upper:
+    if not plan.min_upper <= minimum <= upper:
         raise InternalCheckError(
-            f"built partition has min upper size {got}, "
+            f"built partition has min upper size {minimum}, "
             f"expected between {plan.min_upper} and {upper}"
         )
     return Build(part, BuilderTrace(tuple(traces), remainder))
 
 
-def build_partition(n: int, d: int, compact: bool = False) -> Build:
-    """Construct the partition for (n, d): fully materialized, or with
-    ``compact`` only the layered intervals and a claimed minimum.
+def build_partition(n: int, d: int) -> Build:
+    """Construct the compact partition for (n, d): the layered intervals
+    and the minimum upper size they reach with the implicit singletons.
 
     The minimum upper-endpoint size comes out as d in the trivial range,
     d + k through the Mid regime, and at least d + 1 + s beyond the
     threshold.
     """
-    return _assemble(regime_of(n, d), compact=compact)
+    return _assemble(regime_of(n, d))
 
 
-def build_partition_k3(d: int, compact: bool = False) -> Build:
+def build_partition_k3(d: int) -> Build:
     """The dedicated construction at n = 4d + 3: the base family at
     density 4 (which covers every (d+1)-set, asserted with zero
     exceptions), a filtered level at d+2 with density 2, and a trivial
     remainder from size d + 3 up.  Minimum upper size is exactly d + 3."""
     if d < 1:
         raise PreconditionViolatedError(f"need d >= 1, got {d}")
-    return _assemble(regime_of(4 * d + 3, d), k3=True, compact=compact)
+    return _assemble(regime_of(4 * d + 3, d), k3=True)
 
 
 def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
-    """One interval per (d+l)-subset of [n], upper size d + l + s; the
-    family is pairwise disjoint (an overlap is an internal error).  Lower
-    endpoints run in lexicographic order."""
+    """One interval per (d+l)-subset of [n], upper size d + l + s, in
+    lexicographic order of the lower endpoints.  The family is pairwise
+    disjoint by the closure property, which the builder does not
+    re-check."""
     layers, _, _ = _run_layers(n, [(d + l, s)])
     return layers[0]
 
@@ -473,8 +438,9 @@ def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
 def certify_layered(
     n: int, d: int, cap: int = DEFAULT_SWEEP_CAP, use_k3: bool = False
 ) -> Build | None:
-    """The compact build within ``cap``: only the layered part is built and
-    checked, and the trivial remainder stays implicit.
+    """The build with its layered sweep bounded by ``cap`` rather than by
+    the default: only the layered part is built, and the trivial
+    remainder stays implicit.
 
     Sound because a singleton [D, D] for an uncovered D meets no other
     interval (an interval containing D would have covered it), so the
@@ -487,4 +453,4 @@ def certify_layered(
     reg = regime_of(n, d)
     if n > bitops.MAX_UNIVERSE or _sweep_estimate(n, _plan_for(reg, use_k3)) > cap:
         return None
-    return _assemble(reg, use_k3, compact=True, sweep_cap=cap)
+    return _assemble(reg, use_k3, sweep_cap=cap)

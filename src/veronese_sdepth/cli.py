@@ -28,7 +28,7 @@ upper one with at least d members.  The header comes in two forms:
   size they leave uncovered reaches t.
 * ``n=<int> d=<int> regime=<tag>``, the explicit form, which earlier
   versions of ``build`` wrote and ``write_partition_file`` writes for a
-  partition from ``build_partition(n, d)``: every interval is listed,
+  partition without a claimed minimum: every interval is listed,
   singletons included, and a set no line holds is uncovered.
 
 ``--cap`` on ``verify`` bounds the listed volume of either form, the sum
@@ -73,7 +73,9 @@ from .errors import InternalCheckError, InvalidPartitionError, SdepthError
 from .verify import (
     DEFAULT_ORACLE_BUDGET,
     exact_sdepth,
+    failure_lines,
     sdepth_report,
+    verify_build,
     verify_partition,
 )
 
@@ -127,14 +129,8 @@ def cmd_build(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.k3:
-        part, _ = build_partition_k3(d, compact=True)
-    else:
-        part, _ = build_partition(n, d, compact=True)
-    verdict = verify_partition(part)
-    if not verdict.ok:
-        print("internal error: built partition failed verification", file=sys.stderr)
-        return EXIT_INTERNAL
+    part, _ = build_partition_k3(d) if args.k3 else build_partition(n, d)
+    verdict = verify_build(part)
     write_partition_file(part, args.out)
     print(f"intervals={verdict.interval_count}")
     print(f"min_upper_size={verdict.min_upper_size}")
@@ -162,19 +158,8 @@ def cmd_verify(args) -> int:
             f"min_upper_size={verdict.min_upper_size}"
         )
         return EXIT_OK
-    if not verdict.disjoint:
-        i, j, witness = verdict.overlap_witness
-        print(f"not disjoint: intervals {i} and {j} share {{{witness.serialize()}}}")
-    if not verdict.covers:
-        print(f"not covering: {{{verdict.uncovered_witness.serialize()}}} is uncovered")
-    if verdict.short_witness is not None:
-        i, short = verdict.short_witness
-        where = (
-            f"{{{short.serialize()}}} is uncovered, so its implicit singleton"
-            if i is None
-            else f"interval {i} has upper {{{short.serialize()}}}, which"
-        )
-        print(f"below claim: {where} has size {len(short)} < min_upper={part.claimed_min}")
+    for line in failure_lines(verdict, part.claimed_min):
+        print(line)
     return EXIT_INVALID_CERTIFICATE
 
 
@@ -275,9 +260,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     add_cap(
         sp,
-        f"{within}, and is then built and verified; beyond it, the layered "
-        "sweep's estimate, the sum of C(n, level) * (2^s + 1) over the plan's "
-        "layers, must not exceed CAP",
+        f"picks the build: {within}, the construction; beyond it, the layered "
+        "build, whose sweep estimate, the sum of C(n, level) * (2^s + 1) over "
+        "the plan's layers, must not exceed CAP; either result is verified",
     )
     sp.set_defaults(func=cmd_report)
 

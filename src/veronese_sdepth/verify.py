@@ -1,8 +1,8 @@
 """Independent certification of partitions and a brute-force exact oracle.
 
 ``verify_partition`` recomputes everything from the interval list alone:
-it expands every listed interval into its member masks (one
-uniform-volume expansion per interval volume), sorts them once, and
+it expands every listed interval into its member masks (uniform-volume
+expansions, in blocks, into one array), sorts them once, and
 checks that no mask repeats (disjointness, with the offending pair on
 failure), then counts the distinct members per size against C(n, k).  An
 explicit partition must cover every size; the first missing set is looked
@@ -52,6 +52,9 @@ from .errors import (
 
 DEFAULT_ORACLE_BUDGET = 3_000_000
 
+# Members expanded per block by the verifier.
+_EXPAND_MEMBERS = 1 << 18
+
 
 @dataclass(frozen=True)
 class VerificationVerdict:
@@ -90,8 +93,12 @@ def verify_partition(p: IntervalPartition) -> VerificationVerdict:
     if not disjoint:
         members = members[np.concatenate(([True], ~repeats))]
     # The members are now distinct subsets of [n] of size >= d, so a size
-    # is covered iff it occurs C(n, size) times.
-    hist = np.bincount(bitops.popcounts(members), minlength=n + 1)
+    # is covered iff it occurs C(n, size) times.  They are counted in
+    # blocks, since bincount widens its input to int64.
+    pops = bitops.popcounts(members)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for i in range(0, pops.size, _EXPAND_MEMBERS):
+        hist += np.bincount(pops[i : i + _EXPAND_MEMBERS], minlength=n + 1)
     missing = [comb(n, k) - int(hist[k]) for k in range(d, n + 1)]
     first = next((d + i for i, m in enumerate(missing) if m), None)
 
@@ -116,14 +123,21 @@ def verify_partition(p: IntervalPartition) -> VerificationVerdict:
 
 
 def _members(p: IntervalPartition) -> np.ndarray:
-    """Every member of every interval, unsorted; the intervals are expanded
-    in groups of equal volume."""
+    """Every member of every interval, unsorted.  The intervals are
+    expanded in groups of equal volume, a few hundred thousand members at
+    a time, straight into one array of the listed volume."""
     diffs = bitops.popcounts(p.uppers & ~p.lowers)
-    parts = [p.lowers[diffs == 0]]
-    for s in np.unique(diffs[diffs > 0]).tolist():
-        sel = diffs == s
-        parts.append(bitops.expand_uniform(p.lowers[sel], p.uppers[sel], s).ravel())
-    return np.concatenate(parts)
+    out = np.empty(p.volume(), dtype=p.lowers.dtype)
+    at = 0
+    for s in np.unique(diffs).tolist():
+        sel = np.flatnonzero(diffs == s)
+        step = max(1, _EXPAND_MEMBERS >> s)
+        for lo in range(0, len(sel), step):
+            idx = sel[lo : lo + step]
+            block = bitops.expand_uniform(p.lowers[idx], p.uppers[idx], s)
+            out[at : at + block.size] = block.ravel()
+            at += block.size
+    return out
 
 
 def _overlap_witness(p: IntervalPartition, mask: int) -> tuple[int, int, CircularSet]:
@@ -133,6 +147,37 @@ def _overlap_witness(p: IntervalPartition, mask: int) -> tuple[int, int, Circula
     trivial = p.lowers[holders] == p.uppers[holders]
     i, j = np.concatenate([holders[~trivial], holders[trivial]])[:2].tolist()
     return min(i, j), max(i, j), CircularSet.from_mask(p.n, mask)
+
+
+def failure_lines(verdict: VerificationVerdict, claim: int | None) -> list[str]:
+    """One line per witness of a rejected partition: the shared set, the
+    uncovered set, and the interval or implicit singleton below ``claim``."""
+    lines = []
+    if not verdict.disjoint:
+        i, j, witness = verdict.overlap_witness
+        lines.append(f"not disjoint: intervals {i} and {j} share {{{witness.serialize()}}}")
+    if not verdict.covers:
+        lines.append(f"not covering: {{{verdict.uncovered_witness.serialize()}}} is uncovered")
+    if verdict.short_witness is not None:
+        i, short = verdict.short_witness
+        where = (
+            f"{{{short.serialize()}}} is uncovered, so its implicit singleton"
+            if i is None
+            else f"interval {i} has upper {{{short.serialize()}}}, which"
+        )
+        lines.append(f"below claim: {where} has size {len(short)} < min_upper={claim}")
+    return lines
+
+
+def verify_build(p: IntervalPartition) -> VerificationVerdict:
+    """``verify_partition`` on a partition the builder just made.  A
+    rejection is the builder's fault, so it raises ``InternalCheckError``
+    naming the witnesses."""
+    verdict = verify_partition(p)
+    if not verdict.ok:
+        witnesses = "; ".join(failure_lines(verdict, p.claimed_min))
+        raise InternalCheckError(f"built partition failed verification: {witnesses}")
+    return verdict
 
 
 def sdepth_of_partition(p: IntervalPartition) -> int:
@@ -150,14 +195,22 @@ def sdepth_of_partition(p: IntervalPartition) -> int:
 def render_stanley_decomposition(p: IntervalPartition) -> str:
     """One summand per interval: the monomial supported on the lower
     endpoint times the polynomial subring on the upper endpoint's
-    variables.  Summand order matches interval order."""
-    if p.claimed_min is not None:
-        raise PreconditionViolatedError("rendering needs an explicit partition")
+    variables.  The listed intervals come first, in order; a compact
+    partition's implicit singletons follow, by increasing size and
+    lexicographically within a size."""
     verdict = verify_partition(p)
     if not verdict.ok:
         raise InvalidPartitionError("refusing to render an unverified partition")
+    pairs = list(zip(p.lowers.tolist(), p.uppers.tolist()))
+    if p.claimed_min is not None:
+        present = set(_members(p).tolist())
+        for k in range(p.d, p.n + 1):
+            for combo in combinations(range(1, p.n + 1), k):
+                mask = bitops.mask_of(combo)
+                if mask not in present:
+                    pairs.append((mask, mask))
     lines = []
-    for lo, up in zip(p.lowers.tolist(), p.uppers.tolist()):
+    for lo, up in pairs:
         mono = "*".join(f"x{i}" for i in bitops.members_of(lo))
         ring = ",".join(f"x{i}" for i in bitops.members_of(up))
         lines.append(f"{mono} · K[{ring}]")
@@ -387,32 +440,30 @@ def sdepth_report(
     """Assemble the report: closed-form values plus the best certified
     lower bound the builder can produce within ``cap``.
 
-    On the band 4d+3 <= n <= 5d+3 the dedicated construction pins the
-    exact value d + 3 (built and verified at the left end, carried across
-    the band by containment monotonicity), so the certified bound is at
-    least that there.
+    Within ``within_cap`` the construction is built with the default
+    sweep cap (``construction``, ``construction-k3``); beyond it the
+    layered sweep must stay within ``cap`` (``layered``).  Either way the
+    certified number is the minimum ``verify_partition`` re-derives.  On
+    the band 4d+3 <= n <= 5d+3 the dedicated construction pins the exact
+    value d + 3 (built and verified at the left end, carried across the
+    band by containment monotonicity), so the certified bound is at least
+    that there.
     """
     reg = regime_of(n, d)
     conjectured = conjectured_sdepth(n, d)
     upper = sdepth_upper_bound(n, d)
-    certified: int | None = None
-    how = "none"
     k3_here = n == 4 * d + 3
     if within_cap(n, cap):
-        if k3_here:
-            part, _ = build_partition_k3(d, compact=True)
-        else:
-            part, _ = build_partition(n, d, compact=True)
-        verdict = verify_partition(part)
-        if not verdict.ok:
-            raise InternalCheckError("builder produced an unverifiable partition")
-        certified = verdict.min_upper_size
+        built = build_partition_k3(d) if k3_here else build_partition(n, d)
         how = "construction-k3" if k3_here else "construction"
     else:
         built = certify_layered(n, d, cap=cap, use_k3=k3_here)
-        if built is not None:
-            certified = built.partition.claimed_min
-            how = "layered"
+        how = "layered"
+    certified: int | None = None
+    if built is None:
+        how = "none"
+    else:
+        certified = verify_build(built.partition).min_upper_size
     band = k3_band_exact(n, d)
     if band is not None and (certified is None or band > certified):
         certified = band

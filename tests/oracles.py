@@ -18,15 +18,20 @@ are frozen copies of the original certificate writer and parser, one
 Python string per interval and one text line at a time; the block codec
 is checked against them.
 
-``verify_compact_by_materializing`` checks a compact partition the slow
-way: it writes out every implicit singleton, runs the explicit verifier
-and then compares the minimum with the claim; the compact verifier is
-checked against it.
+``materialize`` is a frozen copy of the builder's former trivial
+completion: it turns a compact partition into the explicit one, its
+listed intervals followed by every implicit singleton in increasing size
+and lexicographic order within a size.  ``verify_compact_by_materializing``
+checks a compact partition the slow way: it materializes it, runs the
+explicit verifier and then compares the minimum with the claim; the
+compact verifier is checked against it.
 
 ``searchsorted_layers`` is a frozen copy of the batched layer loop as it
-filtered before rank flags: every chunk's candidate masks binary-searched
-in the ascending covered sets of their size (``bitops.member_lookup``);
-the rank-indexed filter is checked against it.  ``lex_rank_by_counting``
+filtered before rank flags and per-size counts: every chunk's candidate
+masks binary-searched in the ascending covered sets of their size
+(``bitops.member_lookup``), and every layer's members merged into one
+sorted covered array; the rank-indexed filter and the per-size covered
+counts are checked against it.  ``lex_rank_by_counting``
 ranks a subset mask by counting, position by position, the subsets that
 come before it; ``bitops.lex_ranks`` is checked against it.
 
@@ -43,13 +48,7 @@ from math import comb
 import numpy as np
 
 from veronese_sdepth import bitops
-from veronese_sdepth.builder import (
-    _CHUNK,
-    IntervalPartition,
-    _add_covered,
-    _check_ensured,
-    _check_plan,
-)
+from veronese_sdepth.builder import _CHUNK, IntervalPartition, _check_plan
 from veronese_sdepth.core import regime_of
 from veronese_sdepth.errors import InternalCheckError, PartitionFileError
 from veronese_sdepth.verify import DEFAULT_ORACLE_BUDGET, verify_partition
@@ -215,6 +214,23 @@ def searchsorted_layers(n, plan, ensure=()):
         if idx == 0:
             _check_ensured(n, covered, ensure)
     return layers, covered, counts
+
+
+def _add_covered(covered, lowers, uppers, s):
+    members = bitops.expand_uniform(lowers, uppers, s).ravel()
+    merged = np.concatenate([covered, members])
+    merged.sort()
+    if np.any(merged[1:] == merged[:-1]):
+        raise InternalCheckError("a selected interval overlaps an earlier selection")
+    return merged
+
+
+def _check_ensured(n, covered, ensure):
+    hist = np.bincount(bitops.popcounts(covered), minlength=n + 1)
+    for size in ensure:
+        if int(hist[size]) < comb(n, size):
+            combo = bitops.first_absent(n, size, covered)
+            raise InternalCheckError(f"size-{size} set {combo} escaped the base layer")
 
 
 def lex_rank_by_counting(mask, n):
@@ -434,21 +450,37 @@ def parse_partition_file_per_line(path):
     )
 
 
+def materialize(p):
+    """The explicit partition of a compact one: the listed intervals, then
+    every poset set none of them holds as a singleton [D, D], in
+    increasing size and lexicographic order within each size."""
+    n, d = p.n, p.d
+    dtype = bitops.mask_dtype(n)
+    pairs = zip(p.lowers.tolist(), p.uppers.tolist())
+    covered = np.array([m for lo, up in pairs for m in bitops.submasks(lo, up)], dtype=dtype)
+    # Lexicographic order within a size is descending order of the
+    # bit-reversed mask, so walk the reversed values downward and reverse
+    # back only what is kept.
+    rev = np.arange((1 << n) - 1, -1, -1, dtype=dtype)
+    taken = np.zeros(1 << n, dtype=bool)
+    taken[bitops.bit_reverse(covered, n)] = True
+    free = ~taken[::-1]
+    pops = bitops.popcounts(rev)
+    trivial = np.concatenate(
+        [covered[:0]] + [bitops.bit_reverse(rev[free & (pops == k)], n) for k in range(d, n + 1)]
+    )
+    return IntervalPartition(
+        n,
+        d,
+        p.regime,
+        np.concatenate([p.lowers, trivial]),
+        np.concatenate([p.uppers, trivial]),
+    )
+
+
 def verify_compact_by_materializing(p):
     """(ok, min_upper_size, interval_count) of a compact partition, with its
     remainder listed as singletons and verified as an explicit partition."""
-    covered = set()
-    for lo, up in zip(p.lowers.tolist(), p.uppers.tolist()):
-        covered.update(bitops.submasks(lo, up))
-    rest = [m for m in range(1 << p.n) if m.bit_count() >= p.d and m not in covered]
-    rest = np.array(rest, dtype=p.lowers.dtype)
-    explicit = IntervalPartition(
-        p.n,
-        p.d,
-        p.regime,
-        np.concatenate([p.lowers, rest]),
-        np.concatenate([p.uppers, rest]),
-    )
-    verdict = verify_partition(explicit)
+    verdict = verify_partition(materialize(p))
     ok = verdict.ok and verdict.min_upper_size >= p.claimed_min
     return ok, verdict.min_upper_size, verdict.interval_count

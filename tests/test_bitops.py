@@ -29,6 +29,14 @@ class TestMaskHelpers:
                 assert got[0] == upper and got[-1] == lower
         assert pairs == 729
 
+    @pytest.mark.parametrize("n", [1, 7, 31, 32, 33, 64])
+    def test_bit_reverse_matches_definition(self, n):
+        rng = np.random.default_rng(n)
+        masks = [0, (1 << n) - 1, 1, 1 << (n - 1)]
+        masks += [int(x) >> (64 - n) for x in rng.integers(0, 2**64, 50, dtype=np.uint64)]
+        got = bitops.bit_reverse(np.array(masks, bitops.mask_dtype(n)), n)
+        assert got.tolist() == [int(format(m, f"0{n}b")[::-1], 2) for m in masks]
+
     def test_expand_uniform_matches_submasks(self):
         # the same 729 pairs, expanded one at a time and grouped by volume
         pairs = [(lo, up) for up in range(1 << 6) for lo in range(1 << 6) if not lo & ~up]

@@ -10,6 +10,7 @@ from veronese_sdepth import (
     PreconditionViolatedError,
     Regime,
     bitops,
+    builder,
     build_partition,
     build_partition_k3,
     certify_layered,
@@ -23,20 +24,36 @@ from veronese_sdepth import (
     verify_partition,
 )
 from veronese_sdepth.builder import (
-    _add_covered,
     _check_ensured,
+    _count_covered,
     _covered_flags,
     _plan_for,
     _run_layers,
 )
-from veronese_sdepth.cli import write_partition_file
+from veronese_sdepth.cli import main, write_partition_file
 from veronese_sdepth.errors import InternalCheckError
-from oracles import per_subset_layers, searchsorted_layers
+from oracles import materialize, per_subset_layers, searchsorted_layers
+
+
+def covered_masks(layers):
+    """Every member of the selected families, in ascending order."""
+    parts = [
+        bitops.expand_uniform(f.lowers, f.uppers, f.upper_size() - f.lower_size).ravel()
+        for f in layers
+    ]
+    return np.sort(np.concatenate([np.empty(0, np.uint64), *parts]))
+
+
+def size_counts(covered, n):
+    """How many of ``covered``'s masks have each size 0..n."""
+    masks = np.fromiter(covered, dtype=np.uint64, count=len(covered))
+    return np.bincount(bitops.popcounts(masks), minlength=n + 1).tolist()
 
 
 class TestRegimeBuilds:
     def test_k1_example(self):
-        part, trace = build_partition(5, 2)
+        built, trace = build_partition(5, 2)
+        part = materialize(built)
         assert part.min_upper_size() == 3
         assert trace.layers[0].selected == 10
         assert len(part) == 10 + trace.trivial_count
@@ -48,7 +65,9 @@ class TestRegimeBuilds:
                 assert iv.lower == iv.upper
 
     def test_trivial_range_example(self):
-        part, trace = build_partition(4, 2)
+        built, trace = build_partition(4, 2)
+        assert len(built) == 0 and built.claimed_min == 2
+        part = materialize(built)
         assert part.min_upper_size() == 2
         assert len(part) == 11 and trace.trivial_count == 11
         assert all(iv.lower == iv.upper for iv in part)
@@ -60,7 +79,7 @@ class TestRegimeBuilds:
         assert [t.selected for t in trace.layers] == [36, 12]
 
     def test_large_example(self):
-        part, trace = build_partition(7, 1)
+        part = materialize(build_partition(7, 1).partition)
         assert part.regime.regime == Regime.LARGE
         assert part.min_upper_size() == 3 >= lower_bound_large_n(7, 1)
 
@@ -69,8 +88,11 @@ class TestRegimeBuilds:
             build_partition(3, 0)
 
     def test_materialization_guard(self):
-        with pytest.raises(PreconditionViolatedError):
-            build_partition(30, 1)
+        # A build enumerates only its layered sweep, so n = 30 builds; the
+        # guard bounds that sweep by 2^26 sets.
+        assert build_partition(30, 1).partition.claimed_min == lower_bound_large_n(30, 1)
+        with pytest.raises(PreconditionViolatedError, match="layered sweep"):
+            build_partition(40, 5)
 
 
 class TestK3Build:
@@ -112,7 +134,7 @@ class TestPartitionInvariants:
                     assert verdict.min_upper_size >= lower_bound_large_n(n, d)
 
     def test_lower_endpoints_at_least_d(self):
-        part, _ = build_partition(8, 3)
+        part = materialize(build_partition(8, 3).partition)
         assert all(len(iv.lower) >= 3 for iv in part)
 
     def test_determinism(self):
@@ -127,7 +149,7 @@ class TestPartitionInvariants:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_trivial_completion_order(self):
-        part, _ = build_partition(4, 2)
+        part = materialize(build_partition(4, 2).partition)
         lowers = [iv.lower.members for iv in part]
         sizes = [len(m) for m in lowers]
         assert sizes == sorted(sizes)
@@ -146,18 +168,14 @@ class TestPartitionInvariants:
 
 class TestCoverageQuery:
     def test_matches_membership_set(self):
-        part, _ = build_partition(9, 2)
-        from veronese_sdepth.builder import _plan_for, _run_layers
-
-        layers, covered, _ = _run_layers(9, _plan_for(regime_of(9, 2)).layers)
+        layers, _, _ = _run_layers(9, _plan_for(regime_of(9, 2)).layers)
+        covered = covered_masks(layers)
         for size in range(2, 10):
             for combo in combinations(range(1, 10), size):
                 dset = CircularSet(9, combo)
                 assert is_covered(dset, layers) == (dset.mask in covered)
 
     def test_endpoint_examples(self):
-        from veronese_sdepth.builder import _plan_for, _run_layers
-
         layers, _, _ = _run_layers(7, _plan_for(regime_of(7, 1)).layers)
         base = layers[0]
         lower = CircularSet(7, [1])
@@ -182,17 +200,30 @@ class TestBatchedLayers:
         reg = regime_of(n, d)
         assert regime is None or reg.regime == regime
         plan = _plan_for(reg, k3)
-        layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
+        layers, counts, traces = _run_layers(n, plan.layers, plan.ensure)
         tables, ref_covered, ref_traces = per_subset_layers(n, plan.layers, plan.ensure)
         assert [
             list(zip(fam.lowers.tolist(), fam.uppers.tolist())) for fam in layers
         ] == [list(t.items()) for t in tables]
+        covered = covered_masks(layers)
         assert np.all(covered[1:] > covered[:-1])
         assert set(covered.tolist()) == ref_covered
+        assert counts == size_counts(ref_covered, n)
         assert [
             (t.tag, t.level_size, t.density, t.candidates, t.selected, t.discarded)
             for t in traces
         ] == ref_traces
+
+    def test_top_size_of_a_layer_filters_the_next(self):
+        # The base layer's 3-sets are its largest members; no construction
+        # filters at that size, but the next layer here does.
+        plan = [(2, 1), (3, 1)]
+        layers, counts, _ = _run_layers(9, plan)
+        ref_layers, ref_covered, _ = searchsorted_layers(9, plan)
+        for got, ref in zip(layers, ref_layers, strict=True):
+            assert np.array_equal(got.lowers, ref.lowers)
+            assert np.array_equal(got.uppers, ref.uppers)
+        assert counts == size_counts(ref_covered, 9)
 
     def test_escaped_set_named_as_in_per_subset_loop(self):
         with pytest.raises(InternalCheckError) as ref:
@@ -203,27 +234,46 @@ class TestBatchedLayers:
 
     def test_one_missing_set_escapes(self):
         sets = [bitops.mask_of(c) for c in combinations(range(1, 6), 3)]
-        covered = np.array(sorted(sets), np.uint32)
-        _check_ensured(5, covered, (3,))
+        covered = np.array(sets[::-1], np.uint32)  # in no particular order
+        _check_ensured(5, 3, len(covered), covered)
         short = covered[covered != bitops.mask_of([2, 4, 5])]
         with pytest.raises(InternalCheckError, match=r"size-3 set \(2, 4, 5\) escaped"):
-            _check_ensured(5, short, (3,))
+            _check_ensured(5, 3, len(short), short)
 
-    def test_overlap_names_first_offending_lower(self):
-        m = bitops.mask_of
-        lowers = np.array([m([1, 2]), m([3, 4]), m([1, 3])], np.uint32)
-        uppers = np.array([m([1, 2, 3]), m([3, 4, 5]), m([1, 2, 3])], np.uint32)
-        # within the layer: the third interval repeats {1,2,3}
-        with pytest.raises(InternalCheckError, match=r"interval at \(1, 3\) overlaps"):
-            _add_covered(np.empty(0, np.uint32), lowers, uppers, 1)
-        # across layers: an earlier layer holds {3,4,5}, so the second
-        # interval is the first to fail
-        covered = np.array([m([3, 4, 5])], np.uint32)
-        with pytest.raises(InternalCheckError, match=r"interval at \(3, 4\) overlaps"):
-            _add_covered(covered, lowers, uppers, 1)
-        merged = _add_covered(np.empty(0, np.uint32), lowers[:2], uppers[:2], 1)
-        assert merged.tolist() == sorted(
-            m(c) for c in ([1, 2], [1, 2, 3], [3, 4], [3, 4, 5])
+    def test_count_above_the_size_raises(self):
+        counts = [0] * 6
+        _count_covered(counts, 5, 2, 1, 10)
+        assert counts == [0, 0, 10, 10, 0, 0]
+        # One more 2-set than [5] has: never a negative remainder.
+        with pytest.raises(InternalCheckError, match=r"11 sets of size 2, more than C\(5, 2\)"):
+            _count_covered([0] * 6, 5, 2, 1, 11)
+        with pytest.raises(InternalCheckError, match=r"cover 11 sets of size 3"):
+            _count_covered(counts, 5, 3, 0, 1)
+
+    @pytest.mark.parametrize("command", ["report", "build"])
+    def test_overlap_is_named_by_the_verifier(self, monkeypatch, tmp_path, capsys, command):
+        # Give a later interval of the base layer the first one's upper
+        # endpoint: [{1,2}, {1,2,5}] and [{1,5}, {1,2,5}] share {1,2,5}.
+        # The builder does not check disjointness; the verifier names it.
+        closure = builder.closure_upper_masks
+
+        def overlapping(n, level, s, rows, lowers):
+            uppers = closure(n, level, s, rows, lowers)
+            inside = np.flatnonzero(lowers[1:] & ~uppers[0] == 0)
+            if inside.size:
+                uppers[inside[0] + 1] = uppers[0]
+            return uppers
+
+        monkeypatch.setattr(builder, "closure_upper_masks", overlapping)
+        argv = [command, "-n", "5", "-d", "2"]
+        if command == "build":
+            argv += ["--out", str(tmp_path / "p.txt")]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "internal error: built partition failed verification: "
+            "not disjoint: intervals 0 and 3 share {1,2,5}\n"
         )
 
 
@@ -231,7 +281,7 @@ class TestCertifyLayered:
     def test_matches_full_build_when_both_apply(self):
         for n, d in [(5, 2), (9, 2), (7, 1), (12, 1), (13, 2)]:
             cert = certify_layered(n, d)
-            part, _ = build_partition(n, d)
+            part = materialize(build_partition(n, d).partition)
             assert cert is not None
             assert cert.partition.claimed_min == part.min_upper_size()
 
@@ -251,8 +301,8 @@ class TestCertifyLayered:
         # Every construction returns one Build; the layered certificate is
         # the compact build itself, partition and trace alike.
         pairs = [
-            (build_partition(9, 2, compact=True), certify_layered(9, 2)),
-            (build_partition_k3(2, compact=True), certify_layered(11, 2, use_k3=True)),
+            (build_partition(9, 2), certify_layered(9, 2)),
+            (build_partition_k3(2), certify_layered(11, 2, use_k3=True)),
         ]
         for built, cert in pairs:
             assert type(built) is Build and type(cert) is Build
@@ -302,20 +352,20 @@ class TestRankFilter:
     @pytest.mark.parametrize("n,d,k3", RANK_FILTER_PLANS)
     def test_matches_searchsorted_filter(self, n, d, k3):
         plan = _plan_for(regime_of(n, d), k3)
-        layers, covered, traces = _run_layers(n, plan.layers, plan.ensure)
+        layers, counts, traces = _run_layers(n, plan.layers, plan.ensure)
         ref_layers, ref_covered, ref_counts = searchsorted_layers(n, plan.layers, plan.ensure)
         for got, ref in zip(layers, ref_layers, strict=True):
             assert np.array_equal(got.lowers, ref.lowers)
             assert np.array_equal(got.uppers, ref.uppers)
-        assert np.array_equal(covered, ref_covered)
+        assert np.array_equal(covered_masks(layers), ref_covered)
         assert [(t.candidates, t.selected) for t in traces] == ref_counts
+        # The per-size counts come from arithmetic, not from the members.
+        assert counts == size_counts(ref_covered, n)
+        assert counts == size_counts(per_subset_layers(n, plan.layers, plan.ensure)[1], n)
 
     @pytest.mark.parametrize("n,d,k3", list(PINNED_BUILDS))
     def test_benchmarked_builds_are_unchanged(self, n, d, k3):
-        if k3:
-            part, trace = build_partition_k3(d, compact=True)
-        else:
-            part, trace = build_partition(n, d, compact=True)
+        part, trace = build_partition_k3(d) if k3 else build_partition(n, d)
         counts, trivial, digest = PINNED_BUILDS[n, d, k3]
         assert [(t.candidates, t.selected) for t in trace.layers] == counts
         assert trace.trivial_count == trivial
@@ -323,10 +373,13 @@ class TestRankFilter:
 
     def test_flags_follow_ranks(self):
         m = bitops.mask_of
-        covered = np.array(sorted([m([1, 2]), m([2, 5]), m([1, 2, 3]), m([4, 5])]), np.uint32)
+        covered = np.array([m([4, 5]), m([1, 2]), m([2, 5])], np.uint32)
         flags = _covered_flags(5, 2, covered)
         # lexicographic order: 12 13 14 15 23 24 25 34 35 45
         assert np.flatnonzero(flags).tolist() == [0, 6, 9]
+        # It is given the sets of its own size only; any other has no rank.
+        with pytest.raises(InternalCheckError, match="not a 2-subset"):
+            _covered_flags(5, 2, np.append(covered, np.uint32(m([1, 2, 3]))))
 
     def test_repeated_rank_raises(self):
         covered = np.array([bitops.mask_of([2, 5])] * 2, np.uint32)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import parse_partition_file_per_line, write_partition_file_per_line
+from oracles import materialize, parse_partition_file_per_line, write_partition_file_per_line
 from veronese_sdepth import build_partition, build_partition_k3, certfile, regime_of
 from veronese_sdepth.builder import IntervalPartition
 from veronese_sdepth.cli import main, parse_partition_file, write_partition_file
@@ -30,7 +30,7 @@ IDENTITY_CASES = [(n, d, False) for n in range(1, 15) for d in range(1, n + 1)] 
 
 
 def built(n, d, k3=False):
-    return build_partition_k3(d)[0] if k3 else build_partition(n, d)[0]
+    return materialize((build_partition_k3(d) if k3 else build_partition(n, d)).partition)
 
 
 @lru_cache(maxsize=None)

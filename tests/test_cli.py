@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import materialize
 from veronese_sdepth import build_partition, regime_of
 from veronese_sdepth.cli import main, parse_partition_file, write_partition_file
 from veronese_sdepth.errors import PartitionFileError
@@ -112,7 +113,7 @@ class TestBuildVerify:
 
     def test_trivial_build(self, tmp_path):
         out_file = tmp_path / "p.txt"
-        write_partition_file(build_partition(4, 2)[0], str(out_file))
+        write_partition_file(materialize(build_partition(4, 2).partition), str(out_file))
         lines = out_file.read_text().splitlines()
         assert lines[0] == "n=4 d=2 regime=TrivialRange"
         assert all(line.split(";")[0] == line.split(";")[1] for line in lines[1:])
@@ -403,7 +404,7 @@ def argv_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("argv")
     (root / "dir").mkdir()
     valid = root / "valid.txt"
-    write_partition_file(build_partition(6, 2)[0], valid)
+    write_partition_file(materialize(build_partition(6, 2).partition), valid)
     lines = valid.read_bytes().splitlines(keepends=True)
     bad = {
         "duplicate": b"".join(lines + lines[-1:]),  # parses, exit 4

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import verify_compact_by_materializing, write_partition_file_per_line
+from oracles import materialize, verify_compact_by_materializing, write_partition_file_per_line
 from test_certfile import IDENTITY_CASES
 
 from veronese_sdepth import (
@@ -48,14 +48,12 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def built(n, d, k3=False, compact=False):
-    if k3:
-        return build_partition_k3(d, compact=compact)[0]
-    return build_partition(n, d, compact=compact)[0]
-
-
 def compact(n, d, k3=False):
-    return built(n, d, k3, compact=True)
+    return (build_partition_k3(d) if k3 else build_partition(n, d)).partition
+
+
+def explicit(n, d, k3=False):
+    return materialize(compact(n, d, k3))
 
 
 def edited(p, lowers=None, uppers=None, claim=None):
@@ -104,7 +102,7 @@ class TestAgainstMaterializedReference:
         part = compact(n, d, k3)
         got = outcome(verify_partition(part))
         assert got == verify_compact_by_materializing(part)
-        assert got == outcome(verify_partition(built(n, d, k3)))
+        assert got == outcome(verify_partition(explicit(n, d, k3)))
         assert got[0] and part.claimed_min == got[1]
 
     @pytest.mark.parametrize("n,d,k3", [(5, 2, False), (8, 2, False), (7, 1, True)])
@@ -121,10 +119,10 @@ class TestAgainstMaterializedReference:
 class TestFormat:
     @pytest.mark.parametrize("n,d,k3", IDENTITY_CASES)
     def test_explicit_writer_matches_per_line_writer(self, tmp_path, n, d, k3):
-        explicit, compact_file, old = tmp_path / "e.txt", tmp_path / "c.txt", tmp_path / "o.txt"
-        write_partition_file(built(n, d, k3), str(explicit))
-        write_partition_file_per_line(built(n, d, k3), old)
-        assert explicit.read_bytes() == old.read_bytes()
+        explicit_file, compact_file, old = (tmp_path / f for f in ("e.txt", "c.txt", "o.txt"))
+        write_partition_file(explicit(n, d, k3), str(explicit_file))
+        write_partition_file_per_line(explicit(n, d, k3), old)
+        assert explicit_file.read_bytes() == old.read_bytes()
         # The compact file `build` writes is the explicit one cut after the
         # listed intervals, with the claim in its header; `verify` prints
         # the same for both.
@@ -133,11 +131,13 @@ class TestFormat:
         assert code == 0
         part = compact(n, d, k3)
         header, *body = compact_file.read_bytes().splitlines(keepends=True)
-        first, *rest = explicit.read_bytes().splitlines(keepends=True)
+        first, *rest = explicit_file.read_bytes().splitlines(keepends=True)
         assert header == first.rstrip(b"\n") + f" min_upper={part.claimed_min}\n".encode()
         assert body == rest[: len(body)]
         assert parse_partition_file(str(compact_file)) == part
-        verified = [run(["verify", "--in", str(path)])[1] for path in (compact_file, explicit)]
+        verified = [
+            run(["verify", "--in", str(path)])[1] for path in (compact_file, explicit_file)
+        ]
         assert verified[0] == verified[1]
 
     @pytest.mark.parametrize(
@@ -166,15 +166,20 @@ class TestFormat:
         tracemalloc.start()
         try:
             with pytest.raises(PreconditionViolatedError, match="layered sweep"):
-                build_partition(40, 5, compact=True)
+                build_partition(40, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_render_refuses_compact(self):
-        with pytest.raises(PreconditionViolatedError):
-            render_stanley_decomposition(compact(5, 2))
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 9) for d in range(1, n + 1)])
+    def test_render_matches_materialized(self, n, d):
+        # The implicit singletons follow the listed intervals, by size and
+        # then lexicographically, as in the explicit partition.
+        part = compact(n, d)
+        assert render_stanley_decomposition(part) == render_stanley_decomposition(
+            materialize(part)
+        )
 
 
 def repeated_interval_file(path, claim):

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import exact_sdepth_unrestricted
+from oracles import exact_sdepth_unrestricted, materialize
+
+import veronese_sdepth.verify as verify_module
 
 from veronese_sdepth import (
     CircularSet,
@@ -21,8 +23,7 @@ from veronese_sdepth import (
 
 
 def small_partition():
-    part, _ = build_partition(5, 2)
-    return part
+    return materialize(build_partition(5, 2).partition)
 
 
 def drop_interval(p, idx):
@@ -225,6 +226,37 @@ class TestSdepthReport:
         rep = sdepth_report(29, 1)
         assert rep.certified_lower == 6 and rep.upper_bound_formula == 15
         assert not rep.verified and rep.certification == "layered"
+
+    @pytest.mark.parametrize(
+        "n,d,how",
+        [
+            (22, 5, "construction"),
+            (23, 5, "construction-k3"),
+            (25, 5, "layered"),
+            (29, 1, "layered"),
+            (30, 2, "layered"),
+        ],
+    )
+    def test_every_certified_number_is_verified(self, monkeypatch, n, d, how):
+        built, checked = [], []
+        for name in ("build_partition", "build_partition_k3", "certify_layered"):
+
+            def recorded(*args, _build=getattr(verify_module, name), **kwargs):
+                result = _build(*args, **kwargs)
+                built.append(result.partition)
+                return result
+
+            monkeypatch.setattr(verify_module, name, recorded)
+
+        def counted(p, _verify=verify_module.verify_partition):
+            checked.append(p)
+            return _verify(p)
+
+        monkeypatch.setattr(verify_module, "verify_partition", counted)
+        rep = sdepth_report(n, d)
+        assert rep.certification == how
+        assert len(built) == len(checked) == 1 and checked[0] is built[0]
+        assert rep.certified_lower == built[0].claimed_min
 
     def test_bounds_ordering_enforced(self):
         rep = sdepth_report(9, 1, with_oracle=False)
