@@ -53,12 +53,14 @@ import argparse
 import sys
 from math import comb
 
+from .bitops import MAX_UNIVERSE
 from .blocks import Density, block_structure
 from .builder import (
     DEFAULT_SWEEP_CAP,
     MATERIALIZE_LIMIT,
     build_partition,
     build_partition_k3,
+    certify_layered,
     within_cap,
 )
 from .certfile import parse_partition_file, write_partition_file
@@ -122,14 +124,19 @@ def cmd_build(args) -> int:
     if args.k3 and n != 4 * d + 3:
         print(f"--k3 requires n = 4d + 3 = {4 * d + 3}, got n={n}", file=sys.stderr)
         return EXIT_USAGE
-    if not within_cap(n, args.cap):
-        print(
-            f"materializing n={n} exceeds the enumeration cap {args.cap}; "
-            "use `report` for a layered certificate",
-            file=sys.stderr,
+    if within_cap(n, args.cap):
+        built = build_partition_k3(d) if args.k3 else build_partition(n, d)
+    else:
+        built = certify_layered(n, d, cap=args.cap, use_k3=args.k3)
+    if built is None:
+        why = (
+            f"n={n} is wider than a mask holds ({MAX_UNIVERSE})"
+            if n > MAX_UNIVERSE
+            else f"the layered sweep at n={n}, d={d} exceeds the enumeration cap {args.cap}"
         )
+        print(why, file=sys.stderr)
         return EXIT_USAGE
-    part, _ = build_partition_k3(d) if args.k3 else build_partition(n, d)
+    part = built.partition
     verdict = verify_build(part)
     write_partition_file(part, args.out)
     print(f"intervals={verdict.interval_count}")
@@ -258,12 +265,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--oracle-budget", type=_positive_int, default=DEFAULT_ORACLE_BUDGET
     )
-    add_cap(
-        sp,
+    picks_build = (
         f"picks the build: {within}, the construction; beyond it, the layered "
         "build, whose sweep estimate, the sum of C(n, level) * (2^s + 1) over "
-        "the plan's layers, must not exceed CAP; either result is verified",
+        "the plan's layers, must not exceed CAP; either result is verified"
     )
+    add_cap(sp, picks_build)
     sp.set_defaults(func=cmd_report)
 
     sp = sub.add_parser("build", help="build and write a partition certificate")
@@ -271,7 +278,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--k3", action="store_true", help="use the n = 4d+3 construction")
-    add_cap(sp, f"{within}; beyond it, exit 2")
+    add_cap(sp, f"{picks_build}; a sweep beyond CAP exits 2")
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("verify", help="verify a partition certificate file")

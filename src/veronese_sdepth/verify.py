@@ -10,12 +10,17 @@ up only on failure.  In a compact partition every uncovered set is an
 implicit singleton, so the minimum upper size is the smaller of the listed
 minimum and the smallest uncovered size, and it must reach the claim.
 
-``exact_sdepth`` is the cross-check oracle for tiny instances.  It shares
-nothing with the block-structure or lifting machinery: for a descending
-trial target t it runs a backtracking exact-cover search assigning every
-subset of size below t to an interval with upper size exactly t (sets of
-size >= t can always self-cover, and a larger upper set splits down to
-size t without losing a solution), and returns the largest feasible t.
+``exact_sdepth`` is the cross-check oracle for small instances.  It
+shares nothing with the block-structure or lifting machinery: for a
+descending trial target t it runs a backtracking exact-cover search
+assigning every subset of size in [d, t-1] to an interval with upper size
+exactly t (sets of size >= t can always self-cover, and a larger upper set
+splits down to size t without losing a solution), and returns the largest
+feasible t.  The lower endpoint is forced as well.  List the constrained
+sets by increasing size and let D be the first uncovered one.  An interval
+[A, B] holding D has A inside D; were A != D, A would be smaller, hence
+listed earlier and already covered, and the two intervals would overlap.
+So the search only ever tries [D, B] for the t-sets B containing D.
 """
 
 from __future__ import annotations
@@ -169,27 +174,28 @@ def failure_lines(verdict: VerificationVerdict, claim: int | None) -> list[str]:
     return lines
 
 
+def _verified(p: IntervalPartition, error: type[Exception], what: str) -> VerificationVerdict:
+    """``verify_partition``, raising ``error`` with every witness on a
+    rejection."""
+    verdict = verify_partition(p)
+    if not verdict.ok:
+        witnesses = "; ".join(failure_lines(verdict, p.claimed_min))
+        raise error(f"{what} failed verification: {witnesses}")
+    return verdict
+
+
 def verify_build(p: IntervalPartition) -> VerificationVerdict:
     """``verify_partition`` on a partition the builder just made.  A
     rejection is the builder's fault, so it raises ``InternalCheckError``
     naming the witnesses."""
-    verdict = verify_partition(p)
-    if not verdict.ok:
-        witnesses = "; ".join(failure_lines(verdict, p.claimed_min))
-        raise InternalCheckError(f"built partition failed verification: {witnesses}")
-    return verdict
+    return _verified(p, InternalCheckError, "built partition")
 
 
 def sdepth_of_partition(p: IntervalPartition) -> int:
     """The certified lower bound a verified partition yields: its minimum
-    upper-endpoint size."""
-    verdict = verify_partition(p)
-    if not verdict.ok:
-        raise InvalidPartitionError(
-            f"partition failed verification (disjoint={verdict.disjoint}, "
-            f"covers={verdict.covers})"
-        )
-    return verdict.min_upper_size
+    upper-endpoint size.  A rejection raises ``InvalidPartitionError``
+    naming the witnesses."""
+    return _verified(p, InvalidPartitionError, "partition").min_upper_size
 
 
 def render_stanley_decomposition(p: IntervalPartition) -> str:
@@ -197,10 +203,9 @@ def render_stanley_decomposition(p: IntervalPartition) -> str:
     endpoint times the polynomial subring on the upper endpoint's
     variables.  The listed intervals come first, in order; a compact
     partition's implicit singletons follow, by increasing size and
-    lexicographically within a size."""
-    verdict = verify_partition(p)
-    if not verdict.ok:
-        raise InvalidPartitionError("refusing to render an unverified partition")
+    lexicographically within a size.  An unverified partition raises
+    ``InvalidPartitionError`` naming the witnesses."""
+    _verified(p, InvalidPartitionError, "partition to render")
     pairs = list(zip(p.lowers.tolist(), p.uppers.tolist()))
     if p.claimed_min is not None:
         present = set(_members(p).tolist())
@@ -232,10 +237,10 @@ def exact_sdepth(
 
     Descends the trial target from n; the first feasible target is the
     answer (a partition with minimum >= t also witnesses every smaller
-    target).  The budget counts search nodes, candidate constructions,
-    cached candidate members and enumerated constrained sets across the
-    whole descent; when it runs out the result is None, which is distinct
-    from a definite answer.  It is None too, before any count is formed,
+    target).  The budget counts enumerated constrained sets, candidates
+    built and their members, and covered sets skipped, across the whole
+    descent; when it runs out the result is None, which is distinct from
+    a definite answer.  It is None too, before any count is formed,
     when [n] is wider than a mask holds.  ``counting_prune`` exists so
     tests can cross-check the pruned search against plain exhaustion.
     """
@@ -267,133 +272,79 @@ def _cover_feasible(
     until every upper size is t: a feasible target t always has a witness
     that uses only |B| = t.
 
-    Two sound prunes on top of the plain backtracking:
+    The lower endpoint is forced too.  The constrained sets are listed by
+    increasing size; let D be the first one still uncovered.  An interval
+    [A, B] holding D has A a subset of D.  If A != D then |A| < |D|, so A
+    comes before D and is already covered, and [A, B] would overlap the
+    interval that covers it.  So A = D, and the only candidates for D are
+    [D, B] for the t-sets B containing D whose members are all uncovered.
+    Each frame of the search therefore covers the first uncovered set,
+    and the next target lies after it.
 
-    * dead check: every still-uncovered constrained set must retain a
-      candidate interval disjoint from the selection (a watched index
-      makes the common case one probe);
-    * counting: an interval with lower size a that covers x subsets of
-      size sigma < t contains at least x * (t - sigma) / (sigma + 1 - a)
-      subsets of size sigma + 1, all of them currently uncovered, and
-      a >= d, so (sigma+1-d) * U[sigma+1] >= (t-sigma) * U[sigma] must
-      hold for the uncovered counts U of every completable state.  On the
-      initial counts C(n, k) it runs before anything is enumerated.
-
-    The counting prune only removes provably dead branches; the search
-    stays exhaustive (cross-checked against prune-free runs on small n).
+    The counting test runs once, on the initial counts C(n, k), before
+    anything is enumerated: an interval with lower size a that covers x
+    sets of size sigma < t holds at least x * (t - sigma) / (sigma + 1 - a)
+    sets of size sigma + 1, and a >= d, so a cover needs
+    (sigma + 1 - d) * C(n, sigma + 1) >= (t - sigma) * C(n, sigma) for
+    every sigma in [d, t-1].  ``counting_prune=False`` skips it, so tests
+    can check that it only refutes infeasible targets.
 
     The search walks an explicit stack, so its depth is not bounded by
     Python's recursion limit.  ``work`` is charged one unit per
-    enumerated constrained set, per search node and per candidate built,
-    plus one per member the candidate caches, so the budget bounds the
-    memory as well as the time.
+    constrained set, a whole size before it is enumerated, one per
+    candidate built plus one per member it holds, and one per covered set
+    the target scan skips.  Every loop iteration is charged, so the
+    budget bounds the time and the memory.
     """
-    # uncovered[sz - d] counts uncovered sets of each size d..t.
-    uncovered = [comb(n, sz) for sz in range(d, t + 1)]
-    span = len(uncovered)
 
     def charge(units: int) -> None:
         work[0] -= units
         if work[0] < 0:
             raise _BudgetHit
 
-    def counting_dead() -> bool:
-        return counting_prune and any(
-            (i + 1) * uncovered[i + 1] < (t - d - i) * uncovered[i]
-            for i in range(span - 1)
-        )
-
-    if counting_dead():
+    counts = [comb(n, k) for k in range(d, t + 1)]
+    if counting_prune and any(
+        (i + 1) * counts[i + 1] < (t - d - i) * counts[i] for i in range(len(counts) - 1)
+    ):
         return False
 
-    constrained: list[tuple[int, tuple[int, ...]]] = []
+    constrained: list[int] = []
     for size in range(d, t):
-        for combo in combinations(range(1, n + 1), size):
-            charge(1)
-            constrained.append((bitops.mask_of(combo), combo))
-
-    # Every candidate with lower size a holds C(t - a, s - a) sets of size s.
-    hists = {
-        a: tuple(comb(t - a, s - a) if s >= a else 0 for s in range(d, t + 1))
-        for a in range(d, t)
-    }
-    cand_cache: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-
-    def candidates(dmask: int, dmembers: tuple[int, ...]):
-        cached = cand_cache.get(dmask)
-        if cached is not None:
-            return cached
-        rest = [x for x in range(1, n + 1) if not dmask >> (x - 1) & 1]
-        out = []
-        for asize in range(d, len(dmembers) + 1):
-            for alow in combinations(dmembers, asize):
-                amask = bitops.mask_of(alow)
-                for extra in combinations(rest, t - len(dmembers)):
-                    charge(1 + (1 << (t - asize)))
-                    bmask = dmask | bitops.mask_of(extra)
-                    out.append((tuple(bitops.submasks(amask, bmask)), hists[asize]))
-        cand_cache[dmask] = out
-        return out
-
+        charge(counts[size - d])
+        constrained.extend(map(bitops.mask_of, combinations(range(1, n + 1), size)))
     covered: set[int] = set()
-    watch: dict[int, int] = {}
 
-    def open_node():
-        """Charge one node.  None when every constrained set is covered;
-        otherwise the candidates for the first uncovered one, or () when
-        a prune shows the node is dead."""
-        charge(1)
-        if counting_dead():
-            return ()
-        target = next((c for c in constrained if c[0] not in covered), None)
-        if target is None:
-            return None
-        for dmask, dmembers in constrained:
-            if dmask in covered:
-                continue
-            cl = candidates(dmask, dmembers)
-            w = watch.get(dmask, 0)
-            if covered.isdisjoint(cl[w][0]):
-                continue
-            for k in range(1, len(cl)):
-                idx = (w + k) % len(cl)
-                if covered.isdisjoint(cl[idx][0]):
-                    watch[dmask] = idx
-                    break
-            else:
-                return ()
-        return candidates(*target)
+    def frame(pos: int) -> list:
+        """[target position, its remaining upper-set extensions, the
+        members of the candidate applied]."""
+        dmask = constrained[pos]
+        rest = [x for x in range(1, n + 1) if not dmask >> (x - 1) & 1]
+        return [pos, combinations(rest, t - dmask.bit_count()), ()]
 
-    def apply(cand, sign: int) -> None:
-        mems, hist = cand
-        if sign > 0:
-            covered.update(mems)
-        else:
-            covered.difference_update(mems)
-        for i, c in enumerate(hist):
-            uncovered[i] -= sign * c
-
-    cl = open_node()
-    if cl is None:
-        return True
-    # Frames: [candidate list, next index, the candidate applied or None].
-    stack = [[cl, 0, None]]
+    # t > d, so the first constrained set exists and is uncovered.
+    stack = [frame(0)]
     while stack:
-        frame = stack[-1]
-        cl, i, applied = frame
-        if applied is not None:
-            apply(applied, -1)
-        while i < len(cl) and not covered.isdisjoint(cl[i][0]):
-            i += 1
-        if i == len(cl):
+        top = stack[-1]
+        pos, extensions, applied = top
+        covered.difference_update(applied)
+        dmask = constrained[pos]
+        for extra in extensions:
+            charge(1 + (1 << len(extra)))
+            members = tuple(bitops.submasks(dmask, dmask | bitops.mask_of(extra)))
+            if covered.isdisjoint(members):
+                break
+        else:
             stack.pop()
             continue
-        apply(cl[i], 1)
-        frame[1], frame[2] = i + 1, cl[i]
-        child = open_node()
-        if child is None:
+        covered.update(members)
+        top[2] = members
+        pos += 1
+        while pos < len(constrained) and constrained[pos] in covered:
+            charge(1)
+            pos += 1
+        if pos == len(constrained):
             return True
-        stack.append([child, 0, None])
+        stack.append(frame(pos))
     return False
 
 

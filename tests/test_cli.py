@@ -133,6 +133,19 @@ class TestBuildVerify:
         )
         assert code == 2 and "cap" in err
 
+    def test_beyond_the_cap_builds_the_layered_certificate(self, tmp_path):
+        out_file = tmp_path / "p.txt"
+        code, out, _ = run(["build", "-n", "30", "-d", "1", "--out", str(out_file)])
+        assert code == 0 and machine_lines(out)["min_upper_size"] == "6"
+        code, out, _ = run(["verify", "--in", str(out_file)])
+        assert code == 0 and out.endswith(" min_upper_size=6\n")
+
+    def test_layered_sweep_beyond_the_cap_is_refused(self, tmp_path):
+        out_file = tmp_path / "p.txt"
+        code, out, err = run(["build", "-n", "35", "-d", "2", "--out", str(out_file)])
+        assert (code, out) == (2, "") and "layered sweep" in err and "5000000" in err
+        assert not out_file.exists()
+
     def test_mutations(self, tmp_path):
         out_file = tmp_path / "p.txt"
         run(["build", "-n", "5", "-d", "2", "--out", str(out_file)])
@@ -272,7 +285,7 @@ class TestOracleCommand:
 
     def test_deep_search_needs_no_recursion(self):
         code, out, err = run(["oracle", "-n", "14", "-d", "2"])
-        assert code in (0, 10) and out.startswith("oracle_exact=") and not err
+        assert (code, out, err) == (0, "oracle_exact=6\n", "")
 
 
 class TestNonPositiveLimits:

@@ -159,6 +159,18 @@ class TestRender:
             render_stanley_decomposition(drop_interval(small_partition(), 0))
 
 
+def overclaimed(n, d):
+    """The compact build of (n, d), claiming one more than it reaches."""
+    p = build_partition(n, d).partition
+    return IntervalPartition(p.n, p.d, p.regime, p.lowers, p.uppers, p.claimed_min + 1)
+
+
+@pytest.mark.parametrize("use", [sdepth_of_partition, render_stanley_decomposition])
+def test_rejection_names_its_witnesses(use):
+    with pytest.raises(InvalidPartitionError, match="failed verification: below claim: "):
+        use(overclaimed(9, 2))
+
+
 class TestExactOracle:
     def test_tiny_values(self):
         assert exact_sdepth(3, 1) == 2
@@ -175,8 +187,8 @@ class TestExactOracle:
         assert exact_sdepth(7, 1) == 4
         assert exact_sdepth(7, 2) == 3
 
-    def test_agreement_with_formula_through_ten(self):
-        for n in range(1, 11):
+    def test_agreement_with_formula_through_eleven(self):
+        for n in range(1, 12):
             for d in range(1, n + 1):
                 assert exact_sdepth(n, d) == conjectured_sdepth(n, d), (n, d)
 
@@ -185,6 +197,23 @@ class TestExactOracle:
             for d in range(1, n + 1):
                 got = exact_sdepth(n, d)
                 assert got is not None and got == exact_sdepth_unrestricted(n, d), (n, d)
+
+    @pytest.mark.parametrize("n, d, value", [(15, 4, 6), (16, 5, 6), (18, 6, 7)])
+    def test_answers_beyond_desk_scale_on_the_default_budget(self, n, d, value):
+        assert exact_sdepth(n, d) == value
+
+    @pytest.mark.parametrize(
+        "n, d, counting_prune, spent",
+        [(3, 1, True, 15), (5, 1, True, 100), (5, 2, False, 289)],
+    )
+    def test_budget_is_charged_for_every_step(self, n, d, counting_prune, spent):
+        # The smallest budget that answers is the work done.  At (3, 1),
+        # t = 3 fails the counting test; t = 2 enumerates {1}, {2}, {3}
+        # (3 units) and builds [1, 12], [2, 12] (refused, 12 is taken),
+        # [2, 23] and [3, 13], each 1 + 2 units: 15.  (5, 1) also skips
+        # covered 2-sets, and (5, 2) without the prune backtracks.
+        assert exact_sdepth(n, d, spent, counting_prune) is not None
+        assert exact_sdepth(n, d, spent - 1, counting_prune) is None
 
     def test_counting_prune_is_conservative(self):
         cases = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 1)]
