@@ -15,8 +15,10 @@ an implicit singleton interval [D, D]:
 
 Selection makes every set of the visited sizes covered, so the trivial
 remainder starts at the next size up.  A partition lists only the layered
-intervals and claims the minimum upper size they reach together with the
-implicit singletons; the verifier re-derives that claim.
+intervals and claims the plan's closed-form minimum upper size: d + k
+through the Mid regime, d + 1 + s beyond the threshold and d + 3 at
+n = 4d + 3.  The builder does not count what its layers cover; the
+verifier re-derives the minimum and checks that it reaches the claim.
 ``build_partition``, ``build_partition_k3`` and ``certify_layered`` all
 return one ``Build(partition, trace)``.  Disjointness of a kept interval
 against earlier layers follows from the families' closure property (for
@@ -29,12 +31,12 @@ so identical inputs produce byte-identical partitions.  Bulk storage is
 numpy mask arrays throughout: candidates are closed in fixed-size batches
 by ``lifting.closure_upper_masks`` and each family keeps parallel lower
 and upper arrays.  Covered sets are kept only for the sizes a later layer
-filters (or the base layer must cover), one member array per size; how
-many sets of each size the layers cover is C(s, j - level) arithmetic on
-the selected counts.  A filtered level does not search its member array:
-it ranks those sets (``bitops.lex_ranks``) into one flag per level set,
-and since candidates are swept in lexicographic order, a candidate's rank
-is its position in the sweep, so each batch reads its flags as one slice.
+filters, one member array per size, and the trivial count is the poset
+size less the selected volume.  A filtered level does not search its
+member array: it ranks those sets (``bitops.lex_ranks``) into one flag
+per level set, and since candidates are swept in lexicographic order, a
+candidate's rank is its position in the sweep, so each batch reads its
+flags as one slice.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .core import (
     RegimeDecomposition,
     large_n_density_shift,
     regime_of,
-    sdepth_upper_bound,
 )
 from .errors import (
     InternalCheckError,
@@ -187,25 +188,22 @@ class Build(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """What one construction stacks: the (level, s) layers, the sizes the
-    base layer must cover on its own, and the minimum upper size the
-    partition reaches (exact through the Mid regime and for k3, a floor
-    beyond the threshold)."""
+    """What one construction stacks: the (level, s) layers, and the
+    minimum upper size the partition claims, which the verifier checks."""
 
     layers: list[tuple[int, int]]
-    ensure: tuple[int, ...]
     min_upper: int
 
 
 def _plan_for(reg: RegimeDecomposition, k3: bool = False) -> _Plan:
     n, d, k = reg.n, reg.d, reg.k
-    ensure: tuple[int, ...] = ()
     if k3:
         if n != 4 * d + 3:
             raise PreconditionViolatedError("the k3 construction needs n = 4d + 3")
-        layers = [(d, 3), (d + 2, 1)]
-        ensure = (d + 1,)
-    elif reg.regime is Regime.TRIVIAL_RANGE:
+        # The density-4 base covers every (d+1)-set as well, so the
+        # remainder starts at d + 3.
+        return _Plan([(d, 3), (d + 2, 1)], d + 3)
+    if reg.regime is Regime.TRIVIAL_RANGE:
         layers = []
     elif reg.regime is Regime.K1:
         layers = [(d, 1)]
@@ -216,10 +214,10 @@ def _plan_for(reg: RegimeDecomposition, k3: bool = False) -> _Plan:
     else:
         s = large_n_density_shift(n, d)
         layers = [(d, k)] + [(d + q, s) for q in range(1, s + 1)]
-    # The layer levels and ensured sizes run contiguously up from d and all
-    # end up covered, so every uncovered set, and every layered upper
-    # endpoint, has at least the next size.
-    return _Plan(layers, ensure, d + len(layers) + len(ensure))
+    # The layer levels run contiguously up from d and all end up covered,
+    # so every uncovered set, and every layered upper endpoint, has at
+    # least the next size.
+    return _Plan(layers, d + len(layers))
 
 
 def _check_plan(plan: Sequence[tuple[int, int]]) -> None:
@@ -233,12 +231,11 @@ def _check_plan(plan: Sequence[tuple[int, int]]) -> None:
 
 
 def _run_layers(
-    n: int, plan: Sequence[tuple[int, int]], ensure: tuple[int, ...] = ()
-) -> tuple[list[IntervalFamily], list[int], list[LayerTrace]]:
+    n: int, plan: Sequence[tuple[int, int]]
+) -> tuple[list[IntervalFamily], list[LayerTrace]]:
     """Select intervals layer by layer.
 
-    Returns the selected families, how many sets of each size 0..n the
-    selected intervals cover, and per-layer counts.  Candidates run in
+    Returns the selected families and per-layer counts.  Candidates run in
     lexicographic order, in chunks of ``_CHUNK`` level sets, so the
     candidate at sweep position p has lexicographic rank p; the first of
     each chunk has its rank re-derived by the scalar ``bitops.lex_rank``.
@@ -248,16 +245,11 @@ def _run_layers(
     at a time.  The kept candidates' masks are computed once and closed by
     the batched closure, whose first row is re-derived by the scalar
     ``closure_upper_mask``.  Members are expanded only for the sizes a
-    later layer filters or the base layer must cover (``ensure``), one
-    array per size; every other count comes from C(s, j - level)
-    arithmetic.  Disjointness of the whole selection is left to the
-    verifier.
+    later layer filters, one array per size.  Disjointness and coverage
+    of the whole selection are left to the verifier.
     """
     _check_plan(plan)
-    kept: dict[int, list[np.ndarray]] = {
-        size: [] for size in {lv for lv, _ in plan[1:]} | set(ensure)
-    }
-    counts = [0] * (n + 1)
+    kept: dict[int, list[np.ndarray]] = {lv: [] for lv, _ in plan[1:]}
     empty = np.empty(0, dtype=bitops.mask_dtype(n))
     layers: list[IntervalFamily] = []
     traces: list[LayerTrace] = []
@@ -295,7 +287,6 @@ def _run_layers(
                 f"the sweep of level {level} visited {candidates} of {comb(n, level)} sets"
             )
         lowers, uppers = np.concatenate(lo_parts), np.concatenate(up_parts)
-        _count_covered(counts, n, level, s, len(lowers))
         sizes = [j for j in kept if level < j <= level + s]
         if sizes and len(lowers):
             members = bitops.expand_uniform(lowers, uppers, s)
@@ -304,26 +295,11 @@ def _run_layers(
             for j in sizes:
                 kept[j].append(members[:, added == j - level].ravel())
         tag = f"I[{n},{level},{s + 1}]"
-        layers.append(IntervalFamily(n, level, lowers, uppers, tag))
+        layers.append(IntervalFamily(n, lowers, uppers))
         traces.append(
             LayerTrace(tag, level, s + 1, candidates, len(lowers), candidates - len(lowers))
         )
-        if idx == 0:
-            for size in ensure:
-                _check_ensured(n, size, counts[size], np.concatenate([empty, *kept[size]]))
-    return layers, counts, traces
-
-
-def _count_covered(counts: list[int], n: int, level: int, s: int, selected: int) -> None:
-    """Add to ``counts`` the sets that ``selected`` intervals at ``level``
-    with s free members cover: C(s, j - level) each of every size j.  A
-    size counted beyond its C(n, j) sets is an internal error."""
-    for j in range(level, level + s + 1):
-        counts[j] += selected * comb(s, j - level)
-        if counts[j] > comb(n, j):
-            raise InternalCheckError(
-                f"the layers cover {counts[j]} sets of size {j}, more than C({n}, {j})"
-            )
+    return layers, traces
 
 
 def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:
@@ -342,26 +318,6 @@ def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:
     if np.count_nonzero(flags) != ranks.size:
         raise InternalCheckError(f"two covered {level}-sets share a lexicographic rank")
     return flags
-
-
-def _check_ensured(n: int, size: int, count: int, present: np.ndarray) -> None:
-    """Every ``size``-set must be covered: ``count`` of them are, and on
-    failure the first one missing from ``present`` is named."""
-    if count < comb(n, size):
-        combo = bitops.first_absent(n, size, np.sort(present))
-        raise InternalCheckError(f"size-{size} set {combo} escaped the base layer")
-
-
-def _remainder(
-    n: int, d: int, layers: list[IntervalFamily], counts: list[int]
-) -> tuple[int, int | None]:
-    """The size of the trivial remainder, the poset sets the layers leave
-    uncovered by ``counts``, and the minimum upper size of the layered
-    intervals together with those singletons (None when both are empty)."""
-    missing = [comb(n, k) - counts[k] for k in range(d, n + 1)]
-    sizes = [fam.upper_size() for fam in layers if len(fam)]
-    sizes += [d + i for i, m in enumerate(missing) if m][:1]
-    return sum(missing), min(sizes, default=None)
 
 
 def _sweep_estimate(n: int, plan: _Plan) -> int:
@@ -383,8 +339,7 @@ def _assemble(
             f"the layered sweep at n={n}, d={d} would handle about "
             f"{sweep} sets, beyond the cap {sweep_cap}"
         )
-    layers, counts, traces = _run_layers(n, plan.layers, plan.ensure)
-    remainder, minimum = _remainder(n, d, layers, counts)
+    layers, traces = _run_layers(n, plan.layers)
     empty = np.empty(0, dtype=bitops.mask_dtype(n))
     part = IntervalPartition(
         n,
@@ -392,35 +347,32 @@ def _assemble(
         reg,
         np.concatenate([empty, *(fam.lowers for fam in layers)]),
         np.concatenate([empty, *(fam.uppers for fam in layers)]),
-        minimum,
+        plan.min_upper,
     )
-    # Below the threshold the plan's minimum meets the upper bound, so this
-    # pins the value exactly there and brackets it beyond.
-    upper = sdepth_upper_bound(n, d)
-    if not plan.min_upper <= minimum <= upper:
-        raise InternalCheckError(
-            f"built partition has min upper size {minimum}, "
-            f"expected between {plan.min_upper} and {upper}"
-        )
-    return Build(part, BuilderTrace(tuple(traces), remainder))
+    # Each selected interval holds 2^s sets; the rest of the poset is
+    # left to implicit singletons.
+    poset = sum(comb(n, size) for size in range(d, n + 1))
+    trivial = poset - sum(t.selected << (t.density - 1) for t in traces)
+    return Build(part, BuilderTrace(tuple(traces), trivial))
 
 
 def build_partition(n: int, d: int) -> Build:
     """Construct the compact partition for (n, d): the layered intervals
-    and the minimum upper size they reach with the implicit singletons.
+    and the minimum upper size they claim with the implicit singletons.
 
-    The minimum upper-endpoint size comes out as d in the trivial range,
-    d + k through the Mid regime, and at least d + 1 + s beyond the
-    threshold.
+    The claim is the plan's closed form: d in the trivial range, d + k
+    through the Mid regime, and d + 1 + s beyond the threshold.  The
+    builder does not check it; ``verify_partition`` does.
     """
     return _assemble(regime_of(n, d))
 
 
 def build_partition_k3(d: int) -> Build:
     """The dedicated construction at n = 4d + 3: the base family at
-    density 4 (which covers every (d+1)-set, asserted with zero
-    exceptions), a filtered level at d+2 with density 2, and a trivial
-    remainder from size d + 3 up.  Minimum upper size is exactly d + 3."""
+    density 4 (which covers every (d+1)-set, so none is left to a
+    singleton of size d + 1), a filtered level at d+2 with density 2, and
+    a trivial remainder from size d + 3 up.  The claim is d + 3, which
+    ``verify_partition`` checks."""
     if d < 1:
         raise PreconditionViolatedError(f"need d >= 1, got {d}")
     return _assemble(regime_of(4 * d + 3, d), k3=True)
@@ -431,7 +383,7 @@ def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
     lexicographic order of the lower endpoints.  The family is pairwise
     disjoint by the closure property, which the builder does not
     re-check."""
-    layers, _, _ = _run_layers(n, [(d + l, s)])
+    layers, _ = _run_layers(n, [(d + l, s)])
     return layers[0]
 
 

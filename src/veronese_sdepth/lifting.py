@@ -259,14 +259,10 @@ class IntervalFamily:
     """A family of intervals with a common lower-endpoint size, stored as
     parallel lower and upper mask arrays in selection order."""
 
-    def __init__(
-        self, n: int, lower_size: int, lowers: np.ndarray, uppers: np.ndarray, label: str
-    ):
+    def __init__(self, n: int, lowers: np.ndarray, uppers: np.ndarray):
         self.n = n
-        self.lower_size = lower_size
         self.lowers = lowers
         self.uppers = uppers
-        self.label = label
 
     def __len__(self) -> int:
         return len(self.lowers)
@@ -276,11 +272,6 @@ class IntervalFamily:
             yield PosetInterval(
                 CircularSet.from_mask(self.n, lo), CircularSet.from_mask(self.n, up)
             )
-
-    def upper_size(self) -> int:
-        if not len(self):
-            return self.lower_size
-        return int(self.uppers[0]).bit_count()
 
 
 def _interval_masks(n: int, family) -> tuple[np.ndarray, np.ndarray]:

@@ -27,11 +27,12 @@ explicit verifier and then compares the minimum with the claim; the
 compact verifier is checked against it.
 
 ``searchsorted_layers`` is a frozen copy of the batched layer loop as it
-filtered before rank flags and per-size counts: every chunk's candidate
-masks binary-searched in the ascending covered sets of their size
-(``bitops.member_lookup``), and every layer's members merged into one
-sorted covered array; the rank-indexed filter and the per-size covered
-counts are checked against it.  ``lex_rank_by_counting``
+filtered before rank flags: every chunk's candidate masks binary-searched
+in the ascending covered sets of their size (``bitops.member_lookup``),
+and every layer's members merged into one sorted covered array; the
+rank-indexed filter is checked against it.  Both reference loops check
+that the base layer covers every set of the ``ensure`` sizes; the builder
+leaves that to the verifier.  ``lex_rank_by_counting``
 ranks a subset mask by counting, position by position, the subsets that
 come before it; ``bitops.lex_ranks`` is checked against it.
 
@@ -209,7 +210,7 @@ def searchsorted_layers(n, plan, ensure=()):
         lowers = np.concatenate(lo_parts) if lo_parts else covered[:0]
         uppers = np.concatenate(up_parts) if up_parts else covered[:0]
         covered = _add_covered(covered, lowers, uppers, s)
-        layers.append(IntervalFamily(n, level, lowers, uppers, f"I[{n},{level},{s + 1}]"))
+        layers.append(IntervalFamily(n, lowers, uppers))
         counts.append((candidates, len(lowers)))
         if idx == 0:
             _check_ensured(n, covered, ensure)

@@ -23,31 +23,28 @@ from veronese_sdepth import (
     threshold,
     verify_partition,
 )
-from veronese_sdepth.builder import (
-    _check_ensured,
-    _count_covered,
-    _covered_flags,
-    _plan_for,
-    _run_layers,
-)
+from veronese_sdepth.builder import _covered_flags, _plan_for, _run_layers
 from veronese_sdepth.cli import main, write_partition_file
 from veronese_sdepth.errors import InternalCheckError
+from veronese_sdepth.verify import verify_build
 from oracles import materialize, per_subset_layers, searchsorted_layers
 
 
+def ensured(d, k3):
+    """The sizes the base layer must cover on its own: the (d+1)-sets of
+    the k3 construction, which no later layer visits."""
+    return (d + 1,) if k3 else ()
+
+
 def covered_masks(layers):
-    """Every member of the selected families, in ascending order."""
+    """Every member of the selected families, in ascending order.  Each
+    family has one volume, so it expands in one piece."""
     parts = [
-        bitops.expand_uniform(f.lowers, f.uppers, f.upper_size() - f.lower_size).ravel()
+        bitops.expand_uniform(f.lowers, f.uppers, s).ravel()
         for f in layers
+        for s in np.unique(bitops.popcounts(f.uppers & ~f.lowers)).tolist()
     ]
     return np.sort(np.concatenate([np.empty(0, np.uint64), *parts]))
-
-
-def size_counts(covered, n):
-    """How many of ``covered``'s masks have each size 0..n."""
-    masks = np.fromiter(covered, dtype=np.uint64, count=len(covered))
-    return np.bincount(bitops.popcounts(masks), minlength=n + 1).tolist()
 
 
 class TestRegimeBuilds:
@@ -168,7 +165,7 @@ class TestPartitionInvariants:
 
 class TestCoverageQuery:
     def test_matches_membership_set(self):
-        layers, _, _ = _run_layers(9, _plan_for(regime_of(9, 2)).layers)
+        layers, _ = _run_layers(9, _plan_for(regime_of(9, 2)).layers)
         covered = covered_masks(layers)
         for size in range(2, 10):
             for combo in combinations(range(1, 10), size):
@@ -176,7 +173,7 @@ class TestCoverageQuery:
                 assert is_covered(dset, layers) == (dset.mask in covered)
 
     def test_endpoint_examples(self):
-        layers, _, _ = _run_layers(7, _plan_for(regime_of(7, 1)).layers)
+        layers, _ = _run_layers(7, _plan_for(regime_of(7, 1)).layers)
         base = layers[0]
         lower = CircularSet(7, [1])
         upper_mask = int(base.uppers[base.lowers == lower.mask][0])
@@ -200,15 +197,16 @@ class TestBatchedLayers:
         reg = regime_of(n, d)
         assert regime is None or reg.regime == regime
         plan = _plan_for(reg, k3)
-        layers, counts, traces = _run_layers(n, plan.layers, plan.ensure)
-        tables, ref_covered, ref_traces = per_subset_layers(n, plan.layers, plan.ensure)
+        layers, traces = _run_layers(n, plan.layers)
+        tables, ref_covered, ref_traces = per_subset_layers(
+            n, plan.layers, ensured(d, k3)
+        )
         assert [
             list(zip(fam.lowers.tolist(), fam.uppers.tolist())) for fam in layers
         ] == [list(t.items()) for t in tables]
         covered = covered_masks(layers)
         assert np.all(covered[1:] > covered[:-1])
         assert set(covered.tolist()) == ref_covered
-        assert counts == size_counts(ref_covered, n)
         assert [
             (t.tag, t.level_size, t.density, t.candidates, t.selected, t.discarded)
             for t in traces
@@ -218,37 +216,84 @@ class TestBatchedLayers:
         # The base layer's 3-sets are its largest members; no construction
         # filters at that size, but the next layer here does.
         plan = [(2, 1), (3, 1)]
-        layers, counts, _ = _run_layers(9, plan)
-        ref_layers, ref_covered, _ = searchsorted_layers(9, plan)
+        layers, _ = _run_layers(9, plan)
+        ref_layers, _, _ = searchsorted_layers(9, plan)
         for got, ref in zip(layers, ref_layers, strict=True):
             assert np.array_equal(got.lowers, ref.lowers)
             assert np.array_equal(got.uppers, ref.uppers)
-        assert counts == size_counts(ref_covered, 9)
 
-    def test_escaped_set_named_as_in_per_subset_loop(self):
+    def test_escaped_set_named_as_in_per_subset_loop(self, monkeypatch):
+        # A k3 plan whose base has density 3 leaves (d+1)-sets uncovered
+        # under a claim of d + 3.  The builder does not count its cover;
+        # the verifier names the first escaped set as the reference loop
+        # does.
+        plan_for = builder._plan_for
+
+        def density_3_base(reg, k3=False):
+            plan = plan_for(reg, k3)
+            (level, _), *rest = plan.layers
+            return plan._replace(layers=[(level, 2), *rest])
+
+        monkeypatch.setattr(builder, "_plan_for", density_3_base)
         with pytest.raises(InternalCheckError) as ref:
-            per_subset_layers(9, [(2, 1), (3, 1)], (3,))
+            per_subset_layers(11, builder._plan_for(regime_of(11, 2), True).layers, (3,))
+        assert str(ref.value) == "size-3 set (1, 2, 3) escaped the base layer"
+        built = build_partition_k3(2)
         with pytest.raises(InternalCheckError) as got:
-            _run_layers(9, [(2, 1), (3, 1)], (3,))
-        assert str(got.value) == str(ref.value) == "size-3 set (1, 2, 3) escaped the base layer"
+            verify_build(built.partition)
+        assert str(got.value) == (
+            "built partition failed verification: below claim: {1,2,3} is "
+            "uncovered, so its implicit singleton has size 3 < min_upper=5"
+        )
 
-    def test_one_missing_set_escapes(self):
-        sets = [bitops.mask_of(c) for c in combinations(range(1, 6), 3)]
-        covered = np.array(sets[::-1], np.uint32)  # in no particular order
-        _check_ensured(5, 3, len(covered), covered)
-        short = covered[covered != bitops.mask_of([2, 4, 5])]
-        with pytest.raises(InternalCheckError, match=r"size-3 set \(2, 4, 5\) escaped"):
-            _check_ensured(5, 3, len(short), short)
+    @pytest.mark.parametrize(
+        "n, d, short",
+        [
+            (9, 2, "interval 0 has upper {1,2,8,9}, which has size 4"),
+            (4, 2, "{1,2} is uncovered, so its implicit singleton has size 2"),
+            (7, 1, "interval 0 has upper {1,5,6,7}, which has size 4"),
+        ],
+        ids=["k2-interval", "trivial-singleton", "k3-interval"],
+    )
+    def test_over_claim_is_named_by_the_verifier(self, monkeypatch, capsys, n, d, short):
+        # A plan that claims one more than its layers reach: the builder
+        # passes the claim through, and the verifier names the interval or
+        # the implicit singleton that falls short.  (7, 1) is the k3 build.
+        plan_for = builder._plan_for
+        monkeypatch.setattr(
+            builder,
+            "_plan_for",
+            lambda reg, k3=False: plan_for(reg, k3)._replace(
+                min_upper=plan_for(reg, k3).min_upper + 1
+            ),
+        )
+        assert main(["report", "-n", str(n), "-d", str(d)]) == 3
+        out, err = capsys.readouterr()
+        claim = builder._plan_for(regime_of(n, d), n == 4 * d + 3).min_upper
+        assert out == ""
+        assert err == (
+            "internal error: built partition failed verification: "
+            f"below claim: {short} < min_upper={claim}\n"
+        )
 
-    def test_count_above_the_size_raises(self):
-        counts = [0] * 6
-        _count_covered(counts, 5, 2, 1, 10)
-        assert counts == [0, 0, 10, 10, 0, 0]
-        # One more 2-set than [5] has: never a negative remainder.
-        with pytest.raises(InternalCheckError, match=r"11 sets of size 2, more than C\(5, 2\)"):
-            _count_covered([0] * 6, 5, 2, 1, 11)
-        with pytest.raises(InternalCheckError, match=r"cover 11 sets of size 3"):
-            _count_covered(counts, 5, 3, 0, 1)
+    def test_overlapping_layers_are_named_by_the_verifier(self, monkeypatch):
+        # With the filter off, the second layer keeps 3-sets the base
+        # already covers; the verifier names a set the two layers share.
+        flags = builder._covered_flags
+        monkeypatch.setattr(
+            builder,
+            "_covered_flags",
+            lambda n, level, covered: np.zeros_like(flags(n, level, covered)),
+        )
+        part, trace = build_partition(9, 2)
+        assert trace.layers[1].selected == trace.layers[1].candidates
+        with pytest.raises(InternalCheckError) as got:
+            verify_build(part)
+        assert str(got.value) == (
+            "built partition failed verification: "
+            "not disjoint: intervals 15 and 64 share {2,3,4}"
+        )
+        assert 15 < trace.layers[0].selected <= 64  # one interval of each layer
 
     @pytest.mark.parametrize("command", ["report", "build"])
     def test_overlap_is_named_by_the_verifier(self, monkeypatch, tmp_path, capsys, command):
@@ -352,16 +397,15 @@ class TestRankFilter:
     @pytest.mark.parametrize("n,d,k3", RANK_FILTER_PLANS)
     def test_matches_searchsorted_filter(self, n, d, k3):
         plan = _plan_for(regime_of(n, d), k3)
-        layers, counts, traces = _run_layers(n, plan.layers, plan.ensure)
-        ref_layers, ref_covered, ref_counts = searchsorted_layers(n, plan.layers, plan.ensure)
+        layers, traces = _run_layers(n, plan.layers)
+        ref_layers, ref_covered, ref_counts = searchsorted_layers(
+            n, plan.layers, ensured(d, k3)
+        )
         for got, ref in zip(layers, ref_layers, strict=True):
             assert np.array_equal(got.lowers, ref.lowers)
             assert np.array_equal(got.uppers, ref.uppers)
         assert np.array_equal(covered_masks(layers), ref_covered)
         assert [(t.candidates, t.selected) for t in traces] == ref_counts
-        # The per-size counts come from arithmetic, not from the members.
-        assert counts == size_counts(ref_covered, n)
-        assert counts == size_counts(per_subset_layers(n, plan.layers, plan.ensure)[1], n)
 
     @pytest.mark.parametrize("n,d,k3", list(PINNED_BUILDS))
     def test_benchmarked_builds_are_unchanged(self, n, d, k3):
@@ -399,3 +443,19 @@ class TestRankFilter:
         monkeypatch.setattr(bitops, "lex_rank", lambda members, n: rank(members, n) + 1)
         with pytest.raises(InternalCheckError, match=r"\(1, 2\) is swept at position 0"):
             _run_layers(9, [(2, 1), (3, 1)])
+
+
+CLAIM_SWEEP = [(n, d, False) for n in range(1, 21) for d in range(1, n + 1)] + [
+    (4 * d + 3, d, True) for d in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("n,d,k3", CLAIM_SWEEP)
+def test_plan_claim_is_the_verified_minimum(n, d, k3):
+    # The builder claims the plan's closed form and counts no cover; the
+    # verifier's minimum and interval count must agree with both.
+    part, trace = build_partition_k3(d) if k3 else build_partition(n, d)
+    verdict = verify_partition(part)
+    assert verdict.ok
+    assert part.claimed_min == verdict.min_upper_size <= sdepth_upper_bound(n, d)
+    assert trace.trivial_count == verdict.interval_count - len(part)
