@@ -68,62 +68,82 @@ def containing(lowers: np.ndarray, uppers: np.ndarray, mask: int) -> np.ndarray:
     return (lowers & ~m == 0) & (m & ~uppers == 0)
 
 
-def row_masks(rows: np.ndarray, n: int) -> np.ndarray:
-    """The mask of every row of a rows x k array of 1-indexed members."""
+def row_masks(sets: np.ndarray, n: int) -> np.ndarray:
+    """The mask of every column of a k x N array of 1-indexed members,
+    one set per column as ``lex_combinations`` yields them."""
     dtype = mask_dtype(n)
-    masks = np.zeros(len(rows), dtype=dtype)
-    # One pass per column: numpy reduces along a short last axis far more
-    # slowly than it ORs whole columns.
-    for col in (rows - 1).astype(dtype).T:
-        masks |= dtype(1) << col
+    one = dtype(1)
+    masks = np.zeros(sets.shape[1], dtype=dtype)
+    # One pass per member row: numpy ORs whole contiguous rows far faster
+    # than it reduces along a short axis.
+    for row in sets:
+        masks |= one << (row - 1).astype(dtype)
     return masks
 
 
-def _all_combinations(lo: int, n: int, k: int, prefix: tuple[int, ...]) -> np.ndarray:
-    # ``prefix`` followed by every k-subset of [lo, n], in lexicographic
-    # order, grown one member at a time: a row ending in x gets each
-    # admissible next member above x.  The members are kept as one column
-    # array each, re-indexed by the row each new row extends, and written
-    # into the result once, instead of re-stacking a growing matrix.
-    if k == 0:
-        return np.array([prefix], dtype=np.int16)
-    cols = [np.arange(lo, n - k + 2, dtype=np.int16)]
-    for col in range(1, k):
-        last = cols[-1]
-        counts = (n - k + col + 1) - last
-        link = np.repeat(np.arange(len(last)), counts)
-        step = np.arange(len(link)) - (np.cumsum(counts) - counts)[link]
-        cols = [c[link] for c in cols] + [last[link] + 1 + step.astype(np.int16)]
-    rows = np.empty((len(cols[0]), len(prefix) + k), dtype=np.int16)
-    rows[:, : len(prefix)] = prefix
-    for col, members in enumerate(cols, start=len(prefix)):
-        rows[:, col] = members
-    return rows
-
-
-def _combination_blocks(n: int, k: int, chunk: int, prefix: tuple[int, ...], lo: int):
-    # Split on the next member until every completion of ``prefix`` fits
-    # in one block.
+def _leaf_prefixes(n: int, k: int, chunk: int, prefix: tuple[int, ...], lo: int):
+    # Split on the next member until every completion of ``prefix`` (the
+    # k-subsets of [lo, n]) fits in one block.
     if comb(n - lo + 1, k) <= chunk:
-        yield _all_combinations(lo, n, k, prefix)
+        yield prefix, lo
         return
     for first in range(lo, n - k + 2):
-        yield from _combination_blocks(n, k - 1, chunk, prefix + (first,), first + 1)
+        yield from _leaf_prefixes(n, k - 1, chunk, prefix + (first,), first + 1)
+
+
+def _suffix_tables(n: int, k: int, chunk: int, top: int) -> list[np.ndarray]:
+    # Table j holds the j-subsets of [start_j, n] as columns, in
+    # lexicographic order.  Those whose members all exceed a are its last
+    # C(n - a, j) columns, so the j-subsets of [lo, n] are a suffix of it
+    # for any lo >= start_j.  A leaf of size j has lo >= k - j + 1 (its
+    # prefix holds k - j increasing members) and C(n - lo + 1, j) <= chunk,
+    # and start_j is the least lo meeting both: no table is wider than
+    # ``chunk``.  Table j then builds table j + 1 from leading members a
+    # placed over its suffixes: start_j <= start_(j+1) + 1, because
+    # C(m - 1, j) <= C(m, j + 1).
+    tables = [np.empty((0, 1), dtype=np.int16)]
+    for j in range(1, top + 1):
+        start = k - j + 1
+        while comb(n - start + 1, j) > chunk:
+            start += 1
+        widths = [comb(n - a, j - 1) for a in range(start, n - j + 2)]
+        table = np.empty((j, sum(widths)), dtype=np.int16)
+        table[0] = np.repeat(np.arange(start, n - j + 2, dtype=np.int16), widths)
+        at = 0
+        for w in widths:
+            table[1:, at : at + w] = tables[-1][:, -w:]
+            at += w
+        tables.append(table)
+    return tables
 
 
 def lex_combinations(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
-    """Every k-subset of [n] as a row of increasing 1-indexed members, in
-    lexicographic order, yielded in blocks of at most ``chunk`` rows."""
-    buf: list[np.ndarray] = []
-    size = 0
-    for block in _combination_blocks(n, k, chunk, (), 1):
-        if size + len(block) > chunk:
-            yield np.concatenate(buf)
-            buf, size = [], 0
-        buf.append(block)
-        size += len(block)
-    if buf:
-        yield np.concatenate(buf)
+    """Every k-subset of [n] as a column of increasing 1-indexed members,
+    in lexicographic order, yielded lazily as k x N int16 blocks of at
+    most ``chunk`` columns.
+
+    The subsets are split on their leading members until a prefix's
+    completions fit in ``chunk``; each such leaf is its prefix over a
+    suffix of a table of the smaller subsets, built once per call and no
+    wider than ``chunk``.  Leaves are packed into a block until the next
+    one would overflow it."""
+    left = comb(n, k)
+    if not left:
+        return
+    # Unless all k-subsets fit in one block, every leaf has a prefix.
+    tables = _suffix_tables(n, k, chunk, k if left <= chunk else k - 1)
+    block, size = np.empty((k, min(chunk, left)), dtype=np.int16), 0
+    for prefix, lo in _leaf_prefixes(n, k, chunk, (), 1):
+        j = k - len(prefix)
+        width = comb(n - lo + 1, j)
+        if size + width > chunk:
+            yield block[:, :size]
+            left -= size
+            block, size = np.empty((k, min(chunk, left)), dtype=np.int16), 0
+        block[: k - j, size : size + width] = np.array(prefix, dtype=np.int16)[:, None]
+        block[k - j :, size : size + width] = tables[j][:, -width:]
+        size += width
+    yield block[:, :size]
 
 
 def lex_rank(members: tuple[int, ...], n: int) -> int:
@@ -164,29 +184,34 @@ def first_absent(n: int, k: int, sorted_table: np.ndarray) -> tuple[int, ...] | 
     absent from the ascending ``sorted_table``; None when all are present.
     With h of them present it is among the first h + 1, so the walk stops
     within the blocks of 32,768 subsets that hold them."""
-    for rows in lex_combinations(n, k, 1 << 15):
-        absent = np.flatnonzero(~member_lookup(row_masks(rows, n), sorted_table))
+    for sets in lex_combinations(n, k, 1 << 15):
+        absent = np.flatnonzero(~member_lookup(row_masks(sets, n), sorted_table))
         if absent.size:
-            return tuple(rows[absent[0]].tolist())
+            return tuple(sets[:, absent[0]].tolist())
     return None
 
 
 def expand_uniform(lowers: np.ndarray, uppers: np.ndarray, s: int) -> np.ndarray:
     """Every member of every interval [lowers[i], uppers[i]] of volume 2^s,
-    as a rows x 2^s array; row i runs from ``uppers[i]`` down to
+    as a 2^s x N array; column i runs from ``uppers[i]`` down to
     ``lowers[i]`` in the order of ``submasks``.
 
     The members are the s-bit counters scattered into the diff bits: each
     pass takes the lowest remaining diff bit, which ranks above every bit
-    placed so far, so the members holding it come first."""
+    placed so far, so the members holding it come first.  A pass doubles
+    the rows filled so far in place, copying them below and setting the
+    bit in the originals."""
     diff = uppers & ~lowers
     if np.any(popcounts(diff) != s):
         raise ValueError(f"not every interval has volume 2^{s}")
-    out = lowers[:, None]
-    for _ in range(s):
+    out = np.empty((1 << s, len(lowers)), dtype=lowers.dtype)
+    out[0] = lowers
+    for t in range(s):
         low = diff & (~diff + diff.dtype.type(1))
-        diff = diff ^ low
-        out = np.concatenate([out | low[:, None], out], axis=1)
+        diff ^= low
+        half = 1 << t
+        out[half : 2 * half] = out[:half]
+        out[:half] |= low
     return out
 
 

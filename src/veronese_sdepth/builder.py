@@ -28,15 +28,17 @@ a common density; the builder does not re-check it, the verifier does.
 
 Candidate lower endpoints run in lexicographic order within each layer,
 so identical inputs produce byte-identical partitions.  Bulk storage is
-numpy mask arrays throughout: candidates are closed in fixed-size batches
-by ``lifting.closure_upper_masks`` and each family keeps parallel lower
-and upper arrays.  Covered sets are kept only for the sizes a later layer
-filters, one member array per size, and the trivial count is the poset
-size less the selected volume.  A filtered level does not search its
-member array: it ranks those sets (``bitops.lex_ranks``) into one flag
-per level set, and since candidates are swept in lexicographic order, a
-candidate's rank is its position in the sweep, so each batch reads its
-flags as one slice.
+numpy mask arrays throughout: candidates come from
+``bitops.lex_combinations`` as level x N blocks, one column per set,
+which the mask kernels read along whole contiguous rows; they are closed
+in fixed-size batches by ``lifting.closure_upper_masks``, and each family
+keeps parallel lower and upper arrays.  Covered sets are kept only for
+the sizes a later layer filters, one member array per size, and the
+trivial count is the poset size less the selected volume.  A filtered
+level does not search its member array: it ranks those sets
+(``bitops.lex_ranks``) into one flag per level set, and since candidates
+are swept in lexicographic order, a candidate's rank is its position in
+the sweep, so each batch reads its flags as one slice.
 """
 
 from __future__ import annotations
@@ -243,9 +245,10 @@ def _run_layers(
     earlier layers (``_covered_flags``); an interval never covers another
     set of its own level, so this is the same as filtering one candidate
     at a time.  The kept candidates' masks are computed once and closed by
-    the batched closure, whose first row is re-derived by the scalar
+    the batched closure, whose first set is re-derived by the scalar
     ``closure_upper_mask``.  Members are expanded only for the sizes a
-    later layer filters, one array per size.  Disjointness and coverage
+    later layer filters, one array per size, from the rows of the
+    expansion that hold that many members.  Disjointness and coverage
     of the whole selection are left to the verifier.
     """
     _check_plan(plan)
@@ -260,21 +263,21 @@ def _run_layers(
         if idx:
             taken = _covered_flags(n, level, np.concatenate([empty, *kept.pop(level)]))
         start = 0
-        for rows in bitops.lex_combinations(n, level, _CHUNK):
-            first = tuple(rows[0].tolist())
+        for sets in bitops.lex_combinations(n, level, _CHUNK):
+            first = tuple(sets[:, 0].tolist())
             if bitops.lex_rank(first, n) != start:
                 raise InternalCheckError(
                     f"{first} is swept at position {start}, not at its lexicographic rank"
                 )
-            end = start + len(rows)
+            end = start + sets.shape[1]
             if taken is not None:
-                rows = rows[~taken[start:end]]
+                sets = sets[:, ~taken[start:end]]
             start = end
-            if not len(rows):
+            if not sets.shape[1]:
                 continue
-            lowers = bitops.row_masks(rows, n)
-            uppers = closure_upper_masks(n, level, s, rows, lowers)
-            first = tuple(rows[0].tolist())
+            lowers = bitops.row_masks(sets, n)
+            uppers = closure_upper_masks(n, level, s, sets, lowers)
+            first = tuple(sets[:, 0].tolist())
             if closure_upper_mask(n, level, s, first) != int(uppers[0]):
                 raise InternalCheckError(
                     f"batched closure of {first} disagrees with the scalar path"
@@ -290,10 +293,10 @@ def _run_layers(
         sizes = [j for j in kept if level < j <= level + s]
         if sizes and len(lowers):
             members = bitops.expand_uniform(lowers, uppers, s)
-            # Column c of the expansion adds s - popcount(c) free members.
+            # Row c of the expansion adds s - popcount(c) free members.
             added = s - bitops.popcounts(np.arange(1 << s))
             for j in sizes:
-                kept[j].append(members[:, added == j - level].ravel())
+                kept[j].append(members[added == j - level].ravel())
         tag = f"I[{n},{level},{s + 1}]"
         layers.append(IntervalFamily(n, lowers, uppers))
         traces.append(

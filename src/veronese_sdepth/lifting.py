@@ -168,11 +168,12 @@ def closure_upper_mask(n: int, level_size: int, s: int, members: tuple[int, ...]
 
 
 def closure_upper_masks(
-    n: int, level_size: int, s: int, rows: np.ndarray, lowers: np.ndarray
+    n: int, level_size: int, s: int, sets: np.ndarray, lowers: np.ndarray
 ) -> np.ndarray:
     """Batched ``closure_upper_mask``: the upper masks of a chunk of level
-    sets, given as a rows x level_size array of increasing members and as
-    their masks ``lowers`` (``bitops.row_masks(rows, n)``).
+    sets, given as a level_size x N array with one column of increasing
+    members per set (as ``bitops.lex_combinations`` yields them) and as
+    their masks ``lowers`` (``bitops.row_masks(sets, n)``).
 
     Walk the lifted circle with step +s at a member and -1 elsewhere; the
     steps sum to -s over [m].  A whole block sums to 0 and its proper
@@ -185,25 +186,30 @@ def closure_upper_masks(
     p_j, pre[j] = (s + 1)(j - 1) - (p_j - 1), and the second pass round the
     circle repeats it lowered by s.  Of the padding only its first member
     n + 1 matters: later padding members have higher ``pre`` and empty runs
-    before them.  The cost is O(rows x level_size), not O(rows x m).
+    before them.  The cost is O(N x level_size), not O(N x m).
 
     Raises on the same structural facts as the scalar path: s gaps in all,
     none outside [1, n], and upper size level_size + s.
     """
-    # One column per level set: every pass below then runs along whole
-    # rows of the array, which numpy does far faster than along a short
-    # last axis.
-    pos = np.empty((level_size + 1, len(rows)), dtype=np.int32)
-    pos[:level_size] = rows.T
+    # One row per member index: every pass below runs along whole
+    # contiguous rows, and the running minimum is a loop over the rows,
+    # which numpy runs far faster than ``np.minimum.accumulate`` along the
+    # short axis.
+    pos = np.empty((level_size + 1, sets.shape[1]), dtype=np.int32)
+    pos[:level_size] = sets
     pos[level_size] = n + 1
     pre = ((s + 1) * np.arange(level_size + 1, dtype=np.int32))[:, None] - (pos - 1)
-    base = pre.min(axis=0)
-    second = np.minimum(np.minimum.accumulate(pre, axis=0) - s, base)
+    for j in range(level_size):
+        np.minimum(pre[j], pre[j + 1], out=pre[j + 1])
+    # ``pre`` is now the running minimum; its last row is the first pass's
+    # minimum round the circle.
+    base = pre[level_size]
+    second = np.minimum(pre - s, base)
     gaps = np.diff(second, axis=0, prepend=base[None]) * -1
     bad = np.flatnonzero(base - second[-1] != s)
     if bad.size:
         raise InternalCheckError(
-            f"lifted closure of {tuple(rows[bad[0]].tolist())} does not add {s} gaps"
+            f"lifted closure of {tuple(sets[:, bad[0]].tolist())} does not add {s} gaps"
         )
     # Only the run wrapping round from the padding can leave [1, n].  A
     # tail reaching back past position 1 holds position m, which is judged
@@ -212,7 +218,7 @@ def closure_upper_masks(
     if bad.size:
         raise InternalCheckError(
             f"gap before position {int(pos[0, bad[0]])} leaves [1, {n}] "
-            f"(m={(n + 1) * s + n}, set {tuple(rows[bad[0]].tolist())})"
+            f"(m={(n + 1) * s + n}, set {tuple(sets[:, bad[0]].tolist())})"
         )
     dtype = bitops.mask_dtype(n)
     one = dtype(1)
@@ -224,7 +230,7 @@ def closure_upper_masks(
     bad = np.flatnonzero(bitops.popcounts(uppers) != level_size + s)
     if bad.size:
         raise InternalCheckError(
-            f"upper endpoint of {tuple(rows[bad[0]].tolist())} does not have "
+            f"upper endpoint of {tuple(sets[:, bad[0]].tolist())} does not have "
             f"size {level_size + s}"
         )
     return uppers

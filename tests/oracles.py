@@ -197,16 +197,16 @@ def searchsorted_layers(n, plan, ensure=()):
         lo_parts, up_parts = [], []
         candidates = 0
         taken = covered[bitops.popcounts(covered) == level]
-        for rows in bitops.lex_combinations(n, level, _CHUNK):
-            candidates += len(rows)
-            lowers = bitops.row_masks(rows, n)
+        for sets in bitops.lex_combinations(n, level, _CHUNK):
+            candidates += sets.shape[1]
+            lowers = bitops.row_masks(sets, n)
             if idx:
                 fresh = ~bitops.member_lookup(lowers, taken)
-                rows, lowers = rows[fresh], lowers[fresh]
-                if not len(rows):
+                sets, lowers = sets[:, fresh], lowers[fresh]
+                if not sets.shape[1]:
                     continue
             lo_parts.append(lowers)
-            up_parts.append(closure_upper_masks(n, level, s, rows, lowers))
+            up_parts.append(closure_upper_masks(n, level, s, sets, lowers))
         lowers = np.concatenate(lo_parts) if lo_parts else covered[:0]
         uppers = np.concatenate(up_parts) if up_parts else covered[:0]
         covered = _add_covered(covered, lowers, uppers, s)

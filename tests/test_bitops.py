@@ -1,4 +1,6 @@
 import ast
+import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -46,12 +48,12 @@ class TestMaskHelpers:
             got = bitops.expand_uniform(
                 np.array([lo], np.uint32), np.array([up], np.uint32), (up & ~lo).bit_count()
             )
-            assert got.tolist() == [list(bitops.submasks(lo, up))]
+            assert got.T.tolist() == [list(bitops.submasks(lo, up))]
             by_volume.setdefault((up & ~lo).bit_count(), []).append((lo, up))
         for s, group in by_volume.items():
             lowers, uppers = (np.array(col, np.uint64) for col in zip(*group))
             got = bitops.expand_uniform(lowers, uppers, s)
-            assert got.tolist() == [list(bitops.submasks(lo, up)) for lo, up in group]
+            assert got.T.tolist() == [list(bitops.submasks(lo, up)) for lo, up in group]
 
     def test_expand_uniform_rejects_mixed_volumes(self):
         lowers = np.array([1, 1], np.uint32)
@@ -65,11 +67,39 @@ class TestMaskHelpers:
                 expected = list(combinations(range(1, n + 1), k))
                 for chunk in (1, 3, 17, 1 << 15):
                     blocks = list(bitops.lex_combinations(n, k, chunk))
-                    assert all(0 < len(b) <= chunk for b in blocks)
-                    rows = [tuple(r) for b in blocks for r in b.tolist()]
-                    assert rows == expected, (n, k, chunk)
+                    assert all(0 < b.shape[1] <= chunk for b in blocks)
+                    sets = [tuple(c) for b in blocks for c in b.T.tolist()]
+                    assert sets == expected, (n, k, chunk)
                     masks = np.concatenate([bitops.row_masks(b, n) for b in blocks])
                     assert masks.tolist() == [bitops.mask_of(c) for c in expected]
+
+    @pytest.mark.parametrize("walk", ["first block", "first_absent"])
+    def test_lex_combinations_stay_lazy_and_bounded(self, walk):
+        # C(40, 20) is about 1.4e11 subsets: only a lazy generator whose
+        # tables are no wider than a block gets through its first block
+        # within 16 MB and a second.
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            first = next(bitops.lex_combinations(40, 20, 1 << 15))
+            width = first.shape[1]
+            if walk == "first_absent":
+                table = np.sort(bitops.row_masks(first, 40))
+                del first
+                got = bitops.first_absent(40, 20, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < width <= 1 << 15
+        if walk == "first block":
+            assert first.shape[0] == 20
+            assert first[:, 0].tolist() == list(range(1, 21))
+        else:
+            # The first block holds the subsets of ranks below its width,
+            # so the first absent one opens the second block.
+            assert bitops.lex_rank(got, 40) == width
+        assert peak < 16 << 20
+        assert time.perf_counter() - start < 1.0
 
     def test_members_round_trip(self):
         for m in range(1 << 10):
@@ -90,8 +120,8 @@ class TestLexRanks:
                     got = bitops.lex_ranks(masks_as, n, k)
                     assert got.dtype == np.int64
                     assert np.array_equal(got, expected), (n, k, masks_as.dtype)
-                rows = np.concatenate(list(bitops.lex_combinations(n, k, 1 << 15)))
-                assert [bitops.lex_rank(tuple(r), n) for r in rows.tolist()] == expected.tolist()
+                sets = np.concatenate(list(bitops.lex_combinations(n, k, 1 << 15)), axis=1)
+                assert [bitops.lex_rank(tuple(c), n) for c in sets.T.tolist()] == expected.tolist()
 
     @pytest.mark.parametrize("n", [31, 32, 33, 40, 64])
     def test_match_counting_reference_on_random_masks(self, n):

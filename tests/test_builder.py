@@ -118,18 +118,6 @@ class TestK3Build:
 
 
 class TestPartitionInvariants:
-    def test_exhaustive_small_instances(self):
-        for n in range(1, 13):
-            for d in range(1, n + 1):
-                part, _ = build_partition(n, d)
-                verdict = verify_partition(part)
-                assert verdict.ok, (n, d)
-                assert verdict.min_upper_size <= sdepth_upper_bound(n, d)
-                if n <= threshold(d):
-                    assert verdict.min_upper_size == conjectured_sdepth(n, d)
-                else:
-                    assert verdict.min_upper_size >= lower_bound_large_n(n, d)
-
     def test_lower_endpoints_at_least_d(self):
         part = materialize(build_partition(8, 3).partition)
         assert all(len(iv.lower) >= 3 for iv in part)
@@ -438,6 +426,20 @@ class TestRankFilter:
         with pytest.raises(InternalCheckError, match=r"ranks outside \[0, 10\)"):
             _covered_flags(5, 2, covered)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    @pytest.mark.parametrize("n, d, k3", [(12, 2, False), (13, 3, False), (15, 3, True)])
+    def test_chunk_width_does_not_change_the_selection(self, monkeypatch, chunk, n, d, k3):
+        # Every chunk boundary re-runs the scalar rank and closure checks;
+        # the selection and its counts must not depend on where they fall.
+        plan = _plan_for(regime_of(n, d), k3).layers
+        ref_layers, ref_traces = _run_layers(n, plan)
+        monkeypatch.setattr(builder, "_CHUNK", chunk)
+        layers, traces = _run_layers(n, plan)
+        assert traces == ref_traces
+        for got, ref in zip(layers, ref_layers, strict=True):
+            assert np.array_equal(got.lowers, ref.lowers)
+            assert np.array_equal(got.uppers, ref.uppers)
+
     def test_sweep_position_checked_against_scalar_rank(self, monkeypatch):
         rank = bitops.lex_rank
         monkeypatch.setattr(bitops, "lex_rank", lambda members, n: rank(members, n) + 1)
@@ -458,4 +460,8 @@ def test_plan_claim_is_the_verified_minimum(n, d, k3):
     verdict = verify_partition(part)
     assert verdict.ok
     assert part.claimed_min == verdict.min_upper_size <= sdepth_upper_bound(n, d)
+    if n <= threshold(d):
+        assert verdict.min_upper_size == conjectured_sdepth(n, d)
+    else:
+        assert verdict.min_upper_size >= lower_bound_large_n(n, d)
     assert trace.trivial_count == verdict.interval_count - len(part)

@@ -103,11 +103,12 @@ class TestBatchedClosure:
         for n in range(2, 15):
             for level in range(1, n):
                 for s in range(1, family_cap(n, level) + 1):
-                    rows = np.array(list(combinations(range(1, n + 1), level)), np.int16)
-                    lowers = bitops.row_masks(rows, n)
-                    got = closure_upper_masks(n, level, s, rows, lowers).tolist()
-                    assert got == [closure_upper_mask(n, level, s, tuple(r)) for r in rows.tolist()]
-                    checked += len(rows)
+                    sets = np.array(list(combinations(range(1, n + 1), level)), np.int16).T
+                    lowers = bitops.row_masks(sets, n)
+                    got = closure_upper_masks(n, level, s, sets, lowers).tolist()
+                    expected = [closure_upper_mask(n, level, s, tuple(c)) for c in sets.T.tolist()]
+                    assert got == expected
+                    checked += sets.shape[1]
         assert checked == 17157
 
     def test_checks_fire_as_in_the_scalar_path(self):
@@ -124,9 +125,9 @@ class TestBatchedClosure:
                         except InternalCheckError as exc:
                             expected = "leaves [1," in str(exc)
                         try:
-                            row = np.array([combo])
-                            lowers = bitops.row_masks(row, n)
-                            got = int(closure_upper_masks(n, level, s, row, lowers)[0])
+                            column = np.array([combo]).T
+                            lowers = bitops.row_masks(column, n)
+                            got = int(closure_upper_masks(n, level, s, column, lowers)[0])
                         except InternalCheckError as exc:
                             got = "leaves [1," in str(exc)
                         assert got == expected, (n, level, s, combo)
