@@ -271,7 +271,7 @@ def _run_layers(
                 )
             end = start + sets.shape[1]
             if taken is not None:
-                sets = sets[:, ~taken[start:end]]
+                sets = np.compress(~taken[start:end], sets, axis=1)
             start = end
             if not sets.shape[1]:
                 continue

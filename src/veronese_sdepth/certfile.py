@@ -40,16 +40,27 @@ _COMMA, _SEMI, _NEWLINE = ord(","), ord(";"), ord("\n")
 def _fragment_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row 256*c + v holds ``"m1,m2,...,"`` for the members of [n] that
     bits 8c..8c+7 of a mask stand for when those bits read v, zero-padded;
-    the second array holds the fragment lengths."""
-    frags = []
-    for c in range(-(-n // 8)):
-        members = range(8 * c + 1, min(8 * c + 8, n) + 1)
-        for v in range(256):
-            text = "".join(f"{m}," for b, m in enumerate(members) if v >> b & 1)
-            frags.append(text.encode("ascii"))
-    width = max(map(len, frags))
-    table = np.array(frags, dtype=f"S{width}").view(np.uint8).reshape(len(frags), width)
-    return table, np.array([len(f) for f in frags], dtype=np.intp)
+    the second array holds the fragment lengths.  The rows are built by
+    doubling: for v < 2^b, row v | 2^b is row v followed by ``"m,"`` for
+    the member m of bit b, or row v itself when m is beyond n."""
+    chunks = -(-n // 8)
+    text = [f"{m}," if m <= n else "" for m in range(1, 8 * chunks + 1)]
+    tails = np.array(text, dtype="S3").view(np.uint8).reshape(chunks, 8, 3)
+    tail_lengths = np.array([len(x) for x in text]).reshape(chunks, 8)
+    width = int(tail_lengths.sum(axis=1).max())
+    # Every tail is written as all 3 of its bytes: a shorter tail's zero
+    # padding lands past the row's end, which is zero already, and 3 spare
+    # columns hold it.
+    table = np.zeros((chunks, 256, width + 3), dtype=np.uint8)
+    lengths = np.zeros((chunks, 256), dtype=np.intp)
+    chunk = np.arange(chunks)[:, None, None]
+    for b in range(8):
+        half = 1 << b
+        table[:, half : 2 * half] = table[:, :half]
+        rows = np.arange(half, 2 * half)[:, None]
+        table[chunk, rows, lengths[:, :half, None] + np.arange(3)] = tails[:, b, None]
+        lengths[:, half : 2 * half] = lengths[:, :half] + tail_lengths[:, b, None]
+    return table[:, :, :width].reshape(256 * chunks, width), lengths.ravel()
 
 
 def _encode_rows(lowers, uppers, table, lengths) -> np.ndarray:

@@ -188,45 +188,70 @@ def closure_upper_masks(
     n + 1 matters: later padding members have higher ``pre`` and empty runs
     before them.  The cost is O(N x level_size), not O(N x m).
 
+    The gaps before p_j are the run of g_j positions p_j - g_j .. p_j - 1,
+    with g_j = second[j - 1] - second[j] and second[0] the first pass's
+    minimum; as a mask that run is 2^(p_j - 1) - 2^(p_j - 1 - g_j).  The
+    runs lie between consecutive members, so they are disjoint from each
+    other and from the lower set, and with the padding as p_(L+1) = n + 1:
+
+        uppers = 2 * lowers + 2^n - sum_j 2^(p_j - 1 - g_j)   (mod 2^w).
+
+    Each term is one right shift by less than n, so no shift reaches the
+    mask width w at n = 32 or 64: a member's term is 2^(n - 1) >>
+    (n - p_j + g_j), and the padding's term and the 2^n together are
+    (2^n - 1) - ((2^n - 1) >> g_(L+1)).  The prefix sums stay within
+    +-130 for n <= 64, so every row before the shift is int16.
+
     Raises on the same structural facts as the scalar path: s gaps in all,
     none outside [1, n], and upper size level_size + s.
     """
     # One row per member index: every pass below runs along whole
     # contiguous rows, and the running minimum is a loop over the rows,
     # which numpy runs far faster than ``np.minimum.accumulate`` along the
-    # short axis.
-    pos = np.empty((level_size + 1, sets.shape[1]), dtype=np.int32)
-    pos[:level_size] = sets
-    pos[level_size] = n + 1
-    pre = ((s + 1) * np.arange(level_size + 1, dtype=np.int32))[:, None] - (pos - 1)
-    for j in range(level_size):
+    # short axis.  Rows 1 .. level_size hold the members' prefix sums and
+    # the last row the padding's; row 0 takes the first pass's minimum.
+    top = level_size + 1
+    pre = np.empty((top + 1, sets.shape[1]), dtype=np.int16)
+    steps = (s + 1) * np.arange(top, dtype=np.int16) + 1
+    np.subtract(steps[:level_size, None], sets, out=pre[1:top])
+    pre[top] = steps[level_size] - (n + 1)
+    for j in range(1, top):
         np.minimum(pre[j], pre[j + 1], out=pre[j + 1])
-    # ``pre`` is now the running minimum; its last row is the first pass's
-    # minimum round the circle.
-    base = pre[level_size]
-    second = np.minimum(pre - s, base)
-    gaps = np.diff(second, axis=0, prepend=base[None]) * -1
-    bad = np.flatnonzero(base - second[-1] != s)
+    # The last row is now the first pass's minimum round the circle; the
+    # second pass is the running minimum lowered by s and capped by it.
+    base = pre[top]
+    pre[0] = base
+    second = pre[1:top]
+    np.subtract(second, s, out=second)
+    np.minimum(second, base, out=second)
+    base -= s
+    bad = np.flatnonzero(pre[0] - pre[top] != s)
     if bad.size:
         raise InternalCheckError(
             f"lifted closure of {tuple(sets[:, bad[0]].tolist())} does not add {s} gaps"
         )
+    gaps = np.subtract(pre[:-1], pre[1:])
     # Only the run wrapping round from the padding can leave [1, n].  A
     # tail reaching back past position 1 holds position m, which is judged
     # on the first pass against all of [0, m - 1], so the refusal is exact.
-    bad = np.flatnonzero(gaps[0] >= pos[0])
+    bad = np.flatnonzero(gaps[0] >= sets[0])
     if bad.size:
         raise InternalCheckError(
-            f"gap before position {int(pos[0, bad[0]])} leaves [1, {n}] "
+            f"gap before position {int(sets[0, bad[0]])} leaves [1, {n}] "
             f"(m={(n + 1) * s + n}, set {tuple(sets[:, bad[0]].tolist())})"
         )
+    # The members' gaps become their shifts n - p_j + g_j.
+    gaps[:level_size] -= sets
+    gaps[:level_size] += n
     dtype = bitops.mask_dtype(n)
-    one = dtype(1)
-    glen = gaps.astype(dtype)
-    runs = ((one << glen) - one) << (pos - 1 - gaps).astype(dtype)
-    uppers = lowers.copy()
-    for run in runs:
-        uppers |= run
+    full = dtype((1 << n) - 1)
+    heads = np.full((top, 1), 1 << (n - 1), dtype=dtype)
+    heads[level_size] = full
+    terms = gaps.astype(dtype)
+    np.right_shift(heads, terms, out=terms)
+    uppers = lowers + lowers
+    uppers += full
+    uppers -= terms.sum(axis=0, dtype=dtype)
     bad = np.flatnonzero(bitops.popcounts(uppers) != level_size + s)
     if bad.size:
         raise InternalCheckError(

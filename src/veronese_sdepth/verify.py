@@ -4,7 +4,9 @@
 it expands every listed interval into its member masks (uniform-volume
 expansions, in blocks, into one array), sorts them once, and
 checks that no mask repeats (disjointness, with the offending pair on
-failure), then counts the distinct members per size against C(n, k).  An
+failure).  It counts the members per size from the interval list (an
+interval with lower size a and volume 2^s holds C(s, j - a) sets of size
+j), subtracts the repeats, and checks each count against C(n, j).  An
 explicit partition must cover every size; the first missing set is looked
 up only on failure.  In a compact partition every uncovered set is an
 implicit singleton, so the minimum upper size is the smaller of the listed
@@ -89,22 +91,16 @@ def verify_partition(p: IntervalPartition) -> VerificationVerdict:
     walks all 2^n subsets; the caller bounds the listed volume.
     """
     n, d, claim = p.n, p.d, p.claimed_min
-    members = _members(p)
+    members, counts = _members(p)
     members.sort()
-    repeats = members[1:] == members[:-1]
-    dup = np.flatnonzero(repeats)
+    dup = np.flatnonzero(members[1:] == members[:-1])
     disjoint = not dup.size
     overlap_witness = None if disjoint else _overlap_witness(p, int(members[dup[0]]))
-    if not disjoint:
-        members = members[np.concatenate(([True], ~repeats))]
-    # The members are now distinct subsets of [n] of size >= d, so a size
-    # is covered iff it occurs C(n, size) times.  They are counted in
-    # blocks, since bincount widens its input to int64.
-    pops = bitops.popcounts(members)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for i in range(0, pops.size, _EXPAND_MEMBERS):
-        hist += np.bincount(pops[i : i + _EXPAND_MEMBERS], minlength=n + 1)
-    missing = [comb(n, k) - int(hist[k]) for k in range(d, n + 1)]
+    # The members are subsets of [n] of size >= d, and a set listed r
+    # times repeats r - 1 times, so a size is covered iff its count less
+    # its repeats is C(n, size).
+    repeats = np.bincount(bitops.popcounts(members[dup]), minlength=n + 1).tolist()
+    missing = [comb(n, k) - counts[k] + repeats[k] for k in range(d, n + 1)]
     first = next((d + i for i, m in enumerate(missing) if m), None)
 
     if claim is None:
@@ -127,22 +123,32 @@ def verify_partition(p: IntervalPartition) -> VerificationVerdict:
     )
 
 
-def _members(p: IntervalPartition) -> np.ndarray:
-    """Every member of every interval, unsorted.  The intervals are
-    expanded in groups of equal volume, a few hundred thousand members at
-    a time, straight into one array of the listed volume."""
+def _members(p: IntervalPartition) -> tuple[np.ndarray, list[int]]:
+    """Every member of every interval, unsorted, and how many members have
+    each size 0 .. n, repeats included.  The intervals are expanded in
+    groups of equal volume, a few hundred thousand members at a time,
+    straight into one array of the listed volume.  The sizes are counted
+    from the interval list: an interval with lower size a and volume 2^s
+    holds C(s, j - a) sets of size j."""
     diffs = bitops.popcounts(p.uppers & ~p.lowers)
     out = np.empty(p.volume(), dtype=p.lowers.dtype)
+    sizes = [0] * (p.n + 1)
     at = 0
     for s in np.unique(diffs).tolist():
         sel = np.flatnonzero(diffs == s)
         step = max(1, _EXPAND_MEMBERS >> s)
+        lower_sizes = np.zeros(p.n + 1, dtype=np.int64)
         for lo in range(0, len(sel), step):
             idx = sel[lo : lo + step]
+            lower_sizes += np.bincount(bitops.popcounts(p.lowers[idx]), minlength=p.n + 1)
             block = bitops.expand_uniform(p.lowers[idx], p.uppers[idx], s)
             out[at : at + block.size] = block.ravel()
             at += block.size
-    return out
+        for a, count in enumerate(lower_sizes.tolist()):
+            if count:
+                for t in range(s + 1):
+                    sizes[a + t] += count * comb(s, t)
+    return out, sizes
 
 
 def _overlap_witness(p: IntervalPartition, mask: int) -> tuple[int, int, CircularSet]:
@@ -208,7 +214,7 @@ def render_stanley_decomposition(p: IntervalPartition) -> str:
     _verified(p, InvalidPartitionError, "partition to render")
     pairs = list(zip(p.lowers.tolist(), p.uppers.tolist()))
     if p.claimed_min is not None:
-        present = set(_members(p).tolist())
+        present = set(_members(p)[0].tolist())
         for k in range(p.d, p.n + 1):
             for combo in combinations(range(1, p.n + 1), k):
                 mask = bitops.mask_of(combo)

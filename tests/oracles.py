@@ -26,6 +26,11 @@ checks a compact partition the slow way: it materializes it, runs the
 explicit verifier and then compares the minimum with the claim; the
 compact verifier is checked against it.
 
+``verify_by_definition`` answers ``verify_partition`` from a count of
+every member of every listed interval, taken one subset of [n] at a time,
+with each witness picked straight from its definition; the verifier's
+counts from the interval list are checked against it.
+
 ``searchsorted_layers`` is a frozen copy of the batched layer loop as it
 filtered before rank flags: every chunk's candidate masks binary-searched
 in the ascending covered sets of their size (``bitops.member_lookup``),
@@ -50,9 +55,13 @@ import numpy as np
 
 from veronese_sdepth import bitops
 from veronese_sdepth.builder import _CHUNK, IntervalPartition, _check_plan
-from veronese_sdepth.core import regime_of
+from veronese_sdepth.core import CircularSet, regime_of
 from veronese_sdepth.errors import InternalCheckError, PartitionFileError
-from veronese_sdepth.verify import DEFAULT_ORACLE_BUDGET, verify_partition
+from veronese_sdepth.verify import (
+    DEFAULT_ORACLE_BUDGET,
+    VerificationVerdict,
+    verify_partition,
+)
 from veronese_sdepth.lifting import (
     IntervalFamily,
     closure_upper_mask,
@@ -485,3 +494,44 @@ def verify_compact_by_materializing(p):
     verdict = verify_partition(materialize(p))
     ok = verdict.ok and verdict.min_upper_size >= p.claimed_min
     return ok, verdict.min_upper_size, verdict.interval_count
+
+
+def verify_by_definition(p):
+    """The ``VerificationVerdict`` of ``p`` from the definitions: how many
+    listed intervals hold each subset of [n], the poset sets held by none,
+    and the witnesses chosen as ``verify_partition`` documents them."""
+    n, d, claim = p.n, p.d, p.claimed_min
+    pairs = list(zip(p.lowers.tolist(), p.uppers.tolist()))
+    holders = {
+        m: [i for i, (lo, up) in enumerate(pairs) if lo & ~m == 0 and m & ~up == 0]
+        for m in range(1 << n)
+    }
+    shared = [m for m in range(1 << n) if len(holders[m]) > 1]
+    overlap = None
+    if shared:
+        # The smallest shared mask; non-trivial holders come first.
+        m = shared[0]
+        order = sorted(holders[m], key=lambda i: (pairs[i][0] == pairs[i][1], i))
+        overlap = (min(order[:2]), max(order[:2]), CircularSet.from_mask(n, m))
+    absent = [m for m in range(1 << n) if m.bit_count() >= d and not holders[m]]
+    first = min((m.bit_count() for m in absent), default=None)
+    first_absent = None
+    if first is not None:
+        lex_first = min(tuple(bitops.members_of(m)) for m in absent if m.bit_count() == first)
+        first_absent = CircularSet(n, lex_first)
+    listed = min((up.bit_count() for _, up in pairs), default=None)
+    if claim is None:
+        return VerificationVerdict(
+            not shared, not absent, listed or 0, len(pairs), overlap, first_absent
+        )
+    minimum = min(s for s in (listed, first) if s is not None)
+    short = None
+    if minimum < claim:
+        if minimum == listed:
+            i = next(i for i, (_, up) in enumerate(pairs) if up.bit_count() == listed)
+            short = (i, CircularSet.from_mask(n, pairs[i][1]))
+        else:
+            short = (None, first_absent)
+    return VerificationVerdict(
+        not shared, True, minimum, len(pairs) + len(absent), overlap, None, short
+    )

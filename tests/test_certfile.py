@@ -102,6 +102,21 @@ class TestIdentity:
         assert new.read_bytes() == old.read_bytes()
         assert parse_partition_file(str(new)) == part
 
+    def test_fragment_table_matches_joined_members(self):
+        # Each row is the joined text of the members its chunk value
+        # stands for, zero-padded to the longest fragment.
+        for n in range(1, 65):
+            frags = [
+                "".join(f"{8 * c + b + 1}," for b in range(8) if v >> b & 1 and 8 * c + b < n)
+                for c in range(-(-n // 8))
+                for v in range(256)
+            ]
+            table, lengths = certfile._fragment_table(n)
+            width = max(map(len, frags))
+            assert table.shape == (len(frags), width) and table.dtype == np.uint8
+            assert [bytes(row).rstrip(b"\0").decode() for row in table] == frags
+            assert lengths.dtype == np.intp and lengths.tolist() == list(map(len, frags))
+
 
 class TestNonCanonicalForms:
     """Inputs outside the canonical form take the per-line path and keep

@@ -111,6 +111,23 @@ class TestBatchedClosure:
                     checked += sets.shape[1]
         assert checked == 17157
 
+    @pytest.mark.parametrize("n", [31, 32, 33, 63, 64])
+    def test_matches_scalar_at_the_mask_width_edges(self, n):
+        # At n = 32 and 64 an upper mask can fill the mask width, where
+        # 2 * lowers + 2^n wraps; the first block of each level starts at
+        # {1, 2, ...}, and random sets reach member n.
+        rng = np.random.default_rng(n)
+        for level in sorted({1, 2, 3, n // 8, n // 4}):
+            for s in sorted({1, family_cap(n, level)}):
+                first = next(bitops.lex_combinations(n, level, 1 << 9))
+                picked = [np.sort(rng.choice(n, level, replace=False)) + 1 for _ in range(200)]
+                for sets in (first, np.array(picked, dtype=np.int16).T):
+                    lowers = bitops.row_masks(sets, n)
+                    got = closure_upper_masks(n, level, s, sets, lowers).tolist()
+                    expected = [closure_upper_mask(n, level, s, tuple(c)) for c in sets.T.tolist()]
+                    assert got == expected, (n, level, s)
+                    assert max(expected).bit_length() == n or n % 32
+
     def test_checks_fire_as_in_the_scalar_path(self):
         # Beyond the admissible s the closure can spill into the padding;
         # both paths must then refuse the same level sets, for a gap that

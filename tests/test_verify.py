@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import exact_sdepth_unrestricted, materialize
+from hypothesis import example, given, settings, strategies as st
+from oracles import exact_sdepth_unrestricted, materialize, verify_by_definition
 
 import veronese_sdepth.verify as verify_module
 
@@ -128,6 +129,50 @@ class TestVerifyPartition:
         assert verdict.uncovered_witness == CircularSet(30, [1, 5])
         assert verdict.min_upper_size == 2 and verdict.interval_count == 3
         assert peak < 4 * 2**20
+
+
+@st.composite
+def listed_partitions(draw):
+    """(n, d, pairs, claim): a build of (n, d), n <= 6, in compact form or
+    materialized, with some intervals dropped, some listed again (an index
+    may repeat, so an interval can be listed three times) and some random
+    intervals added, which overlap others and may leave their sizes."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, n))
+    part = build_partition(n, d).partition
+    if draw(st.booleans()):
+        part, claim = materialize(part), None
+    else:
+        claim = draw(st.sampled_from([part.claimed_min, *range(d, n + 1)]))
+    pairs = list(zip(part.lowers.tolist(), part.uppers.tolist()))
+    dropped = draw(st.sets(st.integers(0, max(len(pairs) - 1, 0)), max_size=3))
+    pairs = [pair for i, pair in enumerate(pairs) if i not in dropped]
+    if pairs:
+        pairs += [pairs[i] for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=3))]
+    full = (1 << n) - 1
+    poset = [m for m in range(1 << n) if m.bit_count() >= d]
+    pairs += draw(
+        st.lists(st.tuples(st.sampled_from(poset), st.integers(0, full)), max_size=3).map(
+            lambda extra: [(lo, lo | up) for lo, up in extra]
+        )
+    )
+    return n, d, pairs, claim
+
+
+class TestVerifyByDefinition:
+    @given(listed_partitions())
+    @settings(max_examples=300, deadline=None)
+    # (5, 2) with its first interval listed three times: every member of
+    # it repeats twice, and so does {1, 2} among the 2-sets.
+    @example((5, 2, [(0b11, 0b10011)] * 3 + [(0b101, 0b10101)], None))
+    @example((5, 2, [(0b11, 0b10011)] * 3 + [(0b101, 0b10101)], 3))
+    def test_counts_and_witnesses_match_the_definition(self, case):
+        n, d, pairs, claim = case
+        dtype = np.uint32
+        lowers = np.array([lo for lo, _ in pairs], dtype=dtype)
+        uppers = np.array([up for _, up in pairs], dtype=dtype)
+        p = IntervalPartition(n, d, regime_of(n, d), lowers, uppers, claim)
+        assert verify_partition(p) == verify_by_definition(p)
 
 
 class TestSdepthOfPartition:
