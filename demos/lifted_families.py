@@ -17,17 +17,17 @@ from veronese_sdepth import (
     interval_family,
     is_covered,
     lift,
-    lifted_closure,
     validate_lift_params,
 )
+from veronese_sdepth.lifting import closure_upper_mask
 
 params = validate_lift_params(n=7, level_size=2, s=1)
 print(f"lift parameters: n=7, level 2, s=1  ->  m = {params.m}")
 a = CircularSet(7, (1, 3))
 lifted = lift(a, params)
 print(f"lifted {{{a.serialize()}}} -> {{{lifted.serialize()}}} on [{params.m}]")
-iv = lifted_closure(a, params)
-print(f"interval: [{{{iv.lower.serialize()}}}, {{{iv.upper.serialize()}}}]")
+upper = CircularSet.from_mask(7, closure_upper_mask(7, 2, 1, a.members))
+print(f"interval: [{{{a.serialize()}}}, {{{upper.serialize()}}}]")
 
 fam = interval_family(7, 2, 0, 1)
 print(f"\nfamily at level 2, density 2 on [7]: {len(fam)} disjoint intervals")

@@ -39,7 +39,6 @@ from .errors import (
     DensityOutOfRangeError,
     EmptySetError,
     InternalCheckError,
-    PreconditionViolatedError,
     UniverseMismatchError,
 )
 
@@ -342,24 +341,3 @@ def f_delta(a: CircularSet, density) -> CircularSet:
     block structure.  Always a superset of ``a``."""
     bs = block_structure(a, density)
     return CircularSet(a.universe, set(a.members) | set(bs.gap_positions()))
-
-
-def check_tight_pair_disjoint(a: CircularSet, a2: CircularSet, density) -> bool:
-    """Disjointness of [A, f(A)] and [A', f(A')] for equal-size A != A'.
-
-    True iff the implication holds: whenever |f(A)| - |A| <= delta - 1,
-    the two intervals are disjoint (vacuously true when the hypothesis
-    fails).  The intervals meet iff A | A' is contained in both closures,
-    the union being the least common element when one exists.
-    """
-    a._same_universe(a2)
-    if len(a) != len(a2) or a == a2:
-        raise PreconditionViolatedError("need two distinct sets of equal size")
-    density = Density.coerce(density)
-    fa = f_delta(a, density)
-    if (len(fa) - len(a)) * density.den > density.num - density.den:
-        return True
-    fa2 = f_delta(a2, density)
-    both = a.mask | a2.mask
-    meet = both & ~fa.mask == 0 and both & ~fa2.mask == 0
-    return not meet

@@ -8,9 +8,11 @@ yields the interval [A, f(A~) & [n]] of upper size level_size + s.  One
 interval per level set gives a pairwise-disjoint family with the closure
 property: a set not covered by the family has no covered superset.
 
-``closure_upper_masks`` computes the upper endpoints of a whole batch of
-level sets at once; ``closure_upper_mask`` and ``lifted_closure`` are the
-scalar references it is checked against.
+``closure_upper_mask`` is the one scalar lifted closure, checked against
+``blocks.f_delta`` of the lifted set; ``closure_upper_masks`` computes the
+upper endpoints of a whole batch of level sets at once and is checked
+against it.  The disjointness predicates build their intervals from
+``closure_upper_mask`` and ``f_delta``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Iterator
 import numpy as np
 
 from . import bitops
-from .blocks import BlockStructure, Density, block_structure, chain_walk
-from .core import CircularBlock, CircularSet
+from .blocks import Density, chain_walk, f_delta
+from .core import CircularSet
 from .errors import (
     InternalCheckError,
     PreconditionViolatedError,
@@ -133,8 +135,11 @@ def lift(a: CircularSet, params: LiftParams) -> CircularSet:
 
 
 def closure_upper_mask(n: int, level_size: int, s: int, members: tuple[int, ...]) -> int:
-    """Fast path for the lifted closure: upper endpoint of [A, f(A~) & [n]]
-    as a bitmask, without building intermediate objects.
+    """The scalar lifted closure: the upper endpoint of [A, f(A~) & [n]] as
+    a bitmask, read off the chain of the lifted set at density s + 1
+    without building intermediate objects.  It equals
+    ``f_delta(lift(A), s + 1).mask & (2^n - 1)`` and is the reference the
+    batched ``closure_upper_masks`` is checked against.
 
     Checks the structural facts that make the construction sound: the
     closure of the lifted set has exactly n + s elements, none of the gap
@@ -202,8 +207,9 @@ def closure_upper_masks(
     (2^n - 1) - ((2^n - 1) >> g_(L+1)).  The prefix sums stay within
     +-130 for n <= 64, so every row before the shift is int16.
 
-    Raises on the same structural facts as the scalar path: s gaps in all,
-    none outside [1, n], and upper size level_size + s.
+    Raises on the same structural facts as the scalar path: no gap outside
+    [1, n], and upper size level_size + s, which bounds the gap total to s
+    because the runs are disjoint.
     """
     # One row per member index: every pass below runs along whole
     # contiguous rows, and the running minimum is a loop over the rows,
@@ -225,11 +231,6 @@ def closure_upper_masks(
     np.subtract(second, s, out=second)
     np.minimum(second, base, out=second)
     base -= s
-    bad = np.flatnonzero(pre[0] - pre[top] != s)
-    if bad.size:
-        raise InternalCheckError(
-            f"lifted closure of {tuple(sets[:, bad[0]].tolist())} does not add {s} gaps"
-        )
     gaps = np.subtract(pre[:-1], pre[1:])
     # Only the run wrapping round from the padding can leave [1, n].  A
     # tail reaching back past position 1 holds position m, which is judged
@@ -259,31 +260,6 @@ def closure_upper_masks(
             f"size {level_size + s}"
         )
     return uppers
-
-
-def lifted_closure(a: CircularSet, params: LiftParams) -> PosetInterval:
-    """The interval [A, f(A~) & [n]] for a level set A.
-
-    Computes the block structure of the lifted set at density s + 1 (fully
-    validated), asserts the padding stayed gap-free and the cardinality
-    identities, and returns the interval over [n].
-    """
-    lifted = lift(a, params)
-    n, s = params.n, params.s
-    bs = block_structure(lifted, Density(s + 1))
-    gap = bs.gap_positions()
-    if len(lifted) + len(gap) != n + s:
-        raise InternalCheckError(
-            f"closure size {len(lifted) + len(gap)}, expected {n + s}"
-        )
-    if any(pos > n for pos in gap):
-        raise InternalCheckError("padding contributed a gap position")
-    upper = CircularSet(n, set(a.members) | gap)
-    if len(upper) != params.level_size + s:
-        raise InternalCheckError(
-            f"upper endpoint size {len(upper)}, expected {params.level_size + s}"
-        )
-    return PosetInterval(a, upper)
 
 
 class IntervalFamily:
@@ -358,10 +334,11 @@ def check_mixed_density_disjoint(a: CircularSet, b: CircularSet, delta, eta) -> 
 
     True iff the implication holds: whenever |f_eta(B)| - |B| <= eta - 1
     and A is not contained in B, the two intervals are disjoint.  Vacuously
-    true when the hypothesis fails.
+    true when the hypothesis fails.  For two distinct sets of equal size
+    at one density, ``check_mixed_density_disjoint(A', A, delta, delta)``
+    is the tight-pair case: [A, f(A)] and [A', f(A')] are disjoint
+    whenever |f(A)| - |A| <= delta - 1.
     """
-    from .blocks import f_delta as closure
-
     a._same_universe(b)
     delta = Density.coerce(delta)
     eta = Density.coerce(eta)
@@ -369,15 +346,12 @@ def check_mixed_density_disjoint(a: CircularSet, b: CircularSet, delta, eta) -> 
         raise PreconditionViolatedError("need |A| <= |B|")
     if not delta.at_least(eta):
         raise PreconditionViolatedError("need delta >= eta")
-    fb = closure(b, eta)
+    fb = f_delta(b, eta)
     tight = (len(fb) - len(b)) * eta.den <= eta.num - eta.den
     a_outside = bool(a.mask & ~b.mask)
     if not (tight and a_outside):
         return True
-    fa = closure(a, delta)
-    both = a.mask | b.mask
-    meet = both & ~fa.mask == 0 and both & ~fb.mask == 0
-    return not meet
+    return not PosetInterval(a, f_delta(a, delta)).intersects(PosetInterval(b, fb))
 
 
 def check_cross_level_disjoint(
@@ -416,45 +390,13 @@ def check_cross_level_disjoint(
             )
     if failed:
         raise PreconditionViolatedError("; ".join(failed))
-    interval_c = lifted_closure(c, validate_lift_params(n, d + q, delta - 1))
+
+    def interval(a: CircularSet, density: int) -> PosetInterval:
+        s = validate_lift_params(n, len(a), density - 1).s
+        upper = closure_upper_mask(n, len(a), s, a.members)
+        return PosetInterval(a, CircularSet.from_mask(n, upper))
+
+    interval_c = interval(c, delta)
     if interval_c.contains(dset):
         return True
-    interval_d = lifted_closure(dset, validate_lift_params(n, d + l, eta - 1))
-    return not interval_c.intersects(interval_d)
-
-
-def extended_block_structure(
-    lifted: CircularSet, target_m: int, eta
-) -> BlockStructure:
-    """Enlarge, within the block structure of a lifted set on [m'], the
-    single block holding the padding by the extra positions m'+1, ...,
-    target_m, leaving every other segment (and every gap) unchanged.
-
-    The returned structure lives on [target_m] and is not itself a valid
-    block structure in the density sense; its gaps are the object of
-    interest and coincide with the original ones.
-    """
-    m_prime = lifted.universe
-    if target_m < m_prime:
-        raise PreconditionViolatedError(
-            f"target universe {target_m} smaller than current {m_prime}"
-        )
-    bs = block_structure(lifted, eta)
-    if target_m == m_prime:
-        return bs
-    grow = target_m - m_prime
-    idx = next(
-        (i for i, b in enumerate(bs.blocks) if m_prime in b),
-        None,
-    )
-    if idx is None:
-        raise PreconditionViolatedError(
-            f"position {m_prime} lies in a gap; there is no padding block to extend"
-        )
-    blocks = []
-    gaps: list[CircularBlock | None] = []
-    for i, (b, g) in enumerate(zip(bs.blocks, bs.gaps)):
-        length = b.length + grow if i == idx else b.length
-        blocks.append(CircularBlock(target_m, b.start, length))
-        gaps.append(None if g is None else CircularBlock(target_m, g.start, g.length))
-    return BlockStructure(target_m, bs.density, tuple(blocks), tuple(gaps))
+    return not interval_c.intersects(interval(dset, eta))

@@ -11,10 +11,9 @@ from veronese_sdepth import (
     Density,
     DensityOutOfRangeError,
     EmptySetError,
-    PreconditionViolatedError,
     UniverseMismatchError,
     block_structure,
-    check_tight_pair_disjoint,
+    check_mixed_density_disjoint,
     f_delta,
     validate_block_structure,
 )
@@ -204,30 +203,26 @@ class TestUniqueness:
 
 
 class TestTightPairDisjoint:
+    # [A, f(A)] and [A', f(A')] for distinct A, A' of equal size are the
+    # mixed-density case check_mixed_density_disjoint(A', A, delta, delta).
     def test_examples(self):
-        assert check_tight_pair_disjoint(CircularSet(5, [1, 2]), CircularSet(5, [3, 4]), 2)
-        assert check_tight_pair_disjoint(CircularSet(5, [1, 2]), CircularSet(5, [1, 3]), 2)
+        a = CircularSet(5, [1, 2])
+        assert check_mixed_density_disjoint(CircularSet(5, [3, 4]), a, 2, 2)
+        assert check_mixed_density_disjoint(CircularSet(5, [1, 3]), a, 2, 2)
 
     def test_vacuous_when_closure_is_loose(self):
         # f({1}) on [7] at density 2 adds five gap points: hypothesis fails
         a, b = CircularSet(7, [1]), CircularSet(7, [2])
         assert len(f_delta(a, 2)) - 1 > 1
-        assert check_tight_pair_disjoint(a, b, 2)
-
-    def test_preconditions(self):
-        with pytest.raises(PreconditionViolatedError):
-            check_tight_pair_disjoint(CircularSet(5, [1]), CircularSet(5, [1, 2]), 2)
-        with pytest.raises(PreconditionViolatedError):
-            check_tight_pair_disjoint(CircularSet(5, [1]), CircularSet(5, [1]), 2)
+        assert check_mixed_density_disjoint(b, a, 2, 2)
 
     def test_exhaustive_small(self):
-        # every equal-size pair at every admissible integer density
+        # every ordered equal-size pair at every admissible integer density
         for n in range(2, 10):
             for r in range(1, n):
-                if r > n - 1:
-                    continue
                 sets = [CircularSet(n, c) for c in combinations(range(1, n + 1), r)]
                 for delta in range(1, (n - 1) // r + 1):
-                    for i in range(len(sets)):
-                        for j in range(i + 1, len(sets)):
-                            assert check_tight_pair_disjoint(sets[i], sets[j], delta)
+                    for a in sets:
+                        for a2 in sets:
+                            if a2 != a:
+                                assert check_mixed_density_disjoint(a2, a, delta, delta)

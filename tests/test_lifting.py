@@ -12,15 +12,13 @@ from veronese_sdepth import (
     SOutOfRangeError,
     UniverseMismatchError,
     bitops,
-    block_structure,
     check_cross_level_disjoint,
     check_mixed_density_disjoint,
     check_superset_closure,
-    extended_block_structure,
+    f_delta,
     interval_family,
     is_covered,
     lift,
-    lifted_closure,
     validate_lift_params,
 )
 from veronese_sdepth.errors import InternalCheckError
@@ -30,6 +28,13 @@ from oracles import covered_by_definition, superset_closure_by_definition
 
 def family_cap(n, level):
     return (n - level) // (level + 1)
+
+
+def closure_by_block_structure(n, level, s, combo):
+    """The upper mask of [A, f(A~) & [n]] from the block structure of the
+    lifted set at density s + 1."""
+    lifted = lift(CircularSet(n, combo), validate_lift_params(n, level, s))
+    return f_delta(lifted, s + 1).mask & ((1 << n) - 1)
 
 
 class TestLiftParams:
@@ -73,28 +78,25 @@ class TestLift:
 
 class TestLiftedClosure:
     def test_examples(self):
-        iv = lifted_closure(CircularSet(5, [1, 2]), validate_lift_params(5, 2, 1))
-        assert iv.lower.members == (1, 2) and iv.upper.members == (1, 2, 5)
-        iv = lifted_closure(CircularSet(5, [4, 5]), validate_lift_params(5, 2, 1))
-        assert iv.upper.members == (3, 4, 5)
+        upper = CircularSet.from_mask(5, closure_upper_mask(5, 2, 1, (1, 2)))
+        assert upper.members == (1, 2, 5)
+        upper = CircularSet.from_mask(5, closure_upper_mask(5, 2, 1, (4, 5)))
+        assert upper.members == (3, 4, 5)
 
     def test_upper_grows_by_s(self):
         for n in range(3, 9):
             for level in range(1, n):
                 for s in range(1, family_cap(n, level) + 1):
-                    params = validate_lift_params(n, level, s)
                     for combo in combinations(range(1, n + 1), level):
-                        iv = lifted_closure(CircularSet(n, combo), params)
-                        assert len(iv.upper) - len(iv.lower) == s
+                        assert closure_upper_mask(n, level, s, combo).bit_count() - level == s
 
     def test_fast_path_agrees_with_validated_path(self):
         for n in range(3, 8):
             for level in range(1, n):
                 for s in range(1, family_cap(n, level) + 1):
-                    params = validate_lift_params(n, level, s)
                     for combo in combinations(range(1, n + 1), level):
-                        iv = lifted_closure(CircularSet(n, combo), params)
-                        assert closure_upper_mask(n, level, s, combo) == iv.upper.mask
+                        expected = closure_by_block_structure(n, level, s, combo)
+                        assert closure_upper_mask(n, level, s, combo) == expected
 
 
 class TestBatchedClosure:
@@ -127,6 +129,13 @@ class TestBatchedClosure:
                     expected = [closure_upper_mask(n, level, s, tuple(c)) for c in sets.T.tolist()]
                     assert got == expected, (n, level, s)
                     assert max(expected).bit_length() == n or n % 32
+                # The scalar reference itself, against the block structure
+                # of the lifted set, on a sample of the random sets.
+                for c in picked[:20]:
+                    combo = tuple(c.tolist())
+                    assert closure_upper_mask(n, level, s, combo) == closure_by_block_structure(
+                        n, level, s, combo
+                    ), (n, level, s, combo)
 
     def test_checks_fire_as_in_the_scalar_path(self):
         # Beyond the admissible s the closure can spill into the padding;
@@ -333,8 +342,7 @@ class TestCrossLevelDisjoint:
 
     def test_vacuous_when_covered(self):
         c = CircularSet(7, [1])
-        params = validate_lift_params(7, 1, 2)
-        upper = lifted_closure(c, params).upper
+        upper = CircularSet.from_mask(7, closure_upper_mask(7, 1, 2, c.members))
         dset = CircularSet(7, upper.members[:2])
         assert c.is_subset_of(dset)
         assert check_cross_level_disjoint(c, dset, 1, 0, 1, 3, 2)
@@ -352,44 +360,6 @@ class TestCrossLevelDisjoint:
             check_cross_level_disjoint(
                 CircularSet(7, [1]), CircularSet(7, [2, 3]), 1, 0, 1, 4, 3
             )
-
-
-class TestExtendedBlockStructure:
-    def test_identity_extension(self):
-        lifted = CircularSet(11, [1, 2, 6, 7, 8])
-        assert extended_block_structure(lifted, 11, 2).render() == "B[1..4] G[5..5] B[6..11]"
-
-    def test_grows_padding_block(self):
-        lifted = CircularSet(11, [1, 2, 6, 7, 8])
-        ebs = extended_block_structure(lifted, 17, 2)
-        assert ebs.render() == "B[1..4] G[5..5] B[6..17]"
-
-    def test_gaps_unchanged(self):
-        for combo in combinations(range(1, 6), 2):
-            lifted = lift(CircularSet(5, combo), validate_lift_params(5, 2, 1))
-            base = block_structure(lifted, 2)
-            ebs = extended_block_structure(lifted, lifted.universe + 6, 2)
-            assert ebs.gap_positions() == base.gap_positions()
-
-    def test_closure_consistency_with_lift(self):
-        # recomputing the upper endpoint through the extended structure at
-        # the same target circle reproduces the lifted closure
-        for n in range(3, 8):
-            for level in range(1, n):
-                for s in range(1, family_cap(n, level) + 1):
-                    params = validate_lift_params(n, level, s)
-                    for combo in combinations(range(1, n + 1), level):
-                        a = CircularSet(n, combo)
-                        lifted = lift(a, params)
-                        ebs = extended_block_structure(lifted, params.m, s + 1)
-                        upper = {x for x in lifted.members if x <= n}
-                        upper |= {x for x in ebs.gap_positions() if x <= n}
-                        assert CircularSet(n, upper) == lifted_closure(a, params).upper
-
-    def test_rejects_shrinking(self):
-        lifted = CircularSet(11, [1, 2, 6, 7, 8])
-        with pytest.raises(PreconditionViolatedError):
-            extended_block_structure(lifted, 10, 2)
 
 
 class TestPosetInterval:
