@@ -1,128 +1,80 @@
 """Interval-partition certificates for the Stanley depth of squarefree
 Veronese ideals: block structures on the circular representation of [n],
 lifted interval families, a layered partition builder, an independent
-verifier, and a brute-force exact oracle for tiny instances."""
+verifier, and a brute-force exact oracle for tiny instances.
 
-from .blocks import (
-    BlockStructure,
-    Density,
-    ValidationReport,
-    block_structure,
-    f_delta,
-    validate_block_structure,
-)
-from .builder import (
-    Build,
-    BuilderTrace,
-    DEFAULT_SWEEP_CAP,
-    IntervalPartition,
-    LayerTrace,
-    build_partition,
-    build_partition_k3,
-    certify_layered,
-    interval_family,
-)
-from .core import (
-    CircularBlock,
-    CircularSet,
-    Regime,
-    RegimeDecomposition,
-    conjectured_sdepth,
-    k3_band_exact,
-    large_n_density_shift,
-    lower_bound_large_n,
-    regime_of,
-    sdepth_upper_bound,
-    threshold,
-)
-from .errors import (
-    DensityOutOfRangeError,
-    EmptySetError,
-    InternalCheckError,
-    InvalidPartitionError,
-    PartitionFileError,
-    PreconditionViolatedError,
-    SdepthError,
-    SizeMismatchError,
-    SOutOfRangeError,
-    UniverseMismatchError,
-)
-from .lifting import (
-    IntervalFamily,
-    LiftParams,
-    PosetInterval,
-    check_cross_level_disjoint,
-    check_mixed_density_disjoint,
-    check_superset_closure,
-    is_covered,
-    lift,
-    validate_lift_params,
-)
-from .verify import (
-    DEFAULT_ORACLE_BUDGET,
-    SdepthReport,
-    VerificationVerdict,
-    exact_sdepth,
-    render_stanley_decomposition,
-    sdepth_of_partition,
-    sdepth_report,
-    verify_partition,
-)
+The public names are loaded on first access (PEP 562), so importing the
+package, or a numpy-free module of it such as ``cli``, ``core`` or
+``oracle``, does not import numpy."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockStructure",
-    "Build",
-    "BuilderTrace",
-    "CircularBlock",
-    "CircularSet",
-    "DEFAULT_ORACLE_BUDGET",
-    "DEFAULT_SWEEP_CAP",
-    "Density",
-    "DensityOutOfRangeError",
-    "EmptySetError",
-    "IntervalFamily",
-    "IntervalPartition",
-    "InternalCheckError",
-    "InvalidPartitionError",
-    "LayerTrace",
-    "LiftParams",
-    "PartitionFileError",
-    "PosetInterval",
-    "PreconditionViolatedError",
-    "Regime",
-    "RegimeDecomposition",
-    "SdepthError",
-    "SdepthReport",
-    "SizeMismatchError",
-    "SOutOfRangeError",
-    "UniverseMismatchError",
-    "ValidationReport",
-    "VerificationVerdict",
-    "block_structure",
-    "build_partition",
-    "build_partition_k3",
-    "certify_layered",
-    "check_cross_level_disjoint",
-    "check_mixed_density_disjoint",
-    "check_superset_closure",
-    "conjectured_sdepth",
-    "exact_sdepth",
-    "f_delta",
-    "interval_family",
-    "is_covered",
-    "k3_band_exact",
-    "large_n_density_shift",
-    "lift",
-    "lower_bound_large_n",
-    "regime_of",
-    "render_stanley_decomposition",
-    "sdepth_of_partition",
-    "sdepth_report",
-    "sdepth_upper_bound",
-    "threshold",
-    "validate_block_structure",
-    "validate_lift_params",
-    "verify_partition",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "BlockStructure": "blocks",
+    "Density": "blocks",
+    "ValidationReport": "blocks",
+    "block_structure": "blocks",
+    "f_delta": "blocks",
+    "validate_block_structure": "blocks",
+    "Build": "builder",
+    "BuilderTrace": "builder",
+    "IntervalPartition": "builder",
+    "LayerTrace": "builder",
+    "build_partition": "builder",
+    "build_partition_k3": "builder",
+    "certify_layered": "builder",
+    "interval_family": "builder",
+    "DEFAULT_SWEEP_CAP": "core",
+    "CircularBlock": "core",
+    "CircularSet": "core",
+    "Regime": "core",
+    "RegimeDecomposition": "core",
+    "conjectured_sdepth": "core",
+    "k3_band_exact": "core",
+    "large_n_density_shift": "core",
+    "lower_bound_large_n": "core",
+    "regime_of": "core",
+    "sdepth_upper_bound": "core",
+    "threshold": "core",
+    "DensityOutOfRangeError": "errors",
+    "EmptySetError": "errors",
+    "InternalCheckError": "errors",
+    "InvalidPartitionError": "errors",
+    "PartitionFileError": "errors",
+    "PreconditionViolatedError": "errors",
+    "SdepthError": "errors",
+    "SizeMismatchError": "errors",
+    "SOutOfRangeError": "errors",
+    "UniverseMismatchError": "errors",
+    "IntervalFamily": "lifting",
+    "LiftParams": "lifting",
+    "PosetInterval": "lifting",
+    "check_cross_level_disjoint": "lifting",
+    "check_mixed_density_disjoint": "lifting",
+    "check_superset_closure": "lifting",
+    "is_covered": "lifting",
+    "lift": "lifting",
+    "validate_lift_params": "lifting",
+    "DEFAULT_ORACLE_BUDGET": "oracle",
+    "exact_sdepth": "oracle",
+    "SdepthReport": "verify",
+    "VerificationVerdict": "verify",
+    "render_stanley_decomposition": "verify",
+    "sdepth_of_partition": "verify",
+    "sdepth_report": "verify",
+    "verify_partition": "verify",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

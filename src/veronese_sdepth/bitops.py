@@ -1,6 +1,8 @@
 """Bulk bitmask helpers backed by numpy.
 
-Subsets of [n] are masks with bit i-1 standing for element i.  Mask value
+Subsets of [n] are masks with bit i-1 standing for element i; the scalar
+helpers (``mask_of``, ``members_of``, ``submasks``) live in ``core``.
+Mask value
 order is not lexicographic order on member tuples; lexicographic order is
 descending order of the bit-reversed mask (the smallest member occupies
 the highest reversed bit), which is what ``lex_sorted`` sorts by, and
@@ -14,9 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .core import MAX_UNIVERSE
 from .errors import InternalCheckError
-
-MAX_UNIVERSE = 64
 
 
 def mask_dtype(n: int):
@@ -194,7 +195,7 @@ def first_absent(n: int, k: int, sorted_table: np.ndarray) -> tuple[int, ...] | 
 def expand_uniform(lowers: np.ndarray, uppers: np.ndarray, s: int) -> np.ndarray:
     """Every member of every interval [lowers[i], uppers[i]] of volume 2^s,
     as a 2^s x N array; column i runs from ``uppers[i]`` down to
-    ``lowers[i]`` in the order of ``submasks``.
+    ``lowers[i]`` in the order of ``core.submasks``.
 
     The members are the s-bit counters scattered into the diff bits: each
     pass takes the lowest remaining diff bit, which ranks above every bit
@@ -213,33 +214,3 @@ def expand_uniform(lowers: np.ndarray, uppers: np.ndarray, s: int) -> np.ndarray
         out[half : 2 * half] = out[:half]
         out[:half] |= low
     return out
-
-
-def mask_of(members) -> int:
-    """The mask of an iterable of 1-indexed members."""
-    m = 0
-    for x in members:
-        m |= 1 << (x - 1)
-    return m
-
-
-def members_of(mask: int) -> list[int]:
-    """The 1-indexed members of ``mask`` in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return out
-
-
-def submasks(lower: int, upper: int) -> Iterator[int]:
-    """Every mask C with lower <= C <= upper, from ``upper`` down to
-    ``lower``; ``lower`` must be a submask of ``upper``."""
-    diff = upper & ~lower
-    sub = diff
-    while True:
-        yield lower | sub
-        if not sub:
-            return
-        sub = (sub - 1) & diff

@@ -51,6 +51,9 @@ import numpy as np
 
 from . import bitops
 from .core import (
+    DEFAULT_SWEEP_CAP,
+    MATERIALIZE_LIMIT,
+    MAX_UNIVERSE,
     CircularSet,
     Regime,
     RegimeDecomposition,
@@ -69,12 +72,6 @@ from .lifting import (
     closure_upper_masks,
     validate_lift_params,
 )
-
-DEFAULT_SWEEP_CAP = 5_000_000
-
-# The largest n that ``within_cap`` admits; 2^26 also bounds the layered
-# sweep of a default build.
-MATERIALIZE_LIMIT = 26
 
 # Level sets per batch of the layer loop.
 _CHUNK = 1 << 15
@@ -406,6 +403,6 @@ def certify_layered(
     mask holds.
     """
     reg = regime_of(n, d)
-    if n > bitops.MAX_UNIVERSE or _sweep_estimate(n, _plan_for(reg, use_k3)) > cap:
+    if n > MAX_UNIVERSE or _sweep_estimate(n, _plan_for(reg, use_k3)) > cap:
         return None
     return _assemble(reg, use_k3, sweep_cap=cap)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bitops
 from .builder import IntervalPartition
-from .core import RegimeDecomposition, regime_of
+from .core import MAX_UNIVERSE, RegimeDecomposition, regime_of
 from .errors import PartitionFileError
 
 _HEADER_RE = re.compile(r"^n=(\d+) d=(\d+) regime=([A-Za-z0-9]+)(?: min_upper=(\d+))?$")
@@ -106,7 +106,7 @@ def _header_fields(header: str) -> tuple[int, int, RegimeDecomposition, int | No
         raise PartitionFileError(f"header needs 1 <= d <= n, got n={n} d={d}", 1)
     if claim is not None and not (d <= claim <= n):
         raise PartitionFileError(f"header needs d <= min_upper <= n, got {claim}", 1)
-    if n > bitops.MAX_UNIVERSE:
+    if n > MAX_UNIVERSE:
         raise PartitionFileError(f"universe {n} too large", 1)
     reg = regime_of(n, d)
     if tag != reg.regime.value:

@@ -3,7 +3,8 @@
 Commands: ``report`` (bounds and certification for one instance),
 ``build`` (write a partition certificate file), ``verify`` (check one),
 ``table`` (CSV over ranges), ``blocks`` (debug view of one block
-structure).
+structure), ``oracle`` (the exact value by exhaustive search, tiny n
+only).  ``oracle`` and ``blocks`` run without importing numpy.
 
 Exit codes are a stable contract:
   0   success / instance verified
@@ -51,20 +52,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from math import comb
 
-from .bitops import MAX_UNIVERSE
 from .blocks import Density, block_structure
-from .builder import (
+from .core import (
     DEFAULT_SWEEP_CAP,
     MATERIALIZE_LIMIT,
-    build_partition,
-    build_partition_k3,
-    certify_layered,
-    within_cap,
-)
-from .certfile import parse_partition_file, write_partition_file
-from .core import (
+    MAX_UNIVERSE,
     CircularSet,
     conjectured_sdepth,
     k3_band_exact,
@@ -72,14 +67,42 @@ from .core import (
     sdepth_upper_bound,
 )
 from .errors import InternalCheckError, InvalidPartitionError, SdepthError
-from .verify import (
-    DEFAULT_ORACLE_BUDGET,
-    exact_sdepth,
-    failure_lines,
-    sdepth_report,
-    verify_build,
-    verify_partition,
-)
+from .oracle import DEFAULT_ORACLE_BUDGET, exact_sdepth
+
+# The numpy-backed functions the commands call, by defining module.  They
+# become globals of this module on first use: ``main`` binds them before
+# any other command than ``oracle`` and ``blocks``, and a module attribute
+# lookup (``cli.sdepth_report``) binds them too, so those two commands,
+# ``--help`` and usage errors never import numpy.  A name already bound is
+# left alone, so a wrapper set on this module stays the one the commands
+# call.
+_DEFERRED = {
+    "build_partition": "builder",
+    "build_partition_k3": "builder",
+    "certify_layered": "builder",
+    "within_cap": "builder",
+    "parse_partition_file": "certfile",
+    "write_partition_file": "certfile",
+    "failure_lines": "verify",
+    "sdepth_report": "verify",
+    "verify_build": "verify",
+    "verify_partition": "verify",
+}
+
+
+def _bind_deferred() -> None:
+    names = globals()
+    for name, module in _DEFERRED.items():
+        if name not in names:
+            names[name] = getattr(import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_deferred()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -319,6 +342,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    if args.func not in (cmd_oracle, cmd_blocks):
+        _bind_deferred()
     try:
         return args.func(args)
     except (InternalCheckError, InvalidPartitionError) as exc:

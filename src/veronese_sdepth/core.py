@@ -1,4 +1,10 @@
-"""Circular subsets of [n] and the closed-form quantities attached to (n, d).
+"""Circular subsets of [n], their scalar masks, the package's caps, and
+the closed-form quantities attached to (n, d).
+
+Subsets of [n] are masks with bit i-1 standing for element i: ``mask_of``
+and ``members_of`` convert, ``submasks`` walks an interval.  ``bitops``
+holds the numpy kernels over arrays of such masks.  Nothing here imports
+numpy, so the oracle and the block structures run without it.
 
 Everything here is exact integer arithmetic.  Floor-of-square-root
 expressions are evaluated with ``math.isqrt`` rather than floating point:
@@ -13,12 +19,51 @@ from enum import Enum
 from math import isqrt
 from typing import Iterable, Iterator
 
-from . import bitops
 from .errors import (
     InternalCheckError,
     PreconditionViolatedError,
     UniverseMismatchError,
 )
+
+
+# The widest universe a mask array holds (uint64).
+MAX_UNIVERSE = 64
+
+DEFAULT_SWEEP_CAP = 5_000_000
+
+# The largest n that ``builder.within_cap`` admits; 2^26 also bounds the
+# layered sweep of a default build.
+MATERIALIZE_LIMIT = 26
+
+
+def mask_of(members) -> int:
+    """The mask of an iterable of 1-indexed members."""
+    m = 0
+    for x in members:
+        m |= 1 << (x - 1)
+    return m
+
+
+def members_of(mask: int) -> list[int]:
+    """The 1-indexed members of ``mask`` in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def submasks(lower: int, upper: int) -> Iterator[int]:
+    """Every mask C with lower <= C <= upper, from ``upper`` down to
+    ``lower``; ``lower`` must be a submask of ``upper``."""
+    diff = upper & ~lower
+    sub = diff
+    while True:
+        yield lower | sub
+        if not sub:
+            return
+        sub = (sub - 1) & diff
 
 
 def _check_nd(n: int, d: int) -> None:
@@ -47,11 +92,11 @@ class CircularSet:
             raise ValueError(f"members {norm} not within [1, {universe}]")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "members", norm)
-        object.__setattr__(self, "mask", bitops.mask_of(norm))
+        object.__setattr__(self, "mask", mask_of(norm))
 
     @classmethod
     def from_mask(cls, universe: int, mask: int) -> "CircularSet":
-        return cls(universe, bitops.members_of(mask))
+        return cls(universe, members_of(mask))
 
     @classmethod
     def parse(cls, universe: int, text: str) -> "CircularSet":

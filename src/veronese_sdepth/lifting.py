@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bitops
 from .blocks import Density, chain_walk, f_delta
-from .core import CircularSet
+from .core import CircularSet, mask_of, submasks
 from .errors import (
     InternalCheckError,
     PreconditionViolatedError,
@@ -113,7 +113,7 @@ class PosetInterval:
         return both & ~self.upper.mask == 0 and both & ~other.upper.mask == 0
 
     def member_masks(self) -> Iterator[int]:
-        return bitops.submasks(self.lower.mask, self.upper.mask)
+        return submasks(self.lower.mask, self.upper.mask)
 
 
 def lift(a: CircularSet, params: LiftParams) -> CircularSet:
@@ -148,7 +148,7 @@ def closure_upper_mask(n: int, level_size: int, s: int, members: tuple[int, ...]
     """
     m = (n + 1) * s + n
     elems = list(members) + list(range(n + 1, 2 * n - level_size + 1))
-    mask = bitops.mask_of(members)
+    mask = mask_of(members)
     gap_total = 0
     for start, blen, glen in chain_walk(m, elems, s + 1, 1):
         if not glen:

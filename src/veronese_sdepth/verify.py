@@ -1,4 +1,4 @@
-"""Independent certification of partitions and a brute-force exact oracle.
+"""Independent certification of partitions, and report assembly.
 
 ``verify_partition`` recomputes everything from the interval list alone:
 it expands every listed interval into its member masks (uniform-volume
@@ -11,18 +11,6 @@ explicit partition must cover every size; the first missing set is looked
 up only on failure.  In a compact partition every uncovered set is an
 implicit singleton, so the minimum upper size is the smaller of the listed
 minimum and the smallest uncovered size, and it must reach the claim.
-
-``exact_sdepth`` is the cross-check oracle for small instances.  It
-shares nothing with the block-structure or lifting machinery: for a
-descending trial target t it runs a backtracking exact-cover search
-assigning every subset of size in [d, t-1] to an interval with upper size
-exactly t (sets of size >= t can always self-cover, and a larger upper set
-splits down to size t without losing a solution), and returns the largest
-feasible t.  The lower endpoint is forced as well.  List the constrained
-sets by increasing size and let D be the first uncovered one.  An interval
-[A, B] holding D has A inside D; were A != D, A would be smaller, hence
-listed earlier and already covered, and the two intervals would overlap.
-So the search only ever tries [D, B] for the t-sets B containing D.
 """
 
 from __future__ import annotations
@@ -36,7 +24,6 @@ import numpy as np
 
 from . import bitops
 from .builder import (
-    DEFAULT_SWEEP_CAP,
     IntervalPartition,
     build_partition,
     build_partition_k3,
@@ -44,20 +31,18 @@ from .builder import (
     within_cap,
 )
 from .core import (
+    DEFAULT_SWEEP_CAP,
     CircularSet,
     RegimeDecomposition,
     conjectured_sdepth,
     k3_band_exact,
+    mask_of,
+    members_of,
     regime_of,
     sdepth_upper_bound,
 )
-from .errors import (
-    InternalCheckError,
-    InvalidPartitionError,
-    PreconditionViolatedError,
-)
-
-DEFAULT_ORACLE_BUDGET = 3_000_000
+from .errors import InternalCheckError, InvalidPartitionError
+from .oracle import DEFAULT_ORACLE_BUDGET, exact_sdepth
 
 # Members expanded per block by the verifier.
 _EXPAND_MEMBERS = 1 << 18
@@ -217,141 +202,15 @@ def render_stanley_decomposition(p: IntervalPartition) -> str:
         present = set(_members(p)[0].tolist())
         for k in range(p.d, p.n + 1):
             for combo in combinations(range(1, p.n + 1), k):
-                mask = bitops.mask_of(combo)
+                mask = mask_of(combo)
                 if mask not in present:
                     pairs.append((mask, mask))
     lines = []
     for lo, up in pairs:
-        mono = "*".join(f"x{i}" for i in bitops.members_of(lo))
-        ring = ",".join(f"x{i}" for i in bitops.members_of(up))
+        mono = "*".join(f"x{i}" for i in members_of(lo))
+        ring = ",".join(f"x{i}" for i in members_of(up))
         lines.append(f"{mono} · K[{ring}]")
     return "\n".join(lines)
-
-
-class _BudgetHit(Exception):
-    pass
-
-
-def exact_sdepth(
-    n: int,
-    d: int,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-    counting_prune: bool = True,
-) -> int | None:
-    """Exact maximum, over all interval partitions of the poset, of the
-    minimum upper-endpoint size.
-
-    Descends the trial target from n; the first feasible target is the
-    answer (a partition with minimum >= t also witnesses every smaller
-    target).  The budget counts enumerated constrained sets, candidates
-    built and their members, and covered sets skipped, across the whole
-    descent; when it runs out the result is None, which is distinct from
-    a definite answer.  It is None too, before any count is formed,
-    when [n] is wider than a mask holds.  ``counting_prune`` exists so
-    tests can cross-check the pruned search against plain exhaustion.
-    """
-    if d < 1 or d > n:
-        raise PreconditionViolatedError(f"need 1 <= d <= n, got n={n}, d={d}")
-    if n > bitops.MAX_UNIVERSE:
-        return None
-    work = [budget]
-    try:
-        for t in range(n, d, -1):
-            if _cover_feasible(n, d, t, work, counting_prune):
-                return t
-    except _BudgetHit:
-        return None
-    return d
-
-
-def _cover_feasible(
-    n: int, d: int, t: int, work: list[int], counting_prune: bool = True
-) -> bool:
-    """Is there a disjoint interval cover, with every upper size t, of all
-    subsets of size in [d, t-1]?  Sets of size >= t self-cover, so this is
-    exactly feasibility of target t.
-
-    Upper size exactly t loses nothing.  Take a candidate [A, B] with
-    |B| > t and pick x in B - A.  Split it into [A, B - x] and
-    [A + x, B], and drop each piece whose lower size is >= t: its sets
-    self-cover.  Every other piece still has upper size >= t.  Repeat
-    until every upper size is t: a feasible target t always has a witness
-    that uses only |B| = t.
-
-    The lower endpoint is forced too.  The constrained sets are listed by
-    increasing size; let D be the first one still uncovered.  An interval
-    [A, B] holding D has A a subset of D.  If A != D then |A| < |D|, so A
-    comes before D and is already covered, and [A, B] would overlap the
-    interval that covers it.  So A = D, and the only candidates for D are
-    [D, B] for the t-sets B containing D whose members are all uncovered.
-    Each frame of the search therefore covers the first uncovered set,
-    and the next target lies after it.
-
-    The counting test runs once, on the initial counts C(n, k), before
-    anything is enumerated: an interval with lower size a that covers x
-    sets of size sigma < t holds at least x * (t - sigma) / (sigma + 1 - a)
-    sets of size sigma + 1, and a >= d, so a cover needs
-    (sigma + 1 - d) * C(n, sigma + 1) >= (t - sigma) * C(n, sigma) for
-    every sigma in [d, t-1].  ``counting_prune=False`` skips it, so tests
-    can check that it only refutes infeasible targets.
-
-    The search walks an explicit stack, so its depth is not bounded by
-    Python's recursion limit.  ``work`` is charged one unit per
-    constrained set, a whole size before it is enumerated, one per
-    candidate built plus one per member it holds, and one per covered set
-    the target scan skips.  Every loop iteration is charged, so the
-    budget bounds the time and the memory.
-    """
-
-    def charge(units: int) -> None:
-        work[0] -= units
-        if work[0] < 0:
-            raise _BudgetHit
-
-    counts = [comb(n, k) for k in range(d, t + 1)]
-    if counting_prune and any(
-        (i + 1) * counts[i + 1] < (t - d - i) * counts[i] for i in range(len(counts) - 1)
-    ):
-        return False
-
-    constrained: list[int] = []
-    for size in range(d, t):
-        charge(counts[size - d])
-        constrained.extend(map(bitops.mask_of, combinations(range(1, n + 1), size)))
-    covered: set[int] = set()
-
-    def frame(pos: int) -> list:
-        """[target position, its remaining upper-set extensions, the
-        members of the candidate applied]."""
-        dmask = constrained[pos]
-        rest = [x for x in range(1, n + 1) if not dmask >> (x - 1) & 1]
-        return [pos, combinations(rest, t - dmask.bit_count()), ()]
-
-    # t > d, so the first constrained set exists and is uncovered.
-    stack = [frame(0)]
-    while stack:
-        top = stack[-1]
-        pos, extensions, applied = top
-        covered.difference_update(applied)
-        dmask = constrained[pos]
-        for extra in extensions:
-            charge(1 + (1 << len(extra)))
-            members = tuple(bitops.submasks(dmask, dmask | bitops.mask_of(extra)))
-            if covered.isdisjoint(members):
-                break
-        else:
-            stack.pop()
-            continue
-        covered.update(members)
-        top[2] = members
-        pos += 1
-        while pos < len(constrained) and constrained[pos] in covered:
-            charge(1)
-            pos += 1
-        if pos == len(constrained):
-            return True
-        stack.append(frame(pos))
-    return False
 
 
 @dataclass(frozen=True)

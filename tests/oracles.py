@@ -55,13 +55,17 @@ import numpy as np
 
 from veronese_sdepth import bitops
 from veronese_sdepth.builder import _CHUNK, IntervalPartition, _check_plan
-from veronese_sdepth.core import CircularSet, regime_of
-from veronese_sdepth.errors import InternalCheckError, PartitionFileError
-from veronese_sdepth.verify import (
-    DEFAULT_ORACLE_BUDGET,
-    VerificationVerdict,
-    verify_partition,
+from veronese_sdepth.core import (
+    MAX_UNIVERSE,
+    CircularSet,
+    mask_of,
+    members_of,
+    regime_of,
+    submasks,
 )
+from veronese_sdepth.errors import InternalCheckError, PartitionFileError
+from veronese_sdepth.oracle import DEFAULT_ORACLE_BUDGET
+from veronese_sdepth.verify import VerificationVerdict, verify_partition
 from veronese_sdepth.lifting import (
     IntervalFamily,
     closure_upper_mask,
@@ -170,13 +174,13 @@ def per_subset_layers(n, plan, ensure=()):
         volume = 1 << s
         for combo in combinations(range(1, n + 1), level):
             candidates += 1
-            mask = bitops.mask_of(combo)
+            mask = mask_of(combo)
             if idx and mask in covered:
                 continue
             upper = closure_upper_mask(n, level, s, combo)
             table[mask] = upper
             before = len(covered)
-            covered.update(bitops.submasks(mask, upper))
+            covered.update(submasks(mask, upper))
             if len(covered) - before != volume:
                 raise InternalCheckError(
                     f"interval at {combo} overlaps an earlier selection"
@@ -187,7 +191,7 @@ def per_subset_layers(n, plan, ensure=()):
         if idx == 0:
             for size in ensure:
                 for combo in combinations(range(1, n + 1), size):
-                    if bitops.mask_of(combo) not in covered:
+                    if mask_of(combo) not in covered:
                         raise InternalCheckError(
                             f"size-{size} set {combo} escaped the base layer"
                         )
@@ -278,7 +282,7 @@ def _cover_feasible_unrestricted(n, d, t, work):
     constrained = []
     for size in range(d, t):
         for combo in combinations(range(1, n + 1), size):
-            constrained.append((bitops.mask_of(combo), combo))
+            constrained.append((mask_of(combo), combo))
     if not constrained:
         return True
 
@@ -296,13 +300,13 @@ def _cover_feasible_unrestricted(n, d, t, work):
         out = []
         for asize in range(d, len(dmembers) + 1):
             for alow in combinations(dmembers, asize):
-                amask = bitops.mask_of(alow)
+                amask = mask_of(alow)
                 for bsize in range(t, n + 1):
                     for extra in combinations(rest, bsize - len(dmembers)):
                         work[0] -= 1
                         if work[0] < 0:
                             raise _BudgetHit
-                        bmask = dmask | bitops.mask_of(extra)
+                        bmask = dmask | mask_of(extra)
                         diff = bmask & ~amask
                         mems = []
                         hist = [0] * span
@@ -405,7 +409,7 @@ def parse_partition_file_per_line(path):
         tag = match.group(3)
         if not (1 <= d <= n):
             raise PartitionFileError(f"header needs 1 <= d <= n, got n={n} d={d}", 1)
-        if n > bitops.MAX_UNIVERSE:
+        if n > MAX_UNIVERSE:
             raise PartitionFileError(f"universe {n} too large", 1)
         reg = regime_of(n, d)
         if tag != reg.regime.value:
@@ -467,7 +471,7 @@ def materialize(p):
     n, d = p.n, p.d
     dtype = bitops.mask_dtype(n)
     pairs = zip(p.lowers.tolist(), p.uppers.tolist())
-    covered = np.array([m for lo, up in pairs for m in bitops.submasks(lo, up)], dtype=dtype)
+    covered = np.array([m for lo, up in pairs for m in submasks(lo, up)], dtype=dtype)
     # Lexicographic order within a size is descending order of the
     # bit-reversed mask, so walk the reversed values downward and reverse
     # back only what is kept.
@@ -517,7 +521,7 @@ def verify_by_definition(p):
     first = min((m.bit_count() for m in absent), default=None)
     first_absent = None
     if first is not None:
-        lex_first = min(tuple(bitops.members_of(m)) for m in absent if m.bit_count() == first)
+        lex_first = min(tuple(members_of(m)) for m in absent if m.bit_count() == first)
         first_absent = CircularSet(n, lex_first)
     listed = min((up.bit_count() for _, up in pairs), default=None)
     if claim is None:

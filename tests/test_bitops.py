@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracles import lex_rank_by_counting
 
-from veronese_sdepth import bitops
+from veronese_sdepth import bitops, core
 from veronese_sdepth.errors import InternalCheckError
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "veronese_sdepth"
@@ -26,7 +26,7 @@ class TestMaskHelpers:
                     continue
                 pairs += 1
                 expected = {c for c in universe if lower & ~c == 0 and c & ~upper == 0}
-                got = list(bitops.submasks(lower, upper))
+                got = list(core.submasks(lower, upper))
                 assert len(got) == len(expected) and set(got) == expected
                 assert got[0] == upper and got[-1] == lower
         assert pairs == 729
@@ -48,12 +48,12 @@ class TestMaskHelpers:
             got = bitops.expand_uniform(
                 np.array([lo], np.uint32), np.array([up], np.uint32), (up & ~lo).bit_count()
             )
-            assert got.T.tolist() == [list(bitops.submasks(lo, up))]
+            assert got.T.tolist() == [list(core.submasks(lo, up))]
             by_volume.setdefault((up & ~lo).bit_count(), []).append((lo, up))
         for s, group in by_volume.items():
             lowers, uppers = (np.array(col, np.uint64) for col in zip(*group))
             got = bitops.expand_uniform(lowers, uppers, s)
-            assert got.T.tolist() == [list(bitops.submasks(lo, up)) for lo, up in group]
+            assert got.T.tolist() == [list(core.submasks(lo, up)) for lo, up in group]
 
     def test_expand_uniform_rejects_mixed_volumes(self):
         lowers = np.array([1, 1], np.uint32)
@@ -71,7 +71,7 @@ class TestMaskHelpers:
                     sets = [tuple(c) for b in blocks for c in b.T.tolist()]
                     assert sets == expected, (n, k, chunk)
                     masks = np.concatenate([bitops.row_masks(b, n) for b in blocks])
-                    assert masks.tolist() == [bitops.mask_of(c) for c in expected]
+                    assert masks.tolist() == [core.mask_of(c) for c in expected]
 
     @pytest.mark.parametrize("walk", ["first block", "first_absent"])
     def test_lex_combinations_stay_lazy_and_bounded(self, walk):
@@ -103,9 +103,9 @@ class TestMaskHelpers:
 
     def test_members_round_trip(self):
         for m in range(1 << 10):
-            members = bitops.members_of(m)
+            members = core.members_of(m)
             assert members == sorted(set(members))
-            assert bitops.mask_of(members) == m
+            assert core.mask_of(members) == m
 
 
 class TestLexRanks:
@@ -138,7 +138,7 @@ class TestLexRanks:
             for dtype in dtypes:
                 got = bitops.lex_ranks(np.array(masks, dtype=dtype), n, k)
                 assert got.tolist() == expected, (n, k, dtype)
-            assert [bitops.lex_rank(tuple(bitops.members_of(m)), n) for m in masks] == expected
+            assert [bitops.lex_rank(tuple(core.members_of(m)), n) for m in masks] == expected
 
     @pytest.mark.parametrize(
         "n,k,masks",

@@ -11,6 +11,7 @@ from veronese_sdepth import (
     Regime,
     bitops,
     builder,
+    core,
     build_partition,
     build_partition_k3,
     certify_layered,
@@ -404,7 +405,7 @@ class TestRankFilter:
         assert hashlib.sha256(part.lowers.tobytes() + part.uppers.tobytes()).hexdigest() == digest
 
     def test_flags_follow_ranks(self):
-        m = bitops.mask_of
+        m = core.mask_of
         covered = np.array([m([4, 5]), m([1, 2]), m([2, 5])], np.uint32)
         flags = _covered_flags(5, 2, covered)
         # lexicographic order: 12 13 14 15 23 24 25 34 35 45
@@ -414,7 +415,7 @@ class TestRankFilter:
             _covered_flags(5, 2, np.append(covered, np.uint32(m([1, 2, 3]))))
 
     def test_repeated_rank_raises(self):
-        covered = np.array([bitops.mask_of([2, 5])] * 2, np.uint32)
+        covered = np.array([core.mask_of([2, 5])] * 2, np.uint32)
         with pytest.raises(InternalCheckError, match="share a lexicographic rank"):
             _covered_flags(5, 2, covered)
 
@@ -422,7 +423,7 @@ class TestRankFilter:
     def test_out_of_range_rank_raises(self, monkeypatch, bad):
         # A negative rank would index the flags from the end; it must not.
         monkeypatch.setattr(bitops, "lex_ranks", lambda masks, n, k: np.array([bad]))
-        covered = np.array([bitops.mask_of([1, 2])], np.uint32)
+        covered = np.array([core.mask_of([1, 2])], np.uint32)
         with pytest.raises(InternalCheckError, match=r"ranks outside \[0, 10\)"):
             _covered_flags(5, 2, covered)
 
