@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 # Public name -> the module that defines it.
 _EXPORTS = {
     "BlockStructure": "blocks",
-    "Density": "blocks",
     "ValidationReport": "blocks",
     "block_structure": "blocks",
     "f_delta": "blocks",

@@ -23,15 +23,17 @@ funnels into the unique structure within |A| steps; the cycle it settles
 on winds the circle exactly once and is the answer.  The result is
 re-validated against (i)-(iv) before being returned.
 
-Densities are exact rationals; all comparisons are cross-multiplied
-integer comparisons, never floats.
+A density is a ``fractions.Fraction`` >= 1, read by ``as_density`` from an
+int, a Fraction or text such as "3/2"; floats are refused.  The chain
+walk and the per-position checks take its numerator and denominator and
+compare cross-multiplied integers, so no Fraction arithmetic runs per
+position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .core import CircularBlock, CircularSet
@@ -43,46 +45,24 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Density:
-    """An exact rational density delta = num/den >= 1."""
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self):
-        if self.den < 1 or self.num < 1:
-            raise DensityOutOfRangeError(
-                f"density must be a positive rational, got {self.num}/{self.den}"
-            )
-        g = gcd(self.num, self.den)
-        object.__setattr__(self, "num", self.num // g)
-        object.__setattr__(self, "den", self.den // g)
-        if self.num < self.den:
-            raise DensityOutOfRangeError(f"density {self} is below 1")
-
-    @classmethod
-    def coerce(cls, value: "Density | int | Fraction | str") -> "Density":
-        if isinstance(value, Density):
-            return value
-        if isinstance(value, int):
-            return cls(value)
-        if isinstance(value, Fraction):
-            return cls(value.numerator, value.denominator)
-        if isinstance(value, str):
-            num, _, den = value.partition("/")
-            return cls(int(num), int(den) if den else 1)
+def as_density(value: int | Fraction | str) -> Fraction:
+    """``value`` as an exact density delta >= 1: an int, a ``Fraction``, or
+    text that ``Fraction`` reads without an exponent, such as ``"3/2"`` or
+    ``"1.5"``.  A float is not exact and raises ``TypeError``; a zero
+    denominator or a value below 1 raises ``DensityOutOfRangeError``."""
+    if not isinstance(value, (int, Fraction, str)):
         raise TypeError(f"cannot interpret {value!r} as an exact density")
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def at_least(self, other: "Density") -> bool:
-        return self.num * other.den >= other.num * self.den
-
-    def __str__(self) -> str:
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+    # Fraction would expand an exponent such as 1e999999999 in full before
+    # any range check could refuse it.
+    if isinstance(value, str) and "e" in value.lower():
+        raise ValueError(f"density {value!r} is not an integer, a fraction or a decimal")
+    try:
+        density = value if isinstance(value, Fraction) else Fraction(value)
+    except ZeroDivisionError:
+        raise DensityOutOfRangeError(f"density {value!r} has a zero denominator") from None
+    if density.numerator < density.denominator:
+        raise DensityOutOfRangeError(f"density {density} is below 1")
+    return density
 
 
 @dataclass(frozen=True)
@@ -95,13 +75,14 @@ class BlockStructure:
     """
 
     universe: int
-    density: Density
+    density: Fraction
     blocks: tuple[CircularBlock, ...]
     gaps: tuple[CircularBlock | None, ...]
 
     def __post_init__(self):
         if len(self.blocks) != len(self.gaps) or not self.blocks:
             raise ValueError("need one (possibly empty) gap per block")
+        object.__setattr__(self, "density", as_density(self.density))
 
     def gap_positions(self) -> frozenset[int]:
         out: set[int] = set()
@@ -203,16 +184,6 @@ def chain_walk(
     return [(elems[i], b, g) for i, b, g in cycle]
 
 
-def _check_density_range(a: CircularSet, density: Density) -> None:
-    if not a.members:
-        raise EmptySetError("block structure of the empty set is undefined")
-    n = a.universe
-    if density.num * len(a) > density.den * (n - 1):
-        raise DensityOutOfRangeError(
-            f"density {density} too large: {density} * {len(a)} > {n - 1}"
-        )
-
-
 def block_structure(a: CircularSet, density) -> BlockStructure:
     """The unique block structure of ``a`` with respect to ``density``.
 
@@ -220,10 +191,15 @@ def block_structure(a: CircularSet, density) -> BlockStructure:
     a validation failure is reported as an internal error rather than
     returned.
     """
-    density = Density.coerce(density)
-    _check_density_range(a, density)
+    density = as_density(density)
+    if not a.members:
+        raise EmptySetError("block structure of the empty set is undefined")
     n = a.universe
-    chain = chain_walk(n, a.members, density.num, density.den)
+    if density.numerator * len(a) > density.denominator * (n - 1):
+        raise DensityOutOfRangeError(
+            f"density {density} too large: {density} * {len(a)} > {n - 1}"
+        )
+    chain = chain_walk(n, a.members, density.numerator, density.denominator)
     blocks = []
     gaps: list[CircularBlock | None] = []
     for start, blen, glen in chain:
@@ -252,7 +228,7 @@ def validate_block_structure(a: CircularSet, bs: BlockStructure) -> ValidationRe
             f"structure universe {bs.universe} vs set universe {a.universe}"
         )
     n = a.universe
-    num, den = bs.density.num, bs.density.den
+    num, den = bs.density.numerator, bs.density.denominator
     violations: list[str] = []
 
     well_formed = True
@@ -310,9 +286,7 @@ def validate_block_structure(a: CircularSet, bs: BlockStructure) -> ValidationRe
     cond_iv = True
     for b in bs.blocks:
         inside = 0
-        prefix = 0
-        for x in b.positions():
-            prefix += 1
+        for prefix, x in enumerate(b.positions(), start=1):
             if x in a:
                 inside += 1
             if prefix == b.length:

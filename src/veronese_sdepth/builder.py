@@ -106,7 +106,8 @@ class BuilderTrace:
 
 class IntervalPartition:
     """An ordered list of intervals over [n], stored as parallel mask arrays,
-    holding exactly what its certificate file holds.
+    holding exactly what its certificate file holds.  Its ``regime`` is
+    ``regime_of(n, d)``, computed on demand, never stored.
 
     With ``claimed_min`` None the partition is explicit: every poset set
     lies in a listed interval.  Otherwise it is compact: every set no
@@ -118,7 +119,6 @@ class IntervalPartition:
         self,
         n: int,
         d: int,
-        regime: RegimeDecomposition,
         lowers: np.ndarray,
         uppers: np.ndarray,
         claimed_min: int | None = None,
@@ -134,10 +134,13 @@ class IntervalPartition:
                 raise InvalidPartitionError(f"a lower endpoint is smaller than d={d}")
         self.n = n
         self.d = d
-        self.regime = regime
         self.lowers = lowers
         self.uppers = uppers
         self.claimed_min = claimed_min
+
+    @property
+    def regime(self) -> RegimeDecomposition:
+        return regime_of(self.n, self.d)
 
     def __len__(self) -> int:
         return len(self.lowers)
@@ -148,7 +151,6 @@ class IntervalPartition:
         return (
             self.n == other.n
             and self.d == other.d
-            and self.regime == other.regime
             and np.array_equal(self.lowers, other.lowers)
             and np.array_equal(self.uppers, other.uppers)
             and self.claimed_min == other.claimed_min
@@ -344,7 +346,6 @@ def _assemble(
     part = IntervalPartition(
         n,
         d,
-        reg,
         np.concatenate([empty, *(fam.lowers for fam in layers)]),
         np.concatenate([empty, *(fam.uppers for fam in layers)]),
         plan.min_upper,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bitops
 from .builder import IntervalPartition
-from .core import MAX_UNIVERSE, RegimeDecomposition, regime_of
+from .core import MAX_UNIVERSE, regime_of
 from .errors import PartitionFileError
 
 _HEADER_RE = re.compile(r"^n=(\d+) d=(\d+) regime=([A-Za-z0-9]+)(?: min_upper=(\d+))?$")
@@ -95,7 +95,7 @@ def write_partition_file(p: IntervalPartition, path: str) -> None:
             fh.write(_encode_rows(p.lowers[start:stop], p.uppers[start:stop], table, lengths))
 
 
-def _header_fields(header: str) -> tuple[int, int, RegimeDecomposition, int | None]:
+def _header_fields(header: str) -> tuple[int, int, int | None]:
     match = _HEADER_RE.match(header.rstrip("\n"))
     if not match:
         raise PartitionFileError(f"bad header {header!r}", lineno=1)
@@ -108,12 +108,10 @@ def _header_fields(header: str) -> tuple[int, int, RegimeDecomposition, int | No
         raise PartitionFileError(f"header needs d <= min_upper <= n, got {claim}", 1)
     if n > MAX_UNIVERSE:
         raise PartitionFileError(f"universe {n} too large", 1)
-    reg = regime_of(n, d)
-    if tag != reg.regime.value:
-        raise PartitionFileError(
-            f"regime tag {tag} does not match {reg.regime.value} for n={n}, d={d}", 1
-        )
-    return n, d, reg, claim
+    regime = regime_of(n, d).regime.value
+    if tag != regime:
+        raise PartitionFileError(f"regime tag {tag} does not match {regime} for n={n}, d={d}", 1)
+    return n, d, claim
 
 
 def _parse_side(text: str, lineno: int, n: int) -> int:
@@ -242,7 +240,7 @@ def parse_partition_file(path: str) -> IntervalPartition:
     # lone "\r" each ending a line, and line ends kept.
     with open(path, "r", encoding="ascii", newline="") as text, open(path, "rb") as body:
         header = text.readline()
-        n, d, reg, claim = _header_fields(header)
+        n, d, claim = _header_fields(header)
         lines = _LineReader(text, len(header), n, d)
         dtype = bitops.mask_dtype(n)
         lowers, uppers = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=dtype)]
@@ -253,4 +251,4 @@ def parse_partition_file(path: str) -> IntervalPartition:
                 masks = lines.parse(start, start + len(block))
             lowers.append(masks[0])
             uppers.append(masks[1])
-    return IntervalPartition(n, d, reg, np.concatenate(lowers), np.concatenate(uppers), claim)
+    return IntervalPartition(n, d, np.concatenate(lowers), np.concatenate(uppers), claim)

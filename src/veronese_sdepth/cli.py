@@ -55,7 +55,7 @@ import sys
 from importlib import import_module
 from math import comb
 
-from .blocks import Density, block_structure
+from .blocks import block_structure
 from .core import (
     DEFAULT_SWEEP_CAP,
     MATERIALIZE_LIMIT,
@@ -221,8 +221,7 @@ def cmd_blocks(args) -> int:
         print(f"blocks: n={args.n} exceeds {BLOCKS_MAX_N} positions", file=sys.stderr)
         return EXIT_USAGE
     a = CircularSet.parse(args.n, args.set)
-    density = Density.coerce(args.density)
-    bs = block_structure(a, density)
+    bs = block_structure(a, args.density)
     closure = CircularSet(args.n, set(a.members) | set(bs.gap_positions()))
     print(bs.render())
     print(f"f={closure.serialize()}")
@@ -322,7 +321,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("blocks", help="debug view of one block structure")
     sp.add_argument("-n", type=int, required=True, help=f"circle size, at most {BLOCKS_MAX_N}")
     sp.add_argument("--set", required=True, help="comma-separated members, e.g. 1,2")
-    sp.add_argument("--density", required=True, help="integer or rational, e.g. 2 or 3/2")
+    sp.add_argument("--density", required=True, help="exact, at least 1: e.g. 2, 3/2 or 1.5")
     sp.set_defaults(func=cmd_blocks)
 
     sp = sub.add_parser("oracle", help="run only the exact oracle (tiny n)")

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import bitops
-from .blocks import Density, chain_walk, f_delta
+from .blocks import as_density, chain_walk, f_delta
 from .core import CircularSet, mask_of, submasks
 from .errors import (
     InternalCheckError,
@@ -340,14 +340,14 @@ def check_mixed_density_disjoint(a: CircularSet, b: CircularSet, delta, eta) -> 
     whenever |f(A)| - |A| <= delta - 1.
     """
     a._same_universe(b)
-    delta = Density.coerce(delta)
-    eta = Density.coerce(eta)
+    delta = as_density(delta)
+    eta = as_density(eta)
     if len(a) > len(b):
         raise PreconditionViolatedError("need |A| <= |B|")
-    if not delta.at_least(eta):
+    if delta.numerator * eta.denominator < eta.numerator * delta.denominator:
         raise PreconditionViolatedError("need delta >= eta")
     fb = f_delta(b, eta)
-    tight = (len(fb) - len(b)) * eta.den <= eta.num - eta.den
+    tight = (len(fb) - len(b)) * eta.denominator <= eta.numerator - eta.denominator
     a_outside = bool(a.mask & ~b.mask)
     if not (tight and a_outside):
         return True

@@ -458,7 +458,6 @@ def parse_partition_file_per_line(path):
     return IntervalPartition(
         n,
         d,
-        reg,
         np.fromiter(lowers, dtype=dtype, count=count),
         np.fromiter(uppers, dtype=dtype, count=count),
     )
@@ -486,7 +485,6 @@ def materialize(p):
     return IntervalPartition(
         n,
         d,
-        p.regime,
         np.concatenate([p.lowers, trivial]),
         np.concatenate([p.uppers, trivial]),
     )

@@ -8,36 +8,44 @@ from veronese_sdepth import (
     BlockStructure,
     CircularBlock,
     CircularSet,
-    Density,
     DensityOutOfRangeError,
     EmptySetError,
+    PreconditionViolatedError,
     UniverseMismatchError,
     block_structure,
     check_mixed_density_disjoint,
     f_delta,
     validate_block_structure,
 )
+from veronese_sdepth.blocks import as_density
 from oracles import alternating_structures, chain_of
 
 
 class TestDensity:
     def test_coercions(self):
-        assert Density.coerce(2) == Density(2, 1)
-        assert Density.coerce("3/2") == Density(3, 2)
-        assert Density.coerce(Fraction(6, 4)) == Density(3, 2)
-        assert str(Density(3, 2)) == "3/2" and str(Density(4, 2)) == "2"
+        assert as_density(2) == Fraction(2) and type(as_density(2)) is Fraction
+        assert as_density("3/2") == as_density("6/4") == as_density("1.5") == Fraction(3, 2)
+        assert as_density(Fraction(6, 4)) == Fraction(3, 2)
+        assert str(as_density("3/2")) == "3/2" and str(as_density("4/2")) == "2"
 
     def test_rejects_below_one_and_floats(self):
-        with pytest.raises(DensityOutOfRangeError):
-            Density(1, 2)
-        with pytest.raises(DensityOutOfRangeError):
-            Density(0)
+        for value in [Fraction(1, 2), 0, "1/2", "0", "3/0", "-3/2"]:
+            with pytest.raises(DensityOutOfRangeError):
+                as_density(value)
         with pytest.raises(TypeError):
-            Density.coerce(1.5)
+            as_density(1.5)
+        # An exponent is refused before Fraction would expand it.
+        for text in ["2/", "abc", "1e3", "2E1"]:
+            with pytest.raises(ValueError):
+                as_density(text)
 
     def test_ordering(self):
-        assert Density(3, 2).at_least(Density(1))
-        assert not Density(3, 2).at_least(Density(2))
+        # The mixed-density check needs delta >= eta, compared exactly.
+        a, b = CircularSet(9, [1]), CircularSet(9, [2])
+        with pytest.raises(PreconditionViolatedError):
+            check_mixed_density_disjoint(a, b, "3/2", 2)
+        assert check_mixed_density_disjoint(a, b, 2, "3/2") is True
+        assert check_mixed_density_disjoint(a, b, "3/2", Fraction(6, 4)) is True
 
 
 class TestBlockStructure:
@@ -129,7 +137,7 @@ class TestValidateBlockStructure:
         a = CircularSet(5, [1, 2])
         forged = BlockStructure(
             5,
-            Density(2),
+            2,
             (CircularBlock(5, 1, 3),),
             (CircularBlock(5, 4, 2),),
         )
@@ -137,11 +145,50 @@ class TestValidateBlockStructure:
         assert not report.cond_iii and not report.ok
         assert "(iii)" in report.first_violation
 
+    # A block longer than delta * t also has a too sparse prefix (or a
+    # start outside the set), so (iv) fails too; (iii) is reported first.
+    @pytest.mark.parametrize(
+        "n, density, length", [(6, 2, 5), (6, "3/2", 4)], ids=["2", "3/2"]
+    )
+    def test_block_longer_than_density_allows(self, n, density, length):
+        a = CircularSet(n, [1, 2])
+        forged = BlockStructure(
+            n,
+            density,
+            (CircularBlock(n, 1, length),),
+            (CircularBlock(n, length + 1, n - length),),
+        )
+        report = validate_block_structure(a, forged)
+        assert not report.cond_iii and not report.ok
+        assert report.first_violation.startswith("(iii)")
+
+    # Each block meets (iii), but its prefix {1, 2} (density 2) or {1}
+    # (density 3/2) is too sparse to continue.
+    @pytest.mark.parametrize(
+        "n, members, density, length, prefix",
+        [(7, [1, 4], 2, 4, 2), (5, [1, 3], "3/2", 3, 1)],
+        ids=["2", "3/2"],
+    )
+    def test_sparse_prefix_violation(self, n, members, density, length, prefix):
+        a = CircularSet(n, members)
+        forged = BlockStructure(
+            n,
+            density,
+            (CircularBlock(n, 1, length),),
+            (CircularBlock(n, length + 1, n - length),),
+        )
+        report = validate_block_structure(a, forged)
+        assert report.well_formed and report.cond_i and report.cond_ii and report.cond_iii
+        assert not report.cond_iv and not report.ok
+        assert report.first_violation == (
+            f"(iv): prefix of length {prefix} in block [1..{length}] is too sparse"
+        )
+
     def test_gap_containing_member(self):
         a = CircularSet(5, [1, 2])
         forged = BlockStructure(
             5,
-            Density(2),
+            2,
             (CircularBlock(5, 1, 1),),
             (CircularBlock(5, 2, 4),),
         )
@@ -152,7 +199,7 @@ class TestValidateBlockStructure:
         a = CircularSet(5, [2, 3])
         forged = BlockStructure(
             5,
-            Density(2),
+            2,
             (CircularBlock(5, 1, 4),),
             (CircularBlock(5, 5, 1),),
         )
@@ -163,7 +210,7 @@ class TestValidateBlockStructure:
         a = CircularSet(5, [1])
         forged = BlockStructure(
             5,
-            Density(2),
+            2,
             (CircularBlock(5, 1, 2),),
             (CircularBlock(5, 3, 2),),
         )

@@ -92,7 +92,6 @@ class TestIdentity:
         part = IntervalPartition(
             n,
             1,
-            regime_of(n, 1),
             lowers.astype(dtype),
             uppers.astype(dtype),
         )

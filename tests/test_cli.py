@@ -253,6 +253,20 @@ class TestBlocks:
         code, out, _ = run(["blocks", "-n", "7", "--set", "1,3", "--density", "3/2"])
         assert code == 0
 
+    def test_density_forms(self):
+        outs = {}
+        for density in ["2", "3/2", "6/4", "1.5"]:
+            argv = ["blocks", "-n", "7", "--set", "1,3", "--density", density]
+            code, outs[density], _ = run(argv)
+            assert code == 0
+        assert outs["6/4"] == outs["1.5"] == outs["3/2"] != outs["2"]
+
+    @pytest.mark.parametrize("density", ["3/0", "1/2", "0", "abc", "2/", "1e3"])
+    def test_refused_density_forms(self, density):
+        code, out, err = run(["blocks", "-n", "7", "--set", "1,3", "--density", density])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_empty_set(self):
         code, _, _ = run(["blocks", "-n", "5", "--set", "", "--density", "2"])
         assert code == 2

@@ -62,7 +62,6 @@ def edited(p, lowers=None, uppers=None, claim=None):
     return IntervalPartition(
         p.n,
         p.d,
-        p.regime,
         lowers,
         uppers,
         p.claimed_min if claim is None else claim,

@@ -30,14 +30,13 @@ def small_partition():
 def drop_interval(p, idx):
     keep = np.ones(len(p), dtype=bool)
     keep[idx] = False
-    return IntervalPartition(p.n, p.d, p.regime, p.lowers[keep], p.uppers[keep])
+    return IntervalPartition(p.n, p.d, p.lowers[keep], p.uppers[keep])
 
 
 def duplicate_interval(p, idx):
     return IntervalPartition(
         p.n,
         p.d,
-        p.regime,
         np.concatenate([p.lowers, p.lowers[idx : idx + 1]]),
         np.concatenate([p.uppers, p.uppers[idx : idx + 1]]),
     )
@@ -49,7 +48,7 @@ def shrink_upper(p, idx):
     removable = up & ~lo
     assert removable
     uppers[idx] = up ^ (removable & -removable)
-    return IntervalPartition(p.n, p.d, p.regime, p.lowers.copy(), uppers)
+    return IntervalPartition(p.n, p.d, p.lowers.copy(), uppers)
 
 
 class TestVerifyPartition:
@@ -89,7 +88,6 @@ class TestVerifyPartition:
         tripled = IntervalPartition(
             p.n,
             p.d,
-            p.regime,
             np.concatenate([p.lowers, lo]),
             np.concatenate([p.uppers, up]),
         )
@@ -106,7 +104,7 @@ class TestVerifyPartition:
 
     def test_empty_partition(self):
         p = small_partition()
-        empty = IntervalPartition(5, 2, p.regime, p.lowers[:0], p.uppers[:0])
+        empty = IntervalPartition(5, 2, p.lowers[:0], p.uppers[:0])
         verdict = verify_partition(empty)
         assert not verdict.covers and verdict.min_upper_size == 0
 
@@ -118,7 +116,7 @@ class TestVerifyPartition:
 
         lowers = masks([1, 2], [1, 3], [1, 4])
         uppers = masks([1, 2, 3], [1, 3], [1, 4, 5])
-        sparse = IntervalPartition(30, 2, regime_of(30, 2), lowers, uppers)
+        sparse = IntervalPartition(30, 2, lowers, uppers)
         tracemalloc.start()
         try:
             verdict = verify_partition(sparse)
@@ -171,7 +169,7 @@ class TestVerifyByDefinition:
         dtype = np.uint32
         lowers = np.array([lo for lo, _ in pairs], dtype=dtype)
         uppers = np.array([up for _, up in pairs], dtype=dtype)
-        p = IntervalPartition(n, d, regime_of(n, d), lowers, uppers, claim)
+        p = IntervalPartition(n, d, lowers, uppers, claim)
         assert verify_partition(p) == verify_by_definition(p)
 
 
@@ -207,7 +205,7 @@ class TestRender:
 def overclaimed(n, d):
     """The compact build of (n, d), claiming one more than it reaches."""
     p = build_partition(n, d).partition
-    return IntervalPartition(p.n, p.d, p.regime, p.lowers, p.uppers, p.claimed_min + 1)
+    return IntervalPartition(p.n, p.d, p.lowers, p.uppers, p.claimed_min + 1)
 
 
 @pytest.mark.parametrize("use", [sdepth_of_partition, render_stanley_decomposition])
