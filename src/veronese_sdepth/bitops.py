@@ -19,6 +19,9 @@ import numpy as np
 from .core import MAX_UNIVERSE
 from .errors import InternalCheckError
 
+# Masks ranked per block by ``lex_ranks``.
+_RANK_BLOCK = 1 << 15
+
 
 def mask_dtype(n: int):
     if n > MAX_UNIVERSE:
@@ -161,22 +164,40 @@ def lex_rank(members: tuple[int, ...], n: int) -> int:
 def lex_ranks(masks: np.ndarray, n: int, k: int) -> np.ndarray:
     """``lex_rank`` of every k-subset mask of [n], as exact int64.
 
-    Pass i strips the lowest remaining bit of every mask, the (i+1)-th
-    member, and subtracts its term from C(n, k) - 1 through a table
-    indexed by bit position.  A mask that is not a k-subset of [n] is an
-    internal error: it has no rank, and a wrong one would index silently."""
-    if np.any(popcounts(masks) != k) or (
-        n < 8 * masks.dtype.itemsize and np.any(masks >> masks.dtype.type(n))
-    ):
-        raise InternalCheckError(f"a mask to rank is not a {k}-subset of [{n}]")
-    one = masks.dtype.type(1)
-    rest = masks.copy()
-    ranks = np.full(masks.shape, comb(n, k) - 1, dtype=np.int64)
-    for i in range(k):
-        terms = np.array([comb(n - 1 - bit, k - i) for bit in range(n)], dtype=np.int64)
-        low = rest & (~rest + one)
-        rest ^= low
-        ranks -= terms[popcounts(low - one)]
+    The masks are ranked ``_RANK_BLOCK`` at a time in work arrays made once
+    per call.  Pass i strips the lowest remaining bit of every mask, the
+    (i+1)-th member, takes its position as an intp index and subtracts
+    the member's term from C(n, k) - 1 through a table indexed by bit
+    position.  A mask that is not a k-subset of [n] is an internal error:
+    it has no rank, and a wrong one would index silently."""
+    t = masks.dtype.type
+    terms = np.array(
+        [[comb(n - 1 - bit, k - i) for bit in range(n)] for i in range(k)], dtype=np.int64
+    )
+    ranks = np.empty(masks.shape, dtype=np.int64)
+    width = min(masks.size, _RANK_BLOCK)
+    rest_buf, low_buf = np.empty(width, masks.dtype), np.empty(width, masks.dtype)
+    bit_buf, term_buf = np.empty(width, np.intp), np.empty(width, np.int64)
+    for lo in range(0, masks.size, _RANK_BLOCK):
+        block, out = masks[lo : lo + _RANK_BLOCK], ranks[lo : lo + _RANK_BLOCK]
+        m = block.size
+        rest, low, bit, term = rest_buf[:m], low_buf[:m], bit_buf[:m], term_buf[:m]
+        np.bitwise_count(block, out=bit)
+        if np.any(bit != k) or (n < 8 * masks.dtype.itemsize and np.any(block >> t(n))):
+            raise InternalCheckError(f"a mask to rank is not a {k}-subset of [{n}]")
+        out.fill(comb(n, k) - 1)
+        np.copyto(rest, block)
+        for i in range(k):
+            # rest & -rest (two's complement) is the lowest bit of rest.
+            np.negative(rest, out=low)
+            low &= rest
+            rest ^= low
+            low -= t(1)
+            np.bitwise_count(low, out=bit)
+            # Every position is below n (checked above), so "clip" never
+            # clips; unlike "raise" it writes into ``term`` unbuffered.
+            np.take(terms[i], bit, out=term, mode="clip")
+            out -= term
     return ranks
 
 
@@ -192,20 +213,32 @@ def first_absent(n: int, k: int, sorted_table: np.ndarray) -> tuple[int, ...] | 
     return None
 
 
-def expand_uniform(lowers: np.ndarray, uppers: np.ndarray, s: int) -> np.ndarray:
+def expand_uniform(
+    lowers: np.ndarray, uppers: np.ndarray, s: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Every member of every interval [lowers[i], uppers[i]] of volume 2^s,
     as a 2^s x N array; column i runs from ``uppers[i]`` down to
     ``lowers[i]`` in the order of ``core.submasks``.
 
-    The members are the s-bit counters scattered into the diff bits: each
-    pass takes the lowest remaining diff bit, which ranks above every bit
-    placed so far, so the members holding it come first.  A pass doubles
-    the rows filled so far in place, copying them below and setting the
-    bit in the originals."""
+    With ``out`` the members are written into it and it is returned; it
+    must be a 2^s x N array of the masks' dtype, such as a reshaped slice
+    of a larger member buffer, so that nothing else is allocated for
+    them.  The members are the s-bit counters scattered into the diff
+    bits: each pass takes the lowest remaining diff bit, which ranks
+    above every bit placed so far, so the members holding it come first.
+    A pass doubles the rows filled so far in place, copying them below
+    and setting the bit in the originals."""
     diff = uppers & ~lowers
     if np.any(popcounts(diff) != s):
         raise ValueError(f"not every interval has volume 2^{s}")
-    out = np.empty((1 << s, len(lowers)), dtype=lowers.dtype)
+    shape = (1 << s, len(lowers))
+    if out is None:
+        out = np.empty(shape, dtype=lowers.dtype)
+    elif out.shape != shape or out.dtype != lowers.dtype:
+        raise ValueError(
+            f"the output for {shape[1]} intervals of volume 2^{s} must be "
+            f"{shape[0]} x {shape[1]} {lowers.dtype}, not {out.shape} {out.dtype}"
+        )
     out[0] = lowers
     for t in range(s):
         low = diff & (~diff + diff.dtype.type(1))

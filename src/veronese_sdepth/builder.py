@@ -307,17 +307,19 @@ def _run_layers(
 def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:
     """One flag per ``level``-subset of [n], at its lexicographic rank,
     set for each of the ``covered`` sets, which all have this size.  The
-    flags are as many as the sweep's candidates.  A rank outside the
-    level, or two sets of one rank, is an internal error rather than a
-    wrapped or merged index."""
-    ranks = bitops.lex_ranks(covered, n, level)
+    flags are as many as the sweep's candidates, and are set ``_CHUNK``
+    covered sets at a time, so only a block of ranks exists at once.  A
+    rank outside the level, or two sets of one rank, is an internal error
+    rather than a wrapped or merged index."""
     flags = np.zeros(comb(n, level), dtype=bool)
-    if ranks.size and (int(ranks.min()) < 0 or int(ranks.max()) >= flags.size):
-        raise InternalCheckError(
-            f"a covered {level}-set ranks outside [0, {flags.size}) in the sweep"
-        )
-    flags[ranks] = True
-    if np.count_nonzero(flags) != ranks.size:
+    for lo in range(0, covered.size, _CHUNK):
+        ranks = bitops.lex_ranks(covered[lo : lo + _CHUNK], n, level)
+        if ranks.size and (int(ranks.min()) < 0 or int(ranks.max()) >= flags.size):
+            raise InternalCheckError(
+                f"a covered {level}-set ranks outside [0, {flags.size}) in the sweep"
+            )
+        flags[ranks] = True
+    if np.count_nonzero(flags) != covered.size:
         raise InternalCheckError(f"two covered {level}-sets share a lexicographic rank")
     return flags
 

@@ -1,10 +1,13 @@
 """Independent certification of partitions, and report assembly.
 
 ``verify_partition`` recomputes everything from the interval list alone:
-it expands every listed interval into its member masks (uniform-volume
-expansions, in blocks, into one array), sorts them once, and
-checks that no mask repeats (disjointness, with the offending pair on
-failure).  It counts the members per size from the interval list (an
+it expands every listed interval into its member masks, sorts them once,
+and checks that no mask repeats (disjointness, with the offending pair on
+failure).  The interval list is scanned in fixed blocks, and each block's
+intervals of one volume are expanded straight into their slot of one
+member array of the listed volume, so the working set beyond that array
+is a few blocks; the sorted members are scanned for repeats block by
+block too.  It counts the members per size from the interval list (an
 interval with lower size a and volume 2^s holds C(s, j - a) sets of size
 j), subtracts the repeats, and checks each count against C(n, j).  An
 explicit partition must cover every size; the first missing set is looked
@@ -44,8 +47,10 @@ from .core import (
 from .errors import InternalCheckError, InvalidPartitionError
 from .oracle import DEFAULT_ORACLE_BUDGET, exact_sdepth
 
-# Members expanded per block by the verifier.
-_EXPAND_MEMBERS = 1 << 18
+# Intervals the verifier expands per block, and sorted members it scans
+# per block for repeats.
+_INTERVAL_BLOCK = 1 << 14
+_SCAN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,13 +83,12 @@ def verify_partition(p: IntervalPartition) -> VerificationVerdict:
     n, d, claim = p.n, p.d, p.claimed_min
     members, counts = _members(p)
     members.sort()
-    dup = np.flatnonzero(members[1:] == members[:-1])
-    disjoint = not dup.size
-    overlap_witness = None if disjoint else _overlap_witness(p, int(members[dup[0]]))
+    shared, repeats = _repeats(members, n)
+    disjoint = shared is None
+    overlap_witness = None if disjoint else _overlap_witness(p, shared)
     # The members are subsets of [n] of size >= d, and a set listed r
     # times repeats r - 1 times, so a size is covered iff its count less
     # its repeats is C(n, size).
-    repeats = np.bincount(bitops.popcounts(members[dup]), minlength=n + 1).tolist()
     missing = [comb(n, k) - counts[k] + repeats[k] for k in range(d, n + 1)]
     first = next((d + i for i, m in enumerate(missing) if m), None)
 
@@ -110,30 +114,55 @@ def verify_partition(p: IntervalPartition) -> VerificationVerdict:
 
 def _members(p: IntervalPartition) -> tuple[np.ndarray, list[int]]:
     """Every member of every interval, unsorted, and how many members have
-    each size 0 .. n, repeats included.  The intervals are expanded in
-    groups of equal volume, a few hundred thousand members at a time,
-    straight into one array of the listed volume.  The sizes are counted
-    from the interval list: an interval with lower size a and volume 2^s
-    holds C(s, j - a) sets of size j."""
-    diffs = bitops.popcounts(p.uppers & ~p.lowers)
+    each size 0 .. n, repeats included.  The interval list is scanned in
+    blocks of ``_INTERVAL_BLOCK``; a block's intervals of one volume 2^s
+    are compressed out of it and ``bitops.expand_uniform`` writes their
+    members straight into the next 2^s x N slot of one array of the
+    listed volume, so no index array, gathered copy or member temporary
+    outlives a block.  The sizes are counted from the interval list: an
+    interval with lower size a and volume 2^s holds C(s, j - a) sets of
+    size j."""
+    n = p.n
     out = np.empty(p.volume(), dtype=p.lowers.dtype)
-    sizes = [0] * (p.n + 1)
+    # lower_sizes[s, a]: the intervals of volume 2^s and lower size a.
+    lower_sizes = np.zeros((n + 1, n + 1), dtype=np.int64)
     at = 0
-    for s in np.unique(diffs).tolist():
-        sel = np.flatnonzero(diffs == s)
-        step = max(1, _EXPAND_MEMBERS >> s)
-        lower_sizes = np.zeros(p.n + 1, dtype=np.int64)
-        for lo in range(0, len(sel), step):
-            idx = sel[lo : lo + step]
-            lower_sizes += np.bincount(bitops.popcounts(p.lowers[idx]), minlength=p.n + 1)
-            block = bitops.expand_uniform(p.lowers[idx], p.uppers[idx], s)
-            out[at : at + block.size] = block.ravel()
-            at += block.size
-        for a, count in enumerate(lower_sizes.tolist()):
+    for lo in range(0, len(p), _INTERVAL_BLOCK):
+        lowers = p.lowers[lo : lo + _INTERVAL_BLOCK]
+        uppers = p.uppers[lo : lo + _INTERVAL_BLOCK]
+        diffs = bitops.popcounts(uppers & ~lowers)
+        for s in np.flatnonzero(np.bincount(diffs)).tolist():
+            pick = diffs == s
+            lows = lowers[pick]
+            end = at + (lows.size << s)
+            slot = out[at:end].reshape(1 << s, lows.size)
+            bitops.expand_uniform(lows, uppers[pick], s, out=slot)
+            lower_sizes[s] += np.bincount(bitops.popcounts(lows), minlength=n + 1)
+            at = end
+    sizes = [0] * (n + 1)
+    for s, row in enumerate(lower_sizes.tolist()):
+        for a, count in enumerate(row):
             if count:
                 for t in range(s + 1):
                     sizes[a + t] += count * comb(s, t)
     return out, sizes
+
+
+def _repeats(members: np.ndarray, n: int) -> tuple[Optional[int], list[int]]:
+    """The smallest mask that repeats in the ascending ``members`` (None if
+    none does), and how many repeats each size 0 .. n has.  Adjacent pairs
+    are compared ``_SCAN_BLOCK`` at a time, each block reaching one member
+    into the next, so a repeat across a block edge is counted once."""
+    shared = None
+    repeats = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, members.size - 1, _SCAN_BLOCK):
+        block = members[lo : lo + _SCAN_BLOCK + 1]
+        dup = block[1:][block[1:] == block[:-1]]
+        if dup.size:
+            if shared is None:
+                shared = int(dup[0])
+            repeats += np.bincount(bitops.popcounts(dup), minlength=n + 1)
+    return shared, repeats.tolist()
 
 
 def _overlap_witness(p: IntervalPartition, mask: int) -> tuple[int, int, CircularSet]:

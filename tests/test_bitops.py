@@ -61,6 +61,28 @@ class TestMaskHelpers:
         with pytest.raises(ValueError):
             bitops.expand_uniform(lowers, uppers, 1)
 
+    def test_expand_uniform_writes_exactly_its_output_view(self):
+        lowers = np.array([0b0011, 0b0101, 0b1000], np.uint64)
+        uppers = np.array([0b1111, 0b1111, 0b1110], np.uint64)
+        sentinel = np.uint64(2**64 - 1)
+        buffer = np.full(2 + 4 * 3 + 2, sentinel, np.uint64)
+        view = buffer[2:-2].reshape(4, 3)
+        got = bitops.expand_uniform(lowers, uppers, 2, out=view)
+        assert got is view
+        assert np.array_equal(got, bitops.expand_uniform(lowers, uppers, 2))
+        assert buffer[:2].tolist() == buffer[-2:].tolist() == [int(sentinel)] * 2
+
+    @pytest.mark.parametrize(
+        "shape,dtype", [((3, 4), np.uint64), ((4, 2), np.uint64), ((4, 3), np.uint32)]
+    )
+    def test_expand_uniform_refuses_a_misshaped_output(self, shape, dtype):
+        lowers = np.array([0b0011, 0b0101, 0b1000], np.uint64)
+        uppers = np.array([0b1111, 0b1111, 0b1110], np.uint64)
+        out = np.zeros(shape, dtype)
+        with pytest.raises(ValueError, match="must be 4 x 3 uint64"):
+            bitops.expand_uniform(lowers, uppers, 2, out=out)
+        assert not out.any()
+
     def test_lex_combinations_match_itertools(self):
         for n in range(1, 13):
             for k in range(n + 1):
@@ -139,6 +161,23 @@ class TestLexRanks:
                 got = bitops.lex_ranks(np.array(masks, dtype=dtype), n, k)
                 assert got.tolist() == expected, (n, k, dtype)
             assert [bitops.lex_rank(tuple(core.members_of(m)), n) for m in masks] == expected
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 64])
+    def test_match_lex_rank_across_block_edges(self, monkeypatch, n):
+        # Blocks of 3 masks: every block reuses the work arrays the first
+        # one filled, and the last block is short.
+        monkeypatch.setattr(bitops, "_RANK_BLOCK", 3)
+        rng = np.random.default_rng(100 + n)
+        for k in sorted({1, 2, n // 3, n - 1}):
+            masks = [
+                sum(1 << int(b) for b in rng.choice(n, size=k, replace=False)) for _ in range(11)
+            ]
+            got = bitops.lex_ranks(np.array(masks, dtype=bitops.mask_dtype(n)), n, k)
+            assert got.tolist() == [bitops.lex_rank(tuple(core.members_of(m)), n) for m in masks]
+            # A mask that is not a k-subset is refused in a later block too.
+            bad = np.array(masks + [(1 << (k + 1)) - 1], dtype=bitops.mask_dtype(n))
+            with pytest.raises(InternalCheckError, match=f"not a {k}-subset"):
+                bitops.lex_ranks(bad, n, k)
 
     @pytest.mark.parametrize(
         "n,k,masks",

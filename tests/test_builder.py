@@ -419,6 +419,18 @@ class TestRankFilter:
         with pytest.raises(InternalCheckError, match="share a lexicographic rank"):
             _covered_flags(5, 2, covered)
 
+    def test_flags_do_not_depend_on_the_block_edges(self, monkeypatch):
+        # 2 covered sets per block: the range check runs on every block,
+        # and a rank shared across two blocks is still caught.
+        covered = np.array([core.mask_of(c) for c in combinations(range(1, 8), 3)], np.uint32)
+        keep = covered[::3]
+        expected = _covered_flags(7, 3, keep)
+        monkeypatch.setattr(builder, "_CHUNK", 2)
+        assert np.array_equal(_covered_flags(7, 3, keep), expected)
+        assert np.flatnonzero(expected).tolist() == list(range(0, 35, 3))
+        with pytest.raises(InternalCheckError, match="share a lexicographic rank"):
+            _covered_flags(7, 3, np.append(keep, keep[0]))
+
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_out_of_range_rank_raises(self, monkeypatch, bad):
         # A negative rank would index the flags from the end; it must not.

@@ -8,11 +8,13 @@ from oracles import exact_sdepth_unrestricted, materialize, verify_by_definition
 import veronese_sdepth.verify as verify_module
 
 from veronese_sdepth import (
+    DEFAULT_SWEEP_CAP,
     CircularSet,
     IntervalPartition,
     InvalidPartitionError,
     build_partition,
     build_partition_k3,
+    certify_layered,
     conjectured_sdepth,
     exact_sdepth,
     regime_of,
@@ -157,20 +159,62 @@ def listed_partitions(draw):
     return n, d, pairs, claim
 
 
+def check_against_the_definition(case):
+    n, d, pairs, claim = case
+    dtype = np.uint32
+    lowers = np.array([lo for lo, _ in pairs], dtype=dtype)
+    uppers = np.array([up for _, up in pairs], dtype=dtype)
+    p = IntervalPartition(n, d, lowers, uppers, claim)
+    assert verify_partition(p) == verify_by_definition(p)
+
+
+# (5, 2) with its first interval listed three times: every member of it
+# repeats twice, and so does {1, 2} among the 2-sets.
+TRIPLED = [(0b11, 0b10011)] * 3 + [(0b101, 0b10101)]
+
+
 class TestVerifyByDefinition:
     @given(listed_partitions())
     @settings(max_examples=300, deadline=None)
-    # (5, 2) with its first interval listed three times: every member of
-    # it repeats twice, and so does {1, 2} among the 2-sets.
-    @example((5, 2, [(0b11, 0b10011)] * 3 + [(0b101, 0b10101)], None))
-    @example((5, 2, [(0b11, 0b10011)] * 3 + [(0b101, 0b10101)], 3))
+    @example((5, 2, TRIPLED, None))
+    @example((5, 2, TRIPLED, 3))
     def test_counts_and_witnesses_match_the_definition(self, case):
-        n, d, pairs, claim = case
-        dtype = np.uint32
-        lowers = np.array([lo for lo, _ in pairs], dtype=dtype)
-        uppers = np.array([up for _, up in pairs], dtype=dtype)
-        p = IntervalPartition(n, d, lowers, uppers, claim)
-        assert verify_partition(p) == verify_by_definition(p)
+        check_against_the_definition(case)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @given(case=listed_partitions())
+    @settings(max_examples=150, deadline=None)
+    @example(case=(5, 2, TRIPLED, None))
+    @example(case=(5, 2, TRIPLED, 3))
+    def test_block_edges_change_nothing(self, block, case):
+        # Interval blocks of 1 or 3 split the runs of mixed volumes, and
+        # scan blocks that small put a repeat across two of them.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify_module, "_INTERVAL_BLOCK", block)
+            patch.setattr(verify_module, "_SCAN_BLOCK", block)
+            check_against_the_definition(case)
+
+
+@pytest.mark.parametrize(
+    "n,d", [(25, 5), (29, 1), (30, 2), (23, 5)], ids=["25-5", "29-1", "30-2", "k3-5"]
+)
+def test_verifier_working_set_is_its_member_array(n, d):
+    # What verify_partition allocates beyond the partition it is given:
+    # the sorted member array of the listed volume, plus blocks.
+    if n == 4 * d + 3:
+        p = build_partition_k3(d).partition
+    else:
+        p = certify_layered(n, d, cap=DEFAULT_SWEEP_CAP, use_k3=False).partition
+    # A first call's one-time allocations are not the working set.
+    verify_partition(small_partition())
+    tracemalloc.start()
+    try:
+        verdict = verify_partition(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.ok
+    assert peak <= p.volume() * p.lowers.dtype.itemsize + 2 * 2**20
 
 
 class TestSdepthOfPartition:
