@@ -64,6 +64,7 @@ _EXPORTS = {
     "render_stanley_decomposition": "verify",
     "sdepth_of_partition": "verify",
     "sdepth_report": "verify",
+    "select_build": "verify",
     "verify_partition": "verify",
 }
 

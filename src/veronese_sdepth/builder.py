@@ -77,13 +77,6 @@ from .lifting import (
 _CHUNK = 1 << 15
 
 
-def within_cap(n: int, cap: int) -> bool:
-    """True when ``report``, ``build`` and ``table`` run the build of [n]
-    within ``cap``: no layer sweeps more than the largest level,
-    C(n, ceil(n/2)), and n is at most ``MATERIALIZE_LIMIT``."""
-    return n <= MATERIALIZE_LIMIT and comb(n, (n + 1) // 2) <= cap
-
-
 @dataclass(frozen=True)
 class LayerTrace:
     tag: str
@@ -91,11 +84,10 @@ class LayerTrace:
     density: int
     candidates: int
     selected: int
-    discarded: int
 
-    def __post_init__(self):
-        if self.selected + self.discarded != self.candidates:
-            raise InternalCheckError("layer trace counts are inconsistent")
+    @property
+    def discarded(self) -> int:
+        return self.candidates - self.selected
 
 
 @dataclass(frozen=True)
@@ -298,9 +290,7 @@ def _run_layers(
                 kept[j].append(members[added == j - level].ravel())
         tag = f"I[{n},{level},{s + 1}]"
         layers.append(IntervalFamily(n, lowers, uppers))
-        traces.append(
-            LayerTrace(tag, level, s + 1, candidates, len(lowers), candidates - len(lowers))
-        )
+        traces.append(LayerTrace(tag, level, s + 1, candidates, len(lowers)))
     return layers, traces
 
 

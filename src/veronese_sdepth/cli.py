@@ -62,9 +62,6 @@ from .core import (
     MAX_UNIVERSE,
     CircularSet,
     conjectured_sdepth,
-    k3_band_exact,
-    regime_of,
-    sdepth_upper_bound,
 )
 from .errors import InternalCheckError, InvalidPartitionError, SdepthError
 from .oracle import DEFAULT_ORACLE_BUDGET, exact_sdepth
@@ -75,16 +72,16 @@ from .oracle import DEFAULT_ORACLE_BUDGET, exact_sdepth
 # lookup (``cli.sdepth_report``) binds them too, so those two commands,
 # ``--help`` and usage errors never import numpy.  A name already bound is
 # left alone, so a wrapper set on this module stays the one the commands
-# call.
+# call.  The commands build through ``select_build``; the two construction
+# names stay bound only because ``perfbench/tracing.py`` wraps them here.
 _DEFERRED = {
     "build_partition": "builder",
     "build_partition_k3": "builder",
-    "certify_layered": "builder",
-    "within_cap": "builder",
     "parse_partition_file": "certfile",
     "write_partition_file": "certfile",
     "failure_lines": "verify",
     "sdepth_report": "verify",
+    "select_build": "verify",
     "verify_build": "verify",
     "verify_partition": "verify",
 }
@@ -147,10 +144,7 @@ def cmd_build(args) -> int:
     if args.k3 and n != 4 * d + 3:
         print(f"--k3 requires n = 4d + 3 = {4 * d + 3}, got n={n}", file=sys.stderr)
         return EXIT_USAGE
-    if within_cap(n, args.cap):
-        built = build_partition_k3(d) if args.k3 else build_partition(n, d)
-    else:
-        built = certify_layered(n, d, cap=args.cap, use_k3=args.k3)
+    built, _ = select_build(n, d, args.cap, args.k3)
     if built is None:
         why = (
             f"n={n} is wider than a mask holds ({MAX_UNIVERSE})"
@@ -201,18 +195,12 @@ def cmd_table(args) -> int:
         for n in range(n_lo, n_hi + 1):
             if n < d:
                 continue
-            reg = regime_of(n, d)
-            conjectured = conjectured_sdepth(n, d)
-            upper = sdepth_upper_bound(n, d)
-            if not within_cap(n, args.cap):
-                band = k3_band_exact(n, d)
-                cert = "" if band is None else str(band)
-                verified = "SKIPPED(cap)"
-            else:
-                rep = sdepth_report(n, d, cap=args.cap)
-                cert = "" if rep.certified_lower is None else str(rep.certified_lower)
-                verified = "yes" if rep.verified else "no"
-            print(f"{n},{d},{reg.regime.value},{conjectured},{cert},{upper},{verified}")
+            rep = sdepth_report(n, d, cap=args.cap)
+            cert = "" if rep.certified_lower is None else str(rep.certified_lower)
+            print(
+                f"{n},{d},{rep.regime.regime.value},{rep.conjectured},{cert},"
+                f"{rep.upper_bound_formula},{'yes' if rep.verified else 'no'}"
+            )
     return EXIT_OK
 
 
@@ -275,11 +263,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help=f"enumeration cap, default {DEFAULT_SWEEP_CAP}: {bounds}",
         )
 
-    within = (
-        f"n is within the cap when C(n, ceil(n/2)) <= CAP and n <= {MATERIALIZE_LIMIT} "
-        "(within_cap)"
-    )
-
     sp = sub.add_parser("report", help="bounds and certification for one instance")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-d", type=int, required=True)
@@ -288,7 +271,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--oracle-budget", type=_positive_int, default=DEFAULT_ORACLE_BUDGET
     )
     picks_build = (
-        f"picks the build: {within}, the construction; beyond it, the layered "
+        f"picks the build (select_build): when C(n, ceil(n/2)) <= CAP and "
+        f"n <= {MATERIALIZE_LIMIT}, the construction; otherwise the layered "
         "build, whose sweep estimate, the sum of C(n, level) * (2^s + 1) over "
         "the plan's layers, must not exceed CAP; either result is verified"
     )
@@ -315,7 +299,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="CSV of bounds over ranges")
     sp.add_argument("--d-range", type=_range_arg, required=True)
     sp.add_argument("--n-range", type=_range_arg, required=True)
-    add_cap(sp, f"{within}; beyond it, the row reads SKIPPED(cap)")
+    add_cap(sp, f"each row is report's for the same n, d and CAP, which {picks_build}")
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("blocks", help="debug view of one block structure")

@@ -31,8 +31,8 @@ MAX_UNIVERSE = 64
 
 DEFAULT_SWEEP_CAP = 5_000_000
 
-# The largest n that ``builder.within_cap`` admits; 2^26 also bounds the
-# layered sweep of a default build.
+# The largest n that ``verify.select_build`` gives the construction rather
+# than the layered build; 2^26 also bounds the construction's sweep.
 MATERIALIZE_LIMIT = 26
 
 

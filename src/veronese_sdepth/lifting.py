@@ -47,10 +47,11 @@ class LiftParams:
 def validate_lift_params(n: int, level_size: int, s: int) -> LiftParams:
     """Check admissibility of (n, level_size, s) and compute m = (n+1)s + n.
 
-    s must satisfy s <= floor((n - level_size) / (level_size + 1)); then
-    m > n, (s+1) * n <= m - 1 and
-    (m - n) / (s + 1) <= n - level_size < m - n all hold, and a violation
-    of any of them is an internal error.
+    s must satisfy s <= floor((n - level_size) / (level_size + 1)).  The
+    lift's size facts then hold without a check: m > n and
+    (s+1) * n <= m - 1 because s >= 1; (m - n) / (s + 1) <= n - level_size
+    is s <= (n - level_size) / (level_size + 1) again; and
+    n - level_size <= n - 1 < (n+1)s = m - n.
     """
     if not 1 <= level_size < n:
         raise PreconditionViolatedError(
@@ -63,14 +64,7 @@ def validate_lift_params(n: int, level_size: int, s: int) -> LiftParams:
         raise SOutOfRangeError(
             f"s={s} exceeds floor((n - level_size)/(level_size + 1)) = {cap}"
         )
-    m = (n + 1) * s + n
-    if not (m > n and (s + 1) * n <= m - 1):
-        raise InternalCheckError(f"lift size checks failed for n={n}, s={s}")
-    if not ((n + 1) * s <= (n - level_size) * (s + 1) and n - level_size < m - n):
-        raise InternalCheckError(
-            f"padding bounds failed for n={n}, level_size={level_size}, s={s}"
-        )
-    return LiftParams(n, level_size, s, m)
+    return LiftParams(n, level_size, s, (n + 1) * s + n)
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,9 @@ class PosetInterval:
 
 
 def lift(a: CircularSet, params: LiftParams) -> CircularSet:
-    """Pad ``a`` with the run n+1, ..., 2n - level_size inside [m]."""
+    """Pad ``a`` with the run n+1, ..., 2n - level_size inside [m]: its
+    level_size members and the n - level_size padding members, all above
+    n, make an n-set."""
     if a.universe != params.n:
         raise UniverseMismatchError(
             f"set lives on [{a.universe}], lift expects [{params.n}]"
@@ -128,10 +124,7 @@ def lift(a: CircularSet, params: LiftParams) -> CircularSet:
         )
     n = params.n
     padded = a.members + tuple(range(n + 1, 2 * n - params.level_size + 1))
-    lifted = CircularSet(params.m, padded)
-    if len(lifted) != n:
-        raise InternalCheckError(f"lifted set has size {len(lifted)}, expected {n}")
-    return lifted
+    return CircularSet(params.m, padded)
 
 
 def closure_upper_mask(n: int, level_size: int, s: int, members: tuple[int, ...]) -> int:

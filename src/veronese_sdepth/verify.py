@@ -27,14 +27,15 @@ import numpy as np
 
 from . import bitops
 from .builder import (
+    Build,
     IntervalPartition,
     build_partition,
     build_partition_k3,
     certify_layered,
-    within_cap,
 )
 from .core import (
     DEFAULT_SWEEP_CAP,
+    MATERIALIZE_LIMIT,
     CircularSet,
     RegimeDecomposition,
     conjectured_sdepth,
@@ -44,7 +45,7 @@ from .core import (
     regime_of,
     sdepth_upper_bound,
 )
-from .errors import InternalCheckError, InvalidPartitionError
+from .errors import InternalCheckError, InvalidPartitionError, PreconditionViolatedError
 from .oracle import DEFAULT_ORACLE_BUDGET, exact_sdepth
 
 # Intervals the verifier expands per block, and sorted members it scans
@@ -275,6 +276,23 @@ class SdepthReport:
         return self.certified_lower == self.upper_bound_formula
 
 
+def select_build(n: int, d: int, cap: int, k3: bool) -> tuple[Build | None, str]:
+    """The build ``report``, ``build`` and ``table`` certify from, and its
+    label.  When n <= ``MATERIALIZE_LIMIT`` and C(n, ceil(n/2)) <= ``cap``,
+    it is the construction with the default sweep cap (``construction``,
+    or ``construction-k3`` with ``k3``, which needs n = 4d + 3); otherwise
+    it is ``certify_layered`` with its sweep bounded by ``cap``
+    (``layered``), None when that sweep exceeds it.  The builds are this
+    module's bindings, so a wrapper set on them sees every build."""
+    if k3 and n != 4 * d + 3:
+        raise PreconditionViolatedError(f"the k3 construction needs n = 4d + 3, got n={n}")
+    if n <= MATERIALIZE_LIMIT and comb(n, (n + 1) // 2) <= cap:
+        if k3:
+            return build_partition_k3(d), "construction-k3"
+        return build_partition(n, d), "construction"
+    return certify_layered(n, d, cap=cap, use_k3=k3), "layered"
+
+
 def sdepth_report(
     n: int,
     d: int,
@@ -285,25 +303,18 @@ def sdepth_report(
     """Assemble the report: closed-form values plus the best certified
     lower bound the builder can produce within ``cap``.
 
-    Within ``within_cap`` the construction is built with the default
-    sweep cap (``construction``, ``construction-k3``); beyond it the
-    layered sweep must stay within ``cap`` (``layered``).  Either way the
-    certified number is the minimum ``verify_partition`` re-derives.  On
-    the band 4d+3 <= n <= 5d+3 the dedicated construction pins the exact
-    value d + 3 (built and verified at the left end, carried across the
-    band by containment monotonicity), so the certified bound is at least
-    that there.
+    The build is ``select_build``'s, with the k3 construction at
+    n = 4d + 3; ``certification`` is its label, or ``none`` when the
+    layered sweep exceeds ``cap``.  The certified number is the minimum
+    ``verify_partition`` re-derives.  On the band 4d+3 <= n <= 5d+3 the
+    dedicated construction pins the exact value d + 3 (built and verified
+    at the left end, carried across the band by containment
+    monotonicity), so the certified bound is at least that there.
     """
     reg = regime_of(n, d)
     conjectured = conjectured_sdepth(n, d)
     upper = sdepth_upper_bound(n, d)
-    k3_here = n == 4 * d + 3
-    if within_cap(n, cap):
-        built = build_partition_k3(d) if k3_here else build_partition(n, d)
-        how = "construction-k3" if k3_here else "construction"
-    else:
-        built = certify_layered(n, d, cap=cap, use_k3=k3_here)
-        how = "layered"
+    built, how = select_build(n, d, cap, n == 4 * d + 3)
     certified: int | None = None
     if built is None:
         how = "none"

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import materialize
-from veronese_sdepth import build_partition, regime_of
+from veronese_sdepth import DEFAULT_SWEEP_CAP, build_partition, regime_of
 from veronese_sdepth.cli import main, parse_partition_file, write_partition_file
+from veronese_sdepth.verify import select_build
 from veronese_sdepth.errors import PartitionFileError
 
 
@@ -140,6 +141,14 @@ class TestBuildVerify:
         code, out, _ = run(["verify", "--in", str(out_file)])
         assert code == 0 and out.endswith(" min_upper_size=6\n")
 
+    @pytest.mark.parametrize("n,d,k3", [(19, 4, False), (19, 4, True), (30, 1, False)])
+    def test_build_writes_the_selected_partition(self, tmp_path, n, d, k3):
+        out_file = tmp_path / "p.txt"
+        argv = ["build", "-n", str(n), "-d", str(d), "--out", str(out_file)]
+        code, _, _ = run(argv + (["--k3"] if k3 else []))
+        built, _ = select_build(n, d, DEFAULT_SWEEP_CAP, k3)
+        assert code == 0 and parse_partition_file(str(out_file)) == built.partition
+
     def test_layered_sweep_beyond_the_cap_is_refused(self, tmp_path):
         out_file = tmp_path / "p.txt"
         code, out, err = run(["build", "-n", "35", "-d", "2", "--out", str(out_file)])
@@ -222,7 +231,25 @@ class TestTable:
         keys = [(int(l.split(",")[1]), int(l.split(",")[0])) for l in lines]
         assert keys == sorted(keys)
         assert all(l.split(",")[0] >= l.split(",")[1] for l in lines)
-        assert any("SKIPPED(cap)" in l for l in lines)
+        for line in lines:
+            n, d, _, _, cert, _, verified = line.split(",")
+            _, rep_out, _ = run(["report", "-n", n, "-d", d, "--cap", "3"])
+            report = machine_lines(rep_out)
+            assert (cert or "none", verified) == (
+                report["certified_lower"], report["verified"]
+            ), line
+        assert "4,2,TrivialRange,2,2,2,yes" in lines
+
+    def test_rows_beyond_26_match_report(self):
+        code, out, _ = run(["table", "--d-range", "1..2", "--n-range", "29..30"])
+        assert code == 0 and "SKIPPED" not in out
+        rows = {tuple(l.split(",")[:2]): l.split(",") for l in out.strip().splitlines()[1:]}
+        for n, d in [("29", "1"), ("30", "2")]:
+            _, rep_out, _ = run(["report", "-n", n, "-d", d])
+            report = machine_lines(rep_out)
+            keys = ["regime", "conjectured", "certified_lower", "upper_bound", "verified"]
+            assert rows[n, d][2:] == [report[k] for k in keys]
+        assert rows["29", "1"] == "29,1,Large,15,6,15,no".split(",")
 
     def test_bad_range(self):
         code, _, _ = run(["table", "--d-range", "2..1", "--n-range", "1..4"])

@@ -12,6 +12,7 @@ from veronese_sdepth import (
     CircularSet,
     IntervalPartition,
     InvalidPartitionError,
+    PreconditionViolatedError,
     build_partition,
     build_partition_k3,
     certify_layered,
@@ -21,6 +22,7 @@ from veronese_sdepth import (
     render_stanley_decomposition,
     sdepth_of_partition,
     sdepth_report,
+    select_build,
     verify_partition,
 )
 
@@ -373,6 +375,25 @@ class TestSdepthReport:
         assert rep.certification == how
         assert len(built) == len(checked) == 1 and checked[0] is built[0]
         assert rep.certified_lower == built[0].claimed_min
+
+    @pytest.mark.parametrize(
+        "n,d,cap,how",
+        [
+            (24, 11, DEFAULT_SWEEP_CAP, "construction"),
+            (26, 1, DEFAULT_SWEEP_CAP, "layered"),
+            (26, 1, 10_400_600, "construction"),
+            (27, 1, 10**9, "layered"),
+        ],
+    )
+    def test_build_label_boundary(self, n, d, cap, how):
+        # C(26, 13) = 10,400,600; beyond n = 26 every build is layered.
+        built, label = select_build(n, d, cap, False)
+        assert label == how and built is not None
+
+    @pytest.mark.parametrize("cap", [DEFAULT_SWEEP_CAP, 3])
+    def test_select_build_refuses_k3_off_4d_plus_3(self, cap):
+        with pytest.raises(PreconditionViolatedError, match="4d \\+ 3"):
+            select_build(20, 4, cap, True)
 
     def test_bounds_ordering_enforced(self):
         rep = sdepth_report(9, 1, with_oracle=False)
