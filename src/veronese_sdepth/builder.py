@@ -25,6 +25,10 @@ against earlier layers follows from the families' closure property (for
 the base family) and the cross-level disjointness hypotheses, which for
 the filtered layers of one plan reduce to the levels being increasing at
 a common density; the builder does not re-check it, the verifier does.
+Since the layers are disjoint, the plan predicts each layer's kept count,
+which every build checks, and the listed volume V, the sum of 2^s over
+the kept intervals (``predicted_volume``): a build refuses a V beyond its
+cap, the quantity ``verify --cap`` bounds, and counts poset - V singletons.
 
 Candidate lower endpoints run in lexicographic order within each layer,
 so identical inputs produce byte-identical partitions.  Bulk storage is
@@ -33,8 +37,7 @@ numpy mask arrays throughout: candidates come from
 which the mask kernels read along whole contiguous rows; they are closed
 in fixed-size batches by ``lifting.closure_upper_masks``, and each family
 keeps parallel lower and upper arrays.  Covered sets are kept only for
-the sizes a later layer filters, one member array per size, and the
-trivial count is the poset size less the selected volume.  A filtered
+the sizes a later layer filters, one member array per size.  A filtered
 level does not search its member array: it ranks those sets
 (``bitops.lex_ranks``) into one flag per level set, and since candidates
 are swept in lexicographic order, a candidate's rank is its position in
@@ -52,7 +55,6 @@ import numpy as np
 from . import bitops
 from .core import (
     DEFAULT_SWEEP_CAP,
-    MATERIALIZE_LIMIT,
     MAX_UNIVERSE,
     CircularSet,
     Regime,
@@ -243,6 +245,7 @@ def _run_layers(
     of the whole selection are left to the verifier.
     """
     _check_plan(plan)
+    predicted = _predicted_kept(n, plan)
     kept: dict[int, list[np.ndarray]] = {lv: [] for lv, _ in plan[1:]}
     empty = np.empty(0, dtype=bitops.mask_dtype(n))
     layers: list[IntervalFamily] = []
@@ -289,6 +292,10 @@ def _run_layers(
             for j in sizes:
                 kept[j].append(members[added == j - level].ravel())
         tag = f"I[{n},{level},{s + 1}]"
+        if len(lowers) != predicted[idx]:
+            raise InternalCheckError(
+                f"layer {tag} kept {len(lowers)} intervals where {predicted[idx]} were predicted"
+            )
         layers.append(IntervalFamily(n, lowers, uppers))
         traces.append(LayerTrace(tag, level, s + 1, candidates, len(lowers)))
     return layers, traces
@@ -314,25 +321,31 @@ def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _sweep_estimate(n: int, plan: _Plan) -> int:
-    """A bound on the sets the layer sweep handles: every candidate of a
-    layer, plus the 2^s members of each one it keeps."""
-    return sum(comb(n, level) * ((1 << s) + 1) for level, s in plan.layers)
+def _predicted_kept(n: int, plan: Sequence[tuple[int, int]]) -> list[int]:
+    """How many intervals each (disjoint) layer keeps: C(n, level), less
+    c * C(s, level - l) for each earlier layer at level l that kept c
+    intervals with s free members."""
+    kept: list[int] = []
+    for level, _ in plan:
+        held = sum(c * comb(s, level - lv) for c, (lv, s) in zip(kept, plan))
+        kept.append(comb(n, level) - held)
+    return kept
 
 
-def _assemble(
-    reg: RegimeDecomposition, k3: bool = False, sweep_cap: int = 1 << MATERIALIZE_LIMIT
-) -> Build:
-    n, d = reg.n, reg.d
-    plan = _plan_for(reg, k3)
-    # Only the layered sweep is enumerated; by default it may be as large
-    # as listing all 2^n sets at MATERIALIZE_LIMIT.
-    sweep = _sweep_estimate(n, plan)
-    if sweep > sweep_cap:
+def predicted_volume(n: int, d: int, k3: bool = False) -> int:
+    """The (n, d) build's listed volume, the sum of kept * 2^s over its layers."""
+    plan = _plan_for(regime_of(n, d), k3).layers
+    return sum(c << s for c, (_, s) in zip(_predicted_kept(n, plan), plan))
+
+
+def _assemble(n: int, d: int, k3: bool = False, cap: int = 1 << 26) -> Build:
+    volume = predicted_volume(n, d, k3)
+    if volume > cap:
         raise PreconditionViolatedError(
-            f"the layered sweep at n={n}, d={d} would handle about "
-            f"{sweep} sets, beyond the cap {sweep_cap}"
+            f"the layered sweep at n={n}, d={d} would list {volume} sets, "
+            f"beyond the enumeration cap {cap}"
         )
+    plan = _plan_for(regime_of(n, d), k3)
     layers, traces = _run_layers(n, plan.layers)
     empty = np.empty(0, dtype=bitops.mask_dtype(n))
     part = IntervalPartition(
@@ -342,11 +355,8 @@ def _assemble(
         np.concatenate([empty, *(fam.uppers for fam in layers)]),
         plan.min_upper,
     )
-    # Each selected interval holds 2^s sets; the rest of the poset is
-    # left to implicit singletons.
     poset = sum(comb(n, size) for size in range(d, n + 1))
-    trivial = poset - sum(t.selected << (t.density - 1) for t in traces)
-    return Build(part, BuilderTrace(tuple(traces), trivial))
+    return Build(part, BuilderTrace(tuple(traces), poset - volume))
 
 
 def build_partition(n: int, d: int) -> Build:
@@ -357,7 +367,7 @@ def build_partition(n: int, d: int) -> Build:
     through the Mid regime, and d + 1 + s beyond the threshold.  The
     builder does not check it; ``verify_partition`` does.
     """
-    return _assemble(regime_of(n, d))
+    return _assemble(n, d)
 
 
 def build_partition_k3(d: int) -> Build:
@@ -368,7 +378,7 @@ def build_partition_k3(d: int) -> Build:
     ``verify_partition`` checks."""
     if d < 1:
         raise PreconditionViolatedError(f"need d >= 1, got {d}")
-    return _assemble(regime_of(4 * d + 3, d), k3=True)
+    return _assemble(4 * d + 3, d, k3=True)
 
 
 def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
@@ -383,19 +393,17 @@ def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
 def certify_layered(
     n: int, d: int, cap: int = DEFAULT_SWEEP_CAP, use_k3: bool = False
 ) -> Build | None:
-    """The build with its layered sweep bounded by ``cap`` rather than by
-    the default: only the layered part is built, and the trivial
+    """The build with its listed volume bounded by ``cap`` rather than by
+    the default 2^26: only the layered part is built, and the trivial
     remainder stays implicit.
 
     Sound because a singleton [D, D] for an uncovered D meets no other
     interval (an interval containing D would have covered it), so the
     layered selection plus implicit singletons is a partition whose
     minimum upper size is the smaller of the layered minimum and the
-    smallest uncovered size.  Returns None when even the layered sweep
-    would exceed ``cap`` enumerated subsets, or when [n] is wider than a
-    mask holds.
+    smallest uncovered size.  Returns None when the predicted listed
+    volume exceeds ``cap``, or when [n] is wider than a mask holds.
     """
-    reg = regime_of(n, d)
-    if n > MAX_UNIVERSE or _sweep_estimate(n, _plan_for(reg, use_k3)) > cap:
+    if n > MAX_UNIVERSE or predicted_volume(n, d, use_k3) > cap:
         return None
-    return _assemble(reg, use_k3, sweep_cap=cap)
+    return _assemble(n, d, use_k3, cap)

@@ -77,6 +77,7 @@ from .oracle import DEFAULT_ORACLE_BUDGET, exact_sdepth
 _DEFERRED = {
     "build_partition": "builder",
     "build_partition_k3": "builder",
+    "predicted_volume": "builder",
     "parse_partition_file": "certfile",
     "write_partition_file": "certfile",
     "failure_lines": "verify",
@@ -149,7 +150,8 @@ def cmd_build(args) -> int:
         why = (
             f"n={n} is wider than a mask holds ({MAX_UNIVERSE})"
             if n > MAX_UNIVERSE
-            else f"the layered sweep at n={n}, d={d} exceeds the enumeration cap {args.cap}"
+            else f"the layered sweep at n={n}, d={d} would list "
+            f"{predicted_volume(n, d, args.k3)} sets, beyond the enumeration cap {args.cap}"
         )
         print(why, file=sys.stderr)
         return EXIT_USAGE
@@ -273,8 +275,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     picks_build = (
         f"picks the build (select_build): when C(n, ceil(n/2)) <= CAP and "
         f"n <= {MATERIALIZE_LIMIT}, the construction; otherwise the layered "
-        "build, whose sweep estimate, the sum of C(n, level) * (2^s + 1) over "
-        "the plan's layers, must not exceed CAP; either result is verified"
+        "build, whose listed volume, the sum of 2^(|upper| - |lower|) that "
+        "its plan predicts, must not exceed CAP; either result is verified"
     )
     add_cap(sp, picks_build)
     sp.set_defaults(func=cmd_report)
@@ -284,7 +286,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--k3", action="store_true", help="use the n = 4d+3 construction")
-    add_cap(sp, f"{picks_build}; a sweep beyond CAP exits 2")
+    add_cap(sp, f"{picks_build}; a volume beyond CAP exits 2")
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("verify", help="verify a partition certificate file")

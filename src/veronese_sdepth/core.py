@@ -32,7 +32,7 @@ MAX_UNIVERSE = 64
 DEFAULT_SWEEP_CAP = 5_000_000
 
 # The largest n that ``verify.select_build`` gives the construction rather
-# than the layered build; 2^26 also bounds the construction's sweep.
+# than the layered build; every build's cap bounds its listed volume.
 MATERIALIZE_LIMIT = 26
 
 

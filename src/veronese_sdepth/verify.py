@@ -279,11 +279,11 @@ class SdepthReport:
 def select_build(n: int, d: int, cap: int, k3: bool) -> tuple[Build | None, str]:
     """The build ``report``, ``build`` and ``table`` certify from, and its
     label.  When n <= ``MATERIALIZE_LIMIT`` and C(n, ceil(n/2)) <= ``cap``,
-    it is the construction with the default sweep cap (``construction``,
-    or ``construction-k3`` with ``k3``, which needs n = 4d + 3); otherwise
-    it is ``certify_layered`` with its sweep bounded by ``cap``
-    (``layered``), None when that sweep exceeds it.  The builds are this
-    module's bindings, so a wrapper set on them sees every build."""
+    it is the construction (``construction``, or ``construction-k3`` with
+    ``k3``, which needs n = 4d + 3); otherwise it is ``certify_layered``
+    with its predicted listed volume bounded by ``cap`` (``layered``),
+    None when that volume exceeds it.  The builds are this module's
+    bindings, so a wrapper set on them sees every build."""
     if k3 and n != 4 * d + 3:
         raise PreconditionViolatedError(f"the k3 construction needs n = 4d + 3, got n={n}")
     if n <= MATERIALIZE_LIMIT and comb(n, (n + 1) // 2) <= cap:
@@ -305,11 +305,11 @@ def sdepth_report(
 
     The build is ``select_build``'s, with the k3 construction at
     n = 4d + 3; ``certification`` is its label, or ``none`` when the
-    layered sweep exceeds ``cap``.  The certified number is the minimum
-    ``verify_partition`` re-derives.  On the band 4d+3 <= n <= 5d+3 the
-    dedicated construction pins the exact value d + 3 (built and verified
-    at the left end, carried across the band by containment
-    monotonicity), so the certified bound is at least that there.
+    layered build's listed volume exceeds ``cap``.  The certified number
+    is the minimum ``verify_partition`` re-derives.  On the band
+    4d+3 <= n <= 5d+3 the dedicated construction pins the exact value
+    d + 3 (built and verified at the left end, carried across the band by
+    containment monotonicity), so the certified bound is at least that.
     """
     reg = regime_of(n, d)
     conjectured = conjectured_sdepth(n, d)

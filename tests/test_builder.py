@@ -24,7 +24,13 @@ from veronese_sdepth import (
     threshold,
     verify_partition,
 )
-from veronese_sdepth.builder import _covered_flags, _plan_for, _run_layers
+from veronese_sdepth.builder import (
+    _covered_flags,
+    _plan_for,
+    _predicted_kept,
+    _run_layers,
+    predicted_volume,
+)
 from veronese_sdepth.cli import main, write_partition_file
 from veronese_sdepth.errors import InternalCheckError
 from veronese_sdepth.verify import verify_build
@@ -86,8 +92,9 @@ class TestRegimeBuilds:
             build_partition(3, 0)
 
     def test_materialization_guard(self):
-        # A build enumerates only its layered sweep, so n = 30 builds; the
-        # guard bounds that sweep by 2^26 sets.
+        # A build lists only its layered intervals, so n = 30 builds; the
+        # guard bounds their predicted listed volume by 2^26 sets, which
+        # (40, 5), at 408,184,296, exceeds.
         assert build_partition(30, 1).partition.claimed_min == lower_bound_large_n(30, 1)
         with pytest.raises(PreconditionViolatedError, match="layered sweep"):
             build_partition(40, 5)
@@ -265,24 +272,19 @@ class TestBatchedLayers:
             f"below claim: {short} < min_upper={claim}\n"
         )
 
-    def test_overlapping_layers_are_named_by_the_verifier(self, monkeypatch):
-        # With the filter off, the second layer keeps 3-sets the base
-        # already covers; the verifier names a set the two layers share.
+    def test_overlapping_layers_are_named_by_the_builder(self, monkeypatch):
+        # With the filter off, the second layer keeps all 84 3-sets, 72 of
+        # which the base already covers; the builder names the layer whose
+        # kept count leaves the plan's prediction.
         flags = builder._covered_flags
         monkeypatch.setattr(
             builder,
             "_covered_flags",
             lambda n, level, covered: np.zeros_like(flags(n, level, covered)),
         )
-        part, trace = build_partition(9, 2)
-        assert trace.layers[1].selected == trace.layers[1].candidates
         with pytest.raises(InternalCheckError) as got:
-            verify_build(part)
-        assert str(got.value) == (
-            "built partition failed verification: "
-            "not disjoint: intervals 15 and 64 share {2,3,4}"
-        )
-        assert 15 < trace.layers[0].selected <= 64  # one interval of each layer
+            build_partition(9, 2)
+        assert str(got.value) == "layer I[9,3,2] kept 84 intervals where 12 were predicted"
 
     @pytest.mark.parametrize("command", ["report", "build"])
     def test_overlap_is_named_by_the_verifier(self, monkeypatch, tmp_path, capsys, command):
@@ -468,8 +470,12 @@ CLAIM_SWEEP = [(n, d, False) for n in range(1, 21) for d in range(1, n + 1)] + [
 @pytest.mark.parametrize("n,d,k3", CLAIM_SWEEP)
 def test_plan_claim_is_the_verified_minimum(n, d, k3):
     # The builder claims the plan's closed form and counts no cover; the
-    # verifier's minimum and interval count must agree with both.
+    # verifier's minimum and interval count must agree with both, and the
+    # plan's predicted kept counts and listed volume with the build.
     part, trace = build_partition_k3(d) if k3 else build_partition(n, d)
+    plan = _plan_for(regime_of(n, d), k3).layers
+    assert _predicted_kept(n, plan) == [t.selected for t in trace.layers]
+    assert predicted_volume(n, d, k3) == part.volume()
     verdict = verify_partition(part)
     assert verdict.ok
     assert part.claimed_min == verdict.min_upper_size <= sdepth_upper_bound(n, d)
@@ -478,3 +484,11 @@ def test_plan_claim_is_the_verified_minimum(n, d, k3):
     else:
         assert verdict.min_upper_size >= lower_bound_large_n(n, d)
     assert trace.trivial_count == verdict.interval_count - len(part)
+
+
+@pytest.mark.parametrize("n,d", [(24, 11), (25, 5), (29, 1), (30, 2), (35, 2)])
+def test_predicted_volume_is_the_listed_volume(n, d):
+    # The quantity every build's cap bounds is the one ``verify --cap``
+    # bounds; (24, 11) is the largest at n <= 24 and (35, 2) beyond the
+    # default cap.
+    assert predicted_volume(n, d) == build_partition(n, d).partition.volume()

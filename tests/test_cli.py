@@ -50,6 +50,19 @@ class TestReport:
         assert values["upper_bound"] == "15"
         assert values["verified"] == "no"
 
+    @pytest.mark.parametrize(
+        "n, d, certified, exit_code",
+        [(33, 1, "6", 10), (25, 9, "10", 0), (26, 5, "8", 0)],
+    )
+    def test_listed_volume_within_the_cap_is_certified(self, n, d, certified, exit_code):
+        # The default cap bounds the listed volume, which these layered
+        # builds stay within; (26, 5) needs the k3 band no longer.
+        code, out, _ = run(["report", "-n", str(n), "-d", str(d)])
+        values = machine_lines(out)
+        assert code == exit_code
+        assert values["certified_lower"] == certified
+        assert values["certification"] == "layered"
+
     def test_trivial_range_beyond_cap(self):
         # n <= 2d: every set self-covers, so the layered certificate is
         # exact however large C(n, d) is.
@@ -64,7 +77,7 @@ class TestReport:
     )
     def test_universe_wider_than_a_mask_is_bounds_only(self, argv):
         # No mask holds a subset of [65], so nothing is certified, in the
-        # trivial range or under a cap the sweep estimate passes.
+        # trivial range or under a cap the listed volume passes.
         code, out, err = run(["report", *argv])
         values = machine_lines(out)
         assert code == 10 and not err

@@ -160,7 +160,7 @@ class TestFormat:
         assert code == 4 and out.startswith("below claim: {1,2,3,4,5,6,7,8,9,10,11,12")
 
     def test_compact_build_refuses_an_oversized_sweep(self):
-        # (40, 5) would sweep C(40, 10) level sets and more; it is refused
+        # (40, 5) would list 408,184,296 sets, beyond 2^26; it is refused
         # from the plan alone.
         tracemalloc.start()
         try:
