@@ -6,6 +6,10 @@ Commands: ``report`` (bounds and certification for one instance),
 structure), ``oracle`` (the exact value by exhaustive search, tiny n
 only).  ``oracle`` and ``blocks`` run without importing numpy.
 
+``main(argv)`` may be called any number of times in one process.  It
+builds its argument parser once, on the first call (not at import), and
+every later call parses with that same parser.
+
 Exit codes are a stable contract:
   0   success / instance verified
   10  valid arguments but only bounds certified
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from importlib import import_module
 from math import comb
 
@@ -249,7 +254,12 @@ def _range_arg(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+@cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one.  ``parse_args`` keeps no state in it: each call makes a new
+    namespace, and the help formatter and output streams are looked up
+    only when something is printed."""
     parser = argparse.ArgumentParser(
         prog="veronese-sdepth",
         description="Interval-partition certificates for the Stanley depth of "
@@ -273,10 +283,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--oracle-budget", type=_positive_int, default=DEFAULT_ORACLE_BUDGET
     )
     picks_build = (
-        f"picks the build (select_build): when C(n, ceil(n/2)) <= CAP and "
-        f"n <= {MATERIALIZE_LIMIT}, the construction; otherwise the layered "
-        "build, whose listed volume, the sum of 2^(|upper| - |lower|) that "
-        "its plan predicts, must not exceed CAP; either result is verified"
+        "bounds the build's listed volume, the sum of 2^(|upper| - |lower|) "
+        "that its plan predicts, and picks the build (select_build): the "
+        f"construction when also C(n, ceil(n/2)) <= CAP and n <= "
+        f"{MATERIALIZE_LIMIT}, otherwise the layered build; either result is "
+        "verified"
     )
     add_cap(sp, picks_build)
     sp.set_defaults(func=cmd_report)

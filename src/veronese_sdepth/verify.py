@@ -32,6 +32,7 @@ from .builder import (
     build_partition,
     build_partition_k3,
     certify_layered,
+    predicted_volume,
 )
 from .core import (
     DEFAULT_SWEEP_CAP,
@@ -278,15 +279,20 @@ class SdepthReport:
 
 def select_build(n: int, d: int, cap: int, k3: bool) -> tuple[Build | None, str]:
     """The build ``report``, ``build`` and ``table`` certify from, and its
-    label.  When n <= ``MATERIALIZE_LIMIT`` and C(n, ceil(n/2)) <= ``cap``,
-    it is the construction (``construction``, or ``construction-k3`` with
-    ``k3``, which needs n = 4d + 3); otherwise it is ``certify_layered``
-    with its predicted listed volume bounded by ``cap`` (``layered``),
-    None when that volume exceeds it.  The builds are this module's
-    bindings, so a wrapper set on them sees every build."""
+    label.  Every build's predicted listed volume V must not exceed
+    ``cap``.  When n <= ``MATERIALIZE_LIMIT``, C(n, ceil(n/2)) <= ``cap``
+    and V <= ``cap``, it is the construction (``construction``, or
+    ``construction-k3`` with ``k3``, which needs n = 4d + 3); otherwise it
+    is ``certify_layered`` (``layered``), which is None when V exceeds
+    ``cap``.  The builds are this module's bindings, so a wrapper set on
+    them sees every build."""
     if k3 and n != 4 * d + 3:
         raise PreconditionViolatedError(f"the k3 construction needs n = 4d + 3, got n={n}")
-    if n <= MATERIALIZE_LIMIT and comb(n, (n + 1) // 2) <= cap:
+    if (
+        n <= MATERIALIZE_LIMIT
+        and comb(n, (n + 1) // 2) <= cap
+        and predicted_volume(n, d, k3) <= cap
+    ):
         if k3:
             return build_partition_k3(d), "construction-k3"
         return build_partition(n, d), "construction"

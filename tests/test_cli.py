@@ -147,6 +147,18 @@ class TestBuildVerify:
         )
         assert code == 2 and "cap" in err
 
+    @pytest.mark.parametrize(
+        "n,d,cap,volume", [(26, 11, 10_400_600, 15_452_320), (24, 11, 3_000_000, 4_992_288)]
+    )
+    def test_construction_volume_beyond_the_cap_is_refused(self, tmp_path, n, d, cap, volume):
+        # C(n, ceil(n/2)) <= cap, yet the construction would list more
+        # sets than ``verify --cap`` accepts at the same cap.
+        out_file = tmp_path / "p.txt"
+        argv = ["build", "-n", str(n), "-d", str(d), "--cap", str(cap), "--out", str(out_file)]
+        code, out, err = run(argv)
+        assert (code, out) == (2, "") and f"would list {volume} sets" in err
+        assert not out_file.exists()
+
     def test_beyond_the_cap_builds_the_layered_certificate(self, tmp_path):
         out_file = tmp_path / "p.txt"
         code, out, _ = run(["build", "-n", "30", "-d", "1", "--out", str(out_file)])

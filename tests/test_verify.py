@@ -1,4 +1,5 @@
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import exact_sdepth_unrestricted, materialize, verify_by_definition
 
 import veronese_sdepth.verify as verify_module
+from veronese_sdepth.builder import predicted_volume
 
 from veronese_sdepth import (
     DEFAULT_SWEEP_CAP,
@@ -383,12 +385,24 @@ class TestSdepthReport:
             (26, 1, DEFAULT_SWEEP_CAP, "layered"),
             (26, 1, 10_400_600, "construction"),
             (27, 1, 10**9, "layered"),
+            (3, 1, 6, "construction"),  # the listed volume is exactly the cap
         ],
     )
     def test_build_label_boundary(self, n, d, cap, how):
         # C(26, 13) = 10,400,600; beyond n = 26 every build is layered.
         built, label = select_build(n, d, cap, False)
         assert label == how and built is not None
+
+    @pytest.mark.parametrize(
+        "n,d,cap,volume",
+        [(26, 11, 10_400_600, 15_452_320), (24, 11, 3_000_000, 4_992_288), (3, 1, 3, 6)],
+    )
+    def test_listed_volume_beyond_the_cap_refuses_the_construction(self, n, d, cap, volume):
+        # C(n, ceil(n/2)) is within the cap but the listed volume is not,
+        # so the layered build is chosen, and it refuses that volume.
+        assert comb(n, (n + 1) // 2) <= cap < predicted_volume(n, d) == volume
+        assert select_build(n, d, cap, False) == (None, "layered")
+        assert sdepth_report(n, d, cap=cap).certification == "none"
 
     @pytest.mark.parametrize("cap", [DEFAULT_SWEEP_CAP, 3])
     def test_select_build_refuses_k3_off_4d_plus_3(self, cap):
