@@ -8,7 +8,10 @@ only).  ``oracle`` and ``blocks`` run without importing numpy.
 
 ``main(argv)`` may be called any number of times in one process.  It
 builds its argument parser once, on the first call (not at import), and
-every later call parses with that same parser.
+every later call parses with that same parser.  That saves work only for
+a caller that runs ``main`` two or more times in one process, such as
+the ``perfbench`` worker; the console script and ``python -m`` call it
+once per process, so they build one parser as before.
 
 Exit codes are a stable contract:
   0   success / instance verified
@@ -254,12 +257,8 @@ def _range_arg(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-@cache
 def build_arg_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later one.  ``parse_args`` keeps no state in it: each call makes a new
-    namespace, and the help formatter and output streams are looked up
-    only when something is printed."""
+    """A new command-line parser on every call."""
     parser = argparse.ArgumentParser(
         prog="veronese-sdepth",
         description="Interval-partition certificates for the Stanley depth of "
@@ -332,8 +331,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser ``main`` shares across calls, built on its first call.
+# ``parse_args`` keeps no state in it: each call makes a new namespace,
+# and the help formatter and output streams are looked up only when
+# something is printed.
+_parser = cache(build_arg_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
