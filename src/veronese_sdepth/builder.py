@@ -98,6 +98,13 @@ class BuilderTrace:
     trivial_count: int
 
 
+def listed_volume(lowers: np.ndarray, uppers: np.ndarray) -> int:
+    """How many sets the intervals [lowers[i], uppers[i]] declare: the sum
+    of 2^(|upper| - |lower|), without expanding any interval."""
+    diffs = np.bincount(bitops.popcounts(uppers & ~lowers), minlength=1)
+    return sum(int(c) << s for s, c in enumerate(diffs.tolist()))
+
+
 class IntervalPartition:
     """An ordered list of intervals over [n], stored as parallel mask arrays,
     holding exactly what its certificate file holds.  Its ``regime`` is
@@ -167,10 +174,8 @@ class IntervalPartition:
         return int(bitops.popcounts(self.uppers).min())
 
     def volume(self) -> int:
-        """How many sets the listed intervals declare: the sum of
-        2^(|upper| - |lower|), without expanding any interval."""
-        diffs = np.bincount(bitops.popcounts(self.uppers & ~self.lowers), minlength=1)
-        return sum(int(c) << s for s, c in enumerate(diffs.tolist()))
+        """How many sets the listed intervals declare (``listed_volume``)."""
+        return listed_volume(self.lowers, self.uppers)
 
 
 class Build(NamedTuple):

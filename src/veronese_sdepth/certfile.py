@@ -1,12 +1,15 @@
 """Partition certificate files: a table-driven writer and a block parser.
 
 The format is described in the ``cli`` module docstring.  Both directions
-work on numpy arrays in blocks, so no per-interval Python object is made:
+work on numpy arrays in blocks, so no per-interval Python object is made,
+and one budget, ``_BLOCK_BYTES``, sizes the blocks of both, so that neither
+direction's memory grows with the file:
 
 * The writer looks every 8-bit chunk of a mask up in a fragment table
   holding the text ``"m1,m2,...,"`` of the members that chunk stands for,
-  gathers the fragments of a block of rows, and turns the last comma of
-  each lower side into ``;`` and that of each upper side into ``\\n``.
+  gathers the fragments of as many rows at once as fit the temporaries of
+  a parsed block, and turns the last comma of each lower side into ``;``
+  and that of each upper side into ``\\n``.
 * The parser reads the body in blocks of about ``_BLOCK_BYTES`` cut after
   the last newline, and decodes a block in bulk when it is in canonical
   form: only digits, ``,``, ``;`` and ``\\n``, every token one or two
@@ -23,16 +26,20 @@ import re
 import numpy as np
 
 from . import bitops
-from .builder import IntervalPartition
+from .builder import IntervalPartition, listed_volume
 from .core import MAX_UNIVERSE, regime_of
 from .errors import PartitionFileError
 
 _HEADER_RE = re.compile(r"^n=(\d+) d=(\d+) regime=([A-Za-z0-9]+)(?: min_upper=(\d+))?$")
-# Rows encoded per write and bytes read per parsed block: small enough that
-# a block's temporaries (tens of MB) stay below what building or verifying
-# the partition itself takes, so neither direction raises peak memory.
-_WRITE_ROWS = 1 << 16
-_BLOCK_BYTES = 1 << 20
+# The codec's one memory budget, as the text bytes of a parsed block.
+# Decoding a block holds 14 to 17 times its length in temporaries (index
+# arrays of 8 bytes per token, masks of up to 8 bytes per member), so the
+# writer encodes as many rows at once as fit _TEMPORARIES_PER_BYTE times the
+# budget (``_rows_per_block``).  Either direction then holds about 1 MiB per
+# block, whatever the file's length or the mask width.  A smaller budget
+# makes more blocks, each with a fixed cost; see CHANGES.md for the scan.
+_BLOCK_BYTES = 1 << 16
+_TEMPORARIES_PER_BYTE = 16
 
 _COMMA, _SEMI, _NEWLINE = ord(","), ord(";"), ord("\n")
 
@@ -83,15 +90,26 @@ def _encode_rows(lowers, uppers, table, lengths) -> np.ndarray:
     return out
 
 
+def _rows_per_block(table: np.ndarray) -> int:
+    """How many rows ``_encode_rows`` encodes at once: as many as fit the
+    temporaries a parsed block holds.  A row holds 2*chunks fragments of the
+    table's width, their ``!= 0`` mask, and 2*chunks fragment ids and
+    lengths, one intp each."""
+    chunks, width = len(table) // 256, table.shape[1]
+    row_bytes = 2 * chunks * (2 * width + 2 * np.dtype(np.intp).itemsize)
+    return max(1, _TEMPORARIES_PER_BYTE * _BLOCK_BYTES // row_bytes)
+
+
 def write_partition_file(p: IntervalPartition, path: str) -> None:
     if len(p) and p.d < 1:
         raise ValueError(f"a certificate needs d >= 1, got d={p.d}")
     table, lengths = _fragment_table(p.n)
+    rows = _rows_per_block(table)
     with open(path, "wb") as fh:
         claim = "" if p.claimed_min is None else f" min_upper={p.claimed_min}"
         fh.write(f"n={p.n} d={p.d} regime={p.regime.regime.value}{claim}\n".encode("ascii"))
-        for start in range(0, len(p), _WRITE_ROWS):
-            stop = start + _WRITE_ROWS
+        for start in range(0, len(p), rows):
+            stop = start + rows
             fh.write(_encode_rows(p.lowers[start:stop], p.uppers[start:stop], table, lengths))
 
 
@@ -235,7 +253,26 @@ class _LineReader:
         )
 
 
-def parse_partition_file(path: str) -> IntervalPartition:
+class OverCap:
+    """What ``parse_partition_file`` returns for a certificate whose listed
+    volume passes its cap: the header's n and d, how many intervals the
+    file lists and their whole listed volume, but not the intervals."""
+
+    def __init__(self, n: int, d: int, count: int, volume: int):
+        self.n, self.d, self._count, self._volume = n, d, count, volume
+
+    def __len__(self) -> int:
+        return self._count
+
+    def volume(self) -> int:
+        return self._volume
+
+
+def parse_partition_file(path: str, cap: int | None = None) -> IntervalPartition | OverCap:
+    """The partition a certificate file holds.  Given ``cap``, the blocks
+    decoded once the listed volume passes it are dropped, with those kept
+    before, and an ``OverCap`` is returned; the file is still parsed to its
+    end, so it raises every error it would raise without a cap."""
     # The line parser reads a certificate as ASCII, with "\n", "\r\n" and a
     # lone "\r" each ending a line, and line ends kept.
     with open(path, "r", encoding="ascii", newline="") as text, open(path, "rb") as body:
@@ -244,11 +281,21 @@ def parse_partition_file(path: str) -> IntervalPartition:
         lines = _LineReader(text, len(header), n, d)
         dtype = bitops.mask_dtype(n)
         lowers, uppers = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=dtype)]
+        count = volume = 0
         body.seek(len(header))
         for block, start in _blocks(body, len(header)):
             masks = _decode_block(block, n, d)
             if masks is None:
                 masks = lines.parse(start, start + len(block))
+            count += len(masks[0])
+            if cap is not None:
+                volume += listed_volume(*masks)
+                if volume > cap:
+                    lowers.clear()
+                    uppers.clear()
+                    continue
             lowers.append(masks[0])
             uppers.append(masks[1])
+    if cap is not None and volume > cap:
+        return OverCap(n, d, count, volume)
     return IntervalPartition(n, d, np.concatenate(lowers), np.concatenate(uppers), claim)

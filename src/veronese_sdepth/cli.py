@@ -42,7 +42,9 @@ upper one with at least d members.  The header comes in two forms:
 ``--cap`` on ``verify`` bounds the listed volume of either form, the sum
 of 2^(|upper| - |lower|), before any interval is expanded; a file whose
 listed volume exceeds the number of sets of size >= d is first refused as
-not disjoint.
+not disjoint.  The parser keeps no interval once the volume read passes
+the cap, but reads on to the end of the file, so the volume each message
+names and every parse error are those of the whole file.
 
 ``build`` writes the canonical form: every line, the last included, ends
 in LF, and members are plain decimal without sign, leading zeros or
@@ -172,7 +174,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    part = parse_partition_file(args.in_path)
+    # Past the cap the parser keeps no interval, only their count and volume.
+    part = parse_partition_file(args.in_path, cap=args.cap)
     # What expanding the listed intervals would cost, known before it is paid.
     volume = part.volume()
     poset = sum(comb(part.n, k) for k in range(part.d, part.n + 1))

@@ -9,6 +9,7 @@ raises, whatever the block size and wherever a block boundary falls.
 import contextlib
 import io
 import tempfile
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
@@ -18,10 +19,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import materialize, parse_partition_file_per_line, write_partition_file_per_line
-from veronese_sdepth import build_partition, build_partition_k3, certfile, regime_of
+from veronese_sdepth import (
+    DEFAULT_SWEEP_CAP,
+    build_partition,
+    build_partition_k3,
+    certfile,
+    regime_of,
+)
 from veronese_sdepth.builder import IntervalPartition
 from veronese_sdepth.cli import main, parse_partition_file, write_partition_file
 from veronese_sdepth.errors import PartitionFileError
+from veronese_sdepth.verify import select_build
 
 IDENTITY_CASES = [(n, d, False) for n in range(1, 15) for d in range(1, n + 1)] + [
     (7, 1, True),
@@ -330,3 +338,136 @@ def test_mutated_certificates_match_per_line_parser(mutation_path, data, block):
         assert_same_outcome(mutation_path)
         code, _, _ = run(["verify", "--in", str(mutation_path)])
     assert code in {0, 2, 3, 4, 10}
+
+
+def traced_peak(fn):
+    """fn's result and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@lru_cache(maxsize=None)
+def selected(n, d, k3=False):
+    return select_build(n, d, DEFAULT_SWEEP_CAP, k3)[0].partition
+
+
+class TestWriterBlocks:
+    """The writer's block size, set by the budget, never shows in its output."""
+
+    @pytest.mark.parametrize("n,d,k3", [(19, 4, True), (33, 2, False)], ids=["uint32", "uint64"])
+    def test_small_budget_writes_the_same_bytes(self, tmp_path, monkeypatch, n, d, k3):
+        part = selected(n, d, k3)
+        default, small = tmp_path / "default.txt", tmp_path / "small.txt"
+        write_partition_file(part, str(default))
+        encoded = []
+        real = certfile._encode_rows
+
+        def spy(lowers, uppers, table, lengths):
+            encoded.append(len(lowers))
+            return real(lowers, uppers, table, lengths)
+
+        monkeypatch.setattr(certfile, "_encode_rows", spy)
+        monkeypatch.setattr(certfile, "_BLOCK_BYTES", 4099)
+        write_partition_file(part, str(small))
+        # Every block but the last is full, and no block is the whole file.
+        assert len(encoded) > 1 and sum(encoded) == len(part)
+        assert set(encoded[:-1]) == {encoded[0]} and encoded[-1] <= encoded[0]
+        assert small.read_bytes() == default.read_bytes()
+        assert parse_partition_file(str(small)) == part
+
+    def test_one_row_per_block_below_a_row(self, tmp_path, monkeypatch):
+        part = built(9, 2)
+        default, small = tmp_path / "default.txt", tmp_path / "small.txt"
+        write_partition_file(part, str(default))
+        monkeypatch.setattr(certfile, "_BLOCK_BYTES", 1)
+        assert certfile._rows_per_block(certfile._fragment_table(9)[0]) == 1
+        write_partition_file(part, str(small))
+        assert small.read_bytes() == default.read_bytes()
+
+    def test_wider_masks_get_fewer_rows(self):
+        rows = [certfile._rows_per_block(certfile._fragment_table(n)[0]) for n in (8, 19, 33, 64)]
+        assert rows == sorted(rows, reverse=True) and rows[-1] < rows[0]
+
+
+def test_codec_memory_is_bounded_by_the_budget(tmp_path):
+    """At (23, 5) with the n = 4d + 3 construction, a 6.8 MB certificate of
+    a 1.4 MiB partition, neither direction's peak grows with the file: the
+    writer holds one block's temporaries, about 1 MiB, and the parser the
+    partition twice (its blocks and their concatenation) or one block's
+    temporaries beside the blocks decoded before it."""
+    part = build_partition_k3(5).partition
+    path = tmp_path / "k3.txt"
+    # A first call's one-time allocations are not the working set.
+    write_partition_file(part, str(path))
+    parse_partition_file(str(path))
+    _, write_peak = traced_peak(lambda: write_partition_file(part, str(path)))
+    parsed, parse_peak = traced_peak(lambda: parse_partition_file(str(path)))
+    assert parsed == part
+    assert write_peak < 2 * 2**20
+    assert parse_peak < 2 * (part.lowers.nbytes + part.uppers.nbytes) + 2 * 2**20
+
+
+class TestVerifyCapDuringParse:
+    """Past ``verify --cap`` the parser keeps no interval but still reads the
+    whole file, so the listed volume, every message and every exit code stay
+    what a full parse gives."""
+
+    # n = 9: 2**9 - 1 = 511 sets of size >= 1, fewer than any file's volume
+    # here; n = 30: more than any.  Each line declares 2 sets.
+    def certificate(self, tmp_path, n, lines, tail=b""):
+        path = tmp_path / f"cap{n}_{lines}.txt"
+        header = f"n={n} d=1 regime={regime_of(n, 1).regime.value}\n".encode("ascii")
+        path.write_bytes(header + LINE * lines + tail)
+        return path
+
+    @pytest.mark.parametrize("cap", [10, 100_000])
+    def test_volume_above_the_poset_exits_4_first(self, tmp_path, cap):
+        path = self.certificate(tmp_path, 9, 100_000)
+        assert run(["verify", "--in", str(path), "--cap", str(cap)]) == (
+            4,
+            "not disjoint: declared volume 200000 exceeds the 511 sets of the poset\n",
+            "",
+        )
+
+    @pytest.mark.parametrize("cap", [10, 100_000, 199_999])
+    def test_volume_above_the_cap_exits_2(self, tmp_path, cap):
+        path = self.certificate(tmp_path, 30, 100_000)
+        over = certfile.parse_partition_file(str(path), cap=cap)
+        assert isinstance(over, certfile.OverCap)
+        assert len(over) == 100_000 and over.volume() == 200_000 and (over.n, over.d) == (30, 1)
+        assert run(["verify", "--in", str(path), "--cap", str(cap)]) == (
+            2,
+            "",
+            f"verifying 200000 listed sets exceeds the enumeration cap {cap}\n",
+        )
+
+    def test_at_the_cap_the_partition_is_kept(self, tmp_path):
+        path = self.certificate(tmp_path, 30, 100_000)
+        part = certfile.parse_partition_file(str(path), cap=200_000)
+        assert part == parse_partition_file(str(path))
+        assert len(part) == 100_000
+
+    def test_parse_error_past_the_cap_is_still_raised(self, tmp_path):
+        path = self.certificate(tmp_path, 30, 100_000, tail=b"2;1,3\n")
+        want = (2, "", "error: line 100002: lower is not a subset of upper\n")
+        assert run(["verify", "--in", str(path), "--cap", "10"]) == want
+        assert run(["verify", "--in", str(path)]) == want
+
+    def test_parse_memory_does_not_grow_with_the_file(self, tmp_path):
+        # 25,000 and 250,000 lines: 0.15 and 1.5 MB, 3 and 23 blocks of
+        # 64 KiB.  A full parse would hold 2 MB of masks for the longer
+        # file, twice.
+        peaks = []
+        for lines in (25_000, 250_000):
+            path = self.certificate(tmp_path, 30, lines)
+            run(["verify", "--in", str(path), "--cap", "10"])
+            (code, _, err), peak = traced_peak(
+                lambda: run(["verify", "--in", str(path), "--cap", "10"])
+            )
+            assert code == 2 and err.startswith(f"verifying {2 * lines} listed sets")
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + 2**18
