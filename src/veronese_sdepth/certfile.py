@@ -178,7 +178,11 @@ def _decode_block(buf: bytes, n: int, d: int):
     a = np.frombuffer(buf, dtype=np.uint8)
     sep = np.flatnonzero((a - np.uint8(48)) >= 10)  # every byte but a digit
     ch = a[sep]
-    token_len = np.diff(sep, prepend=-1) - 1
+    # A token's length is the gap between its separator and the one
+    # before, less one; the first token's is taken to sit at -1.
+    token_len = sep - 1
+    token_len[1:] -= sep[:-1]
+    token_len[0] += 1
     if token_len.min() < 1 or token_len.max() > 2:
         return None
     # Every line is a lower side ended by ';' and an upper side ended by a
@@ -186,7 +190,7 @@ def _decode_block(buf: bytes, n: int, d: int):
     # ';', ...: a line without exactly one ';' or any other byte breaks it.
     side_end = np.flatnonzero(ch != _COMMA)
     ends = ch[side_end]
-    if np.any(ends[0::2] != _SEMI) or np.any(ends[1::2] != _NEWLINE):
+    if (ends[0::2] != _SEMI).any() or (ends[1::2] != _NEWLINE).any():
         return None
     # uint8 arithmetic: the tens digit of a one-digit token may wrap, but
     # it is multiplied by zero.
@@ -194,14 +198,14 @@ def _decode_block(buf: bytes, n: int, d: int):
     value = a[sep - 1] - np.uint8(48) + np.uint8(10) * tens
     if value.min() < 1 or value.max() > n:
         return None
-    if np.any((value[1:] <= value[:-1]) & (ch[:-1] == _COMMA)):
+    if ((value[1:] <= value[:-1]) & (ch[:-1] == _COMMA)).any():
         return None
     dtype = bitops.mask_dtype(n)
     bits = np.left_shift(dtype(1), (value - np.uint8(1)).astype(dtype))
     starts = np.concatenate(([0], side_end[:-1] + 1))
     masks = np.bitwise_or.reduceat(bits, starts)
     lowers, uppers = masks[0::2], masks[1::2]
-    if np.any(lowers & ~uppers) or bitops.popcounts(lowers).min() < d:
+    if (lowers & ~uppers).any() or bitops.popcounts(lowers).min() < d:
         return None
     return lowers, uppers
 

@@ -13,7 +13,12 @@ endpoint is forced as well.  List the constrained sets by increasing size
 and let D be the first uncovered one.  An interval [A, B] holding D has A
 inside D; were A != D, A would be smaller, hence listed earlier and
 already covered, and the two intervals would overlap.  So the search only
-ever tries [D, B] for the t-sets B containing D.
+ever tries [D, B] for the t-sets B containing D.  It skips, without
+building its members, each such B that holds an element x with D + x
+already covered: that candidate holds a covered set, so it always fails,
+and the covered sets are the same each time the search returns to D.  A
+skipped candidate is charged to the budget as if it were built, so the
+skip changes no answer and no budget outcome, only the time per unit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .core import MAX_UNIVERSE, mask_of, submasks
+from .core import MAX_UNIVERSE
 from .errors import PreconditionViolatedError
 
 DEFAULT_ORACLE_BUDGET = 3_000_000
@@ -43,11 +48,12 @@ def exact_sdepth(
     Descends the trial target from n; the first feasible target is the
     answer (a partition with minimum >= t also witnesses every smaller
     target).  The budget counts enumerated constrained sets, candidates
-    built and their members, and covered sets skipped, across the whole
-    descent; when it runs out the result is None, which is distinct from
-    a definite answer.  It is None too, before any count is formed,
-    when [n] is wider than a mask holds.  ``counting_prune`` exists so
-    tests can cross-check the pruned search against plain exhaustion.
+    tried and their members (built or not), and covered sets skipped,
+    across the whole descent; when it runs out the result is None, which
+    is distinct from a definite answer.  It is None too, before any
+    count is formed, when [n] is wider than a mask holds.
+    ``counting_prune`` exists so tests can cross-check the pruned search
+    against plain exhaustion.
     """
     if d < 1 or d > n:
         raise PreconditionViolatedError(f"need 1 <= d <= n, got n={n}, d={d}")
@@ -86,6 +92,17 @@ def _cover_feasible(
     Each frame of the search therefore covers the first uncovered set,
     and the next target lies after it.
 
+    Many candidates are refused by a single member.  A frame's blocked
+    mask holds each free element x with D + x already covered, and a
+    candidate [D, B] whose B meets it holds D + x, so it fails; the loop
+    skips it without building its members.  The covered sets are the
+    same at every resume of a frame, because each deeper frame removes
+    its members before it is popped, so the mask, computed when the
+    frame is pushed, holds for the frame's whole life.  A frame keeps
+    only its position, its extension iterator, the upper set it applied
+    (0 for none) and its blocked mask, and builds the applied members
+    again when it resumes.
+
     The counting test runs once, on the initial counts C(n, k), before
     anything is enumerated: an interval with lower size a that covers x
     sets of size sigma < t holds at least x * (t - sigma) / (sigma + 1 - a)
@@ -96,58 +113,83 @@ def _cover_feasible(
 
     The search walks an explicit stack, so its depth is not bounded by
     Python's recursion limit.  ``work`` is charged one unit per
-    constrained set, a whole size before it is enumerated, one per
-    candidate built plus one per member it holds, and one per covered set
-    the target scan skips.  Every loop iteration is charged, so the
-    budget bounds the time and the memory.
+    constrained set, a whole size before it is enumerated, 1 + 2^m for
+    each candidate with m free elements, before it is tested, whether it
+    is skipped or built, and one per covered set the target scan skips.
+    The blocked skip therefore changes no charge: every answer, every
+    exhausted budget and the work left in ``work`` are what a search that
+    builds every candidate gives.  Every loop iteration is charged, so
+    the budget bounds the time and the memory.
     """
-
-    def charge(units: int) -> None:
-        work[0] -= units
-        if work[0] < 0:
-            raise _BudgetHit
-
     counts = [comb(n, k) for k in range(d, t + 1)]
     if counting_prune and any(
         (i + 1) * counts[i + 1] < (t - d - i) * counts[i] for i in range(len(counts) - 1)
     ):
         return False
 
-    constrained: list[int] = []
-    for size in range(d, t):
-        charge(counts[size - d])
-        constrained.extend(map(mask_of, combinations(range(1, n + 1), size)))
-    covered: set[int] = set()
+    left = work[0]  # the budget, written back on every way out
+    try:
+        bits = [1 << i for i in range(n)]
+        constrained: list[int] = []
+        for size in range(d, t):
+            left -= counts[size - d]
+            if left < 0:
+                raise _BudgetHit
+            constrained.extend(map(sum, combinations(bits, size)))
+        end = len(constrained)
+        covered: set[int] = set()
 
-    def frame(pos: int) -> list:
-        """[target position, its remaining upper-set extensions, the
-        members of the candidate applied]."""
-        dmask = constrained[pos]
-        rest = [x for x in range(1, n + 1) if not dmask >> (x - 1) & 1]
-        return [pos, combinations(rest, t - dmask.bit_count()), ()]
+        def frame(pos: int) -> tuple:
+            """(target position, its remaining upper-set extensions, the
+            upper set applied (0 for none), the blocked mask)."""
+            dmask = constrained[pos]
+            rest = [b for b in bits if not dmask & b]
+            blocked = sum([b for b in rest if dmask | b in covered])
+            return pos, combinations(rest, t - dmask.bit_count()), 0, blocked
 
-    # t > d, so the first constrained set exists and is uncovered.
-    stack = [frame(0)]
-    while stack:
-        top = stack[-1]
-        pos, extensions, applied = top
-        covered.difference_update(applied)
-        dmask = constrained[pos]
-        for extra in extensions:
-            charge(1 + (1 << len(extra)))
-            members = tuple(submasks(dmask, dmask | mask_of(extra)))
-            if covered.isdisjoint(members):
-                break
-        else:
-            stack.pop()
-            continue
-        covered.update(members)
-        top[2] = members
-        pos += 1
-        while pos < len(constrained) and constrained[pos] in covered:
-            charge(1)
+        # t > d, so the first constrained set exists and is uncovered.
+        stack = [frame(0)]
+        while stack:
+            pos, extensions, upper, blocked = stack[-1]
+            dmask = constrained[pos]
+            if upper:
+                free = upper & ~dmask
+                covered.difference_update(_interval(dmask, [b for b in bits if free & b]))
+            cost = 1 + (1 << (t - dmask.bit_count()))
+            for extra in extensions:
+                left -= cost
+                if left < 0:
+                    raise _BudgetHit
+                upper = dmask | sum(extra)
+                if upper & blocked:
+                    continue
+                members = _interval(dmask, extra)
+                if covered.isdisjoint(members):
+                    break
+            else:
+                stack.pop()
+                continue
+            covered.update(members)
+            stack[-1] = pos, extensions, upper, blocked
             pos += 1
-        if pos == len(constrained):
-            return True
-        stack.append(frame(pos))
-    return False
+            while pos < end and constrained[pos] in covered:
+                left -= 1
+                if left < 0:
+                    raise _BudgetHit
+                pos += 1
+            if pos == end:
+                return True
+            stack.append(frame(pos))
+        return False
+    finally:
+        work[0] = left
+
+
+def _interval(lower: int, extra) -> list[int]:
+    """Every set of the interval [lower, lower + the bits in ``extra``],
+    built by doubling: each bit value in ``extra`` is added to every set
+    built so far."""
+    members = [lower]
+    for b in extra:
+        members += [m | b for m in members]
+    return members

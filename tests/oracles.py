@@ -44,7 +44,11 @@ come before it; ``bitops.lex_ranks`` is checked against it.
 ``exact_sdepth_unrestricted`` is a frozen copy of the original exact
 oracle: a recursive search over every upper size >= t with the counting
 prune on; the oracle restricted to upper size exactly t is checked
-against it.
+against it.  ``cover_feasible_building_every_candidate`` is a frozen copy
+of that restricted search as it was before the blocked skip: it builds
+and tests the members of every candidate, in the same order and with
+the same charges; the oracle's search is checked against it for equal
+answers and equal work, target by target.
 """
 
 import re
@@ -368,6 +372,60 @@ def _cover_feasible_unrestricted(n, d, t, work):
         return False
 
     return extend()
+
+
+def cover_feasible_building_every_candidate(n, d, t, work, counting_prune=True):
+    """Is target t feasible?  The first uncovered constrained set D is
+    covered by some [D, B] with |B| = t whose members, all built, are
+    uncovered; ``work`` is charged as ``oracle._cover_feasible`` charges
+    it, and ``_BudgetHit`` is raised once it is overdrawn."""
+
+    def charge(units):
+        work[0] -= units
+        if work[0] < 0:
+            raise _BudgetHit
+
+    counts = [comb(n, k) for k in range(d, t + 1)]
+    if counting_prune and any(
+        (i + 1) * counts[i + 1] < (t - d - i) * counts[i] for i in range(len(counts) - 1)
+    ):
+        return False
+
+    constrained = []
+    for size in range(d, t):
+        charge(counts[size - d])
+        constrained.extend(map(mask_of, combinations(range(1, n + 1), size)))
+    covered = set()
+
+    def frame(pos):
+        dmask = constrained[pos]
+        rest = [x for x in range(1, n + 1) if not dmask >> (x - 1) & 1]
+        return [pos, combinations(rest, t - dmask.bit_count()), ()]
+
+    stack = [frame(0)]
+    while stack:
+        top = stack[-1]
+        pos, extensions, applied = top
+        covered.difference_update(applied)
+        dmask = constrained[pos]
+        for extra in extensions:
+            charge(1 + (1 << len(extra)))
+            members = tuple(submasks(dmask, dmask | mask_of(extra)))
+            if covered.isdisjoint(members):
+                break
+        else:
+            stack.pop()
+            continue
+        covered.update(members)
+        top[2] = members
+        pos += 1
+        while pos < len(constrained) and constrained[pos] in covered:
+            charge(1)
+            pos += 1
+        if pos == len(constrained):
+            return True
+        stack.append(frame(pos))
+    return False
 
 
 def write_partition_file_per_line(p, path):

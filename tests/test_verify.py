@@ -4,12 +4,20 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import exact_sdepth_unrestricted, materialize, verify_by_definition
+from oracles import (
+    _BudgetHit as ReferenceBudgetHit,
+    cover_feasible_building_every_candidate,
+    exact_sdepth_unrestricted,
+    materialize,
+    verify_by_definition,
+)
 
+import veronese_sdepth.oracle as oracle_module
 import veronese_sdepth.verify as verify_module
 from veronese_sdepth.builder import predicted_volume
 
 from veronese_sdepth import (
+    DEFAULT_ORACLE_BUDGET,
     DEFAULT_SWEEP_CAP,
     CircularSet,
     IntervalPartition,
@@ -295,16 +303,50 @@ class TestExactOracle:
 
     @pytest.mark.parametrize(
         "n, d, counting_prune, spent",
-        [(3, 1, True, 15), (5, 1, True, 100), (5, 2, False, 289)],
+        [
+            (3, 1, True, 15),
+            (5, 1, True, 100),
+            (5, 2, False, 289),
+            (14, 2, True, 417283),
+            (13, 1, True, 503643),
+        ],
     )
     def test_budget_is_charged_for_every_step(self, n, d, counting_prune, spent):
         # The smallest budget that answers is the work done.  At (3, 1),
         # t = 3 fails the counting test; t = 2 enumerates {1}, {2}, {3}
-        # (3 units) and builds [1, 12], [2, 12] (refused, 12 is taken),
+        # (3 units) and tries [1, 12], [2, 12] (refused, 12 is taken),
         # [2, 23] and [3, 13], each 1 + 2 units: 15.  (5, 1) also skips
-        # covered 2-sets, and (5, 2) without the prune backtracks.
+        # covered 2-sets, and (5, 2) without the prune backtracks.  At
+        # (14, 2) and (13, 1) most candidates are skipped as blocked, and
+        # each is still charged as if it were built.
         assert exact_sdepth(n, d, spent, counting_prune) is not None
         assert exact_sdepth(n, d, spent - 1, counting_prune) is None
+
+    @pytest.mark.parametrize("counting_prune", [True, False])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_search_matches_building_every_candidate(self, n, counting_prune):
+        # Per target, the same answer or the budget overdrawn at the same
+        # candidate, and the same work left.  Without the counting test
+        # the search backtracks, so frames resume and rebuild the members
+        # they applied.
+        def outcome(search, budget_hit, d, t, budget):
+            work = [budget]
+            try:
+                result = search(n, d, t, work, counting_prune)
+            except budget_hit:
+                result = "budget"
+            return result, work[0]
+
+        for d in range(1, n + 1):
+            for t in range(n, d, -1):
+                for budget in (1, 50, 500, 5000, DEFAULT_ORACLE_BUDGET):
+                    got = outcome(
+                        oracle_module._cover_feasible, oracle_module._BudgetHit, d, t, budget
+                    )
+                    want = outcome(
+                        cover_feasible_building_every_candidate, ReferenceBudgetHit, d, t, budget
+                    )
+                    assert got == want, (d, t, budget)
 
     def test_counting_prune_is_conservative(self):
         cases = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 1)]
