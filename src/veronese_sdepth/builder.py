@@ -27,8 +27,10 @@ the filtered layers of one plan reduce to the levels being increasing at
 a common density; the builder does not re-check it, the verifier does.
 Since the layers are disjoint, the plan predicts each layer's kept count,
 which every build checks, and the listed volume V, the sum of 2^s over
-the kept intervals (``predicted_volume``): a build refuses a V beyond its
-cap, the quantity ``verify --cap`` bounds, and counts poset - V singletons.
+the kept intervals (``predicted_volume``): every build is refused in one
+place, ``build_refusal``, when [n] is wider than a mask holds or V, the
+quantity ``verify --cap`` bounds, exceeds its cap; it counts poset - V
+singletons.
 
 Candidate lower endpoints run in lexicographic order within each layer,
 so identical inputs produce byte-identical partitions.  Bulk storage is
@@ -204,16 +206,11 @@ def _plan_for(reg: RegimeDecomposition, k3: bool = False) -> _Plan:
         # remainder starts at d + 3.
         return _Plan([(d, 3), (d + 2, 1)], d + 3)
     if reg.regime is Regime.TRIVIAL_RANGE:
-        layers = []
-    elif reg.regime is Regime.K1:
-        layers = [(d, 1)]
-    elif reg.regime is Regime.K2:
-        layers = [(d, 2), (d + 1, 1)]
-    elif reg.regime is Regime.MID:
-        layers = [(d, k)] + [(d + l, k - 1) for l in range(1, k)]
-    else:
-        s = large_n_density_shift(n, d)
-        layers = [(d, k)] + [(d + q, s) for q in range(1, s + 1)]
+        return _Plan([], d)
+    # One base family at density k + 1 under s filtered levels that share
+    # density s + 1: s = k - 1 up to the threshold (none for K1, one for K2).
+    s = large_n_density_shift(n, d) if reg.regime is Regime.LARGE else k - 1
+    layers = [(d, k)] + [(d + q, s) for q in range(1, s + 1)]
     # The layer levels run contiguously up from d and all end up covered,
     # so every uncovered set, and every layered upper endpoint, has at
     # least the next size.
@@ -343,13 +340,25 @@ def predicted_volume(n: int, d: int, k3: bool = False) -> int:
     return sum(c << s for c, (_, s) in zip(_predicted_kept(n, plan), plan))
 
 
-def _assemble(n: int, d: int, k3: bool = False, cap: int = 1 << 26) -> Build:
+def build_refusal(n: int, d: int, cap: int, k3: bool = False) -> str | None:
+    """Why the (n, d) build does not run within ``cap``, or None when it
+    does.  [n] wider than a mask holds is checked first, so no plan is
+    priced for it; then the plan's listed volume must not exceed ``cap``."""
+    if n > MAX_UNIVERSE:
+        return f"n={n} is wider than a mask holds ({MAX_UNIVERSE})"
     volume = predicted_volume(n, d, k3)
     if volume > cap:
-        raise PreconditionViolatedError(
+        return (
             f"the layered sweep at n={n}, d={d} would list {volume} sets, "
             f"beyond the enumeration cap {cap}"
         )
+    return None
+
+
+def _assemble(n: int, d: int, k3: bool = False, cap: int = 1 << 26) -> Build:
+    why = build_refusal(n, d, cap, k3)
+    if why is not None:
+        raise PreconditionViolatedError(why)
     plan = _plan_for(regime_of(n, d), k3)
     layers, traces = _run_layers(n, plan.layers)
     empty = np.empty(0, dtype=bitops.mask_dtype(n))
@@ -360,6 +369,8 @@ def _assemble(n: int, d: int, k3: bool = False, cap: int = 1 << 26) -> Build:
         np.concatenate([empty, *(fam.uppers for fam in layers)]),
         plan.min_upper,
     )
+    # Each layer kept its predicted count, so this is the predicted volume.
+    volume = sum(t.selected << (t.density - 1) for t in traces)
     poset = sum(comb(n, size) for size in range(d, n + 1))
     return Build(part, BuilderTrace(tuple(traces), poset - volume))
 
@@ -381,8 +392,6 @@ def build_partition_k3(d: int) -> Build:
     singleton of size d + 1), a filtered level at d+2 with density 2, and
     a trivial remainder from size d + 3 up.  The claim is d + 3, which
     ``verify_partition`` checks."""
-    if d < 1:
-        raise PreconditionViolatedError(f"need d >= 1, got {d}")
     return _assemble(4 * d + 3, d, k3=True)
 
 
@@ -406,9 +415,9 @@ def certify_layered(
     interval (an interval containing D would have covered it), so the
     layered selection plus implicit singletons is a partition whose
     minimum upper size is the smaller of the layered minimum and the
-    smallest uncovered size.  Returns None when the predicted listed
-    volume exceeds ``cap``, or when [n] is wider than a mask holds.
+    smallest uncovered size.  Returns None when ``build_refusal`` refuses
+    the build.
     """
-    if n > MAX_UNIVERSE or predicted_volume(n, d, use_k3) > cap:
+    if build_refusal(n, d, cap, use_k3) is not None:
         return None
     return _assemble(n, d, use_k3, cap)

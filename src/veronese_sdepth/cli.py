@@ -69,7 +69,6 @@ from .blocks import block_structure
 from .core import (
     DEFAULT_SWEEP_CAP,
     MATERIALIZE_LIMIT,
-    MAX_UNIVERSE,
     CircularSet,
     conjectured_sdepth,
 )
@@ -87,7 +86,7 @@ from .oracle import DEFAULT_ORACLE_BUDGET, exact_sdepth
 _DEFERRED = {
     "build_partition": "builder",
     "build_partition_k3": "builder",
-    "predicted_volume": "builder",
+    "build_refusal": "builder",
     "parse_partition_file": "certfile",
     "write_partition_file": "certfile",
     "failure_lines": "verify",
@@ -157,13 +156,7 @@ def cmd_build(args) -> int:
         return EXIT_USAGE
     built, _ = select_build(n, d, args.cap, args.k3)
     if built is None:
-        why = (
-            f"n={n} is wider than a mask holds ({MAX_UNIVERSE})"
-            if n > MAX_UNIVERSE
-            else f"the layered sweep at n={n}, d={d} would list "
-            f"{predicted_volume(n, d, args.k3)} sets, beyond the enumeration cap {args.cap}"
-        )
-        print(why, file=sys.stderr)
+        print(build_refusal(n, d, args.cap, args.k3), file=sys.stderr)
         return EXIT_USAGE
     part = built.partition
     verdict = verify_build(part)

@@ -311,15 +311,13 @@ def check_superset_closure(dset: CircularSet, family) -> bool:
     some upper endpoint B, and so does D.  The law therefore holds iff D
     lies under no upper endpoint.
     """
-    if not isinstance(family, IntervalFamily):
-        family = list(family)  # read a one-shot iterable once
-    if is_covered(dset, family):
+    lowers, uppers = _interval_masks(dset.universe, family)
+    if bitops.containing(lowers, uppers, dset.mask).any():
         raise PreconditionViolatedError(
             f"{dset.members} is covered; the closure check applies to uncovered sets"
         )
-    _, uppers = _interval_masks(dset.universe, family)
-    mask = uppers.dtype.type(dset.mask)
-    return not np.any(mask & ~uppers == 0)
+    # [0, B] holds D exactly when B does.
+    return not bitops.containing(np.zeros_like(uppers), uppers, dset.mask).any()
 
 
 def check_mixed_density_disjoint(a: CircularSet, b: CircularSet, delta, eta) -> bool:

@@ -2,9 +2,9 @@
 
 The Stanley depth of I/J is decided by partitioning a finite poset
 (Herzog, Vladoiu and Zheng), and ``exact_sdepth`` runs that search.  It
-is the cross-check for the builder, and its only package imports are
-``core`` and ``errors``: it shares nothing with the block-structure,
-lifting or numpy machinery.  For a descending trial target t it runs a
+is the cross-check for the builder, and its only package import is
+``core``: it shares nothing with the block-structure, lifting or numpy
+machinery.  For a descending trial target t it runs a
 backtracking exact-cover search assigning every subset of size in
 [d, t-1] to an interval with upper size exactly t (sets of size >= t can
 always self-cover, and a larger upper set splits down to size t without
@@ -26,8 +26,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .core import MAX_UNIVERSE
-from .errors import PreconditionViolatedError
+from .core import MAX_UNIVERSE, _check_nd
 
 DEFAULT_ORACLE_BUDGET = 3_000_000
 
@@ -55,8 +54,7 @@ def exact_sdepth(
     ``counting_prune`` exists so tests can cross-check the pruned search
     against plain exhaustion.
     """
-    if d < 1 or d > n:
-        raise PreconditionViolatedError(f"need 1 <= d <= n, got n={n}, d={d}")
+    _check_nd(n, d)
     if n > MAX_UNIVERSE:
         return None
     work = [budget]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from veronese_sdepth import (
+    DEFAULT_SWEEP_CAP,
     Build,
     CircularSet,
     PreconditionViolatedError,
@@ -29,11 +30,12 @@ from veronese_sdepth.builder import (
     _plan_for,
     _predicted_kept,
     _run_layers,
+    build_refusal,
     predicted_volume,
 )
 from veronese_sdepth.cli import main, write_partition_file
 from veronese_sdepth.errors import InternalCheckError
-from veronese_sdepth.verify import verify_build
+from veronese_sdepth.verify import select_build, verify_build
 from oracles import materialize, per_subset_layers, searchsorted_layers
 
 
@@ -492,3 +494,82 @@ def test_predicted_volume_is_the_listed_volume(n, d):
     # bounds; (24, 11) is the largest at n <= 24 and (35, 2) beyond the
     # default cap.
     assert predicted_volume(n, d) == build_partition(n, d).partition.volume()
+
+
+def plan_by_regime(n, d, k3):
+    """The plans written out regime by regime: the (level, s) layers and
+    the claimed minimum upper size."""
+    reg = regime_of(n, d)
+    k = reg.k
+    if k3:
+        return [(d, 3), (d + 2, 1)], d + 3
+    if reg.regime is Regime.TRIVIAL_RANGE:
+        return [], d
+    if reg.regime is Regime.K1:
+        return [(d, 1)], d + 1
+    if reg.regime is Regime.K2:
+        return [(d, 2), (d + 1, 1)], d + 2
+    if reg.regime is Regime.MID:
+        return [(d, k)] + [(d + l, k - 1) for l in range(1, k)], d + k
+    s = core.large_n_density_shift(n, d)
+    return [(d, k)] + [(d + q, s) for q in range(1, s + 1)], d + 1 + s
+
+
+def test_one_plan_formula_matches_every_regime():
+    # Every pair the masks hold, and the k3 plan wherever n = 4d + 3 fits.
+    pairs = [(n, d, False) for n in range(1, 65) for d in range(1, n + 1)]
+    pairs += [(4 * d + 3, d, True) for d in range(1, 16)]
+    regimes = set()
+    for n, d, k3 in pairs:
+        plan = _plan_for(regime_of(n, d), k3)
+        assert (plan.layers, plan.min_upper) == plan_by_regime(n, d, k3), (n, d, k3)
+        regimes.add(regime_of(n, d).regime)
+    assert regimes == set(Regime)
+
+
+VOLUME_REASON = (
+    "the layered sweep at n=24, d=11 would list 4992288 sets, "
+    "beyond the enumeration cap 4992287"
+)
+UNIVERSE_REASON = "n=70 is wider than a mask holds (64)"
+
+
+class TestOneRefusalRule:
+    @pytest.mark.parametrize(
+        "n, d, cap, reason",
+        [(24, 11, 4_992_287, VOLUME_REASON), (70, 1, DEFAULT_SWEEP_CAP, UNIVERSE_REASON)],
+        ids=["volume", "universe"],
+    )
+    def test_every_entry_point_gives_the_builders_reason(self, tmp_path, capsys, n, d, cap, reason):
+        assert build_refusal(n, d, cap) == reason
+        out = tmp_path / "p.txt"
+        argv = ["build", "-n", str(n), "-d", str(d), "--cap", str(cap), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", reason + "\n")
+        assert not out.exists()
+        assert certify_layered(n, d, cap=cap) is None
+        assert select_build(n, d, cap, False) == (None, "layered")
+
+    def test_within_the_cap_nothing_is_refused(self):
+        assert build_refusal(24, 11, 4_992_288) is None
+        assert build_refusal(64, 1, 1 << 70) is None
+
+    def test_construction_refuses_with_its_own_cap(self):
+        with pytest.raises(PreconditionViolatedError) as got:
+            build_partition(40, 5)
+        assert str(got.value) == (
+            "the layered sweep at n=40, d=5 would list 408184296 sets, "
+            "beyond the enumeration cap 67108864"
+        )
+        assert str(got.value) == build_refusal(40, 5, 1 << 26)
+
+    @pytest.mark.parametrize("n, d", [(70, 1), (65, 40)])
+    def test_universe_is_checked_before_any_plan_is_priced(self, n, d):
+        # (65, 40) is in the trivial range: its empty plan prices within any cap.
+        with pytest.raises(PreconditionViolatedError, match=r"wider than a mask holds \(64\)"):
+            build_partition(n, d)
+        assert certify_layered(n, d) is None
+
+    def test_k3_build_refuses_d_below_1_as_core_does(self):
+        with pytest.raises(PreconditionViolatedError, match=r"^need 1 <= d <= n, got n=3, d=0$"):
+            build_partition_k3(0)

@@ -174,6 +174,21 @@ class TestBuildVerify:
         built, _ = select_build(n, d, DEFAULT_SWEEP_CAP, k3)
         assert code == 0 and parse_partition_file(str(out_file)) == built.partition
 
+    def test_build_at_4d_plus_3_writes_the_k3_claim_only_with_k3(self, tmp_path):
+        # ``report`` certifies from the k3 construction at n = 4d + 3;
+        # ``build`` writes it only with ``--k3``, and the plain construction
+        # otherwise, whose claim is one lower.
+        code, out, _ = run(["report", "-n", "11", "-d", "2"])
+        assert code == 0
+        assert machine_lines(out)["certified_lower"] == "5"
+        assert machine_lines(out)["certification"] == "construction-k3"
+        for flags, claim in [([], 4), (["--k3"], 5)]:
+            out_file = tmp_path / f"p{claim}.txt"
+            code, out, _ = run(["build", "-n", "11", "-d", "2", "--out", str(out_file), *flags])
+            assert code == 0 and machine_lines(out)["min_upper_size"] == str(claim)
+            header = out_file.read_text().splitlines()[0]
+            assert header == f"n=11 d=2 regime=Large min_upper={claim}"
+
     def test_layered_sweep_beyond_the_cap_is_refused(self, tmp_path):
         out_file = tmp_path / "p.txt"
         code, out, err = run(["build", "-n", "35", "-d", "2", "--out", str(out_file)])

@@ -296,6 +296,13 @@ class TestSameAnswers:
         assert code == 0
         assert out.encode("ascii") == (DATA / "table_d1-5_n1-20.csv").read_bytes()
 
+    def test_wide_table_matches_recorded_output(self):
+        # Every regime's plan at n <= 40, d <= 10: 195 rows verified, 93
+        # with no certified number.
+        code, out, _ = run(["table", "--d-range", "1..10", "--n-range", "1..40"])
+        assert code == 0
+        assert out.encode("ascii") == (DATA / "table_d1-10_n1-40.csv").read_bytes()
+
     def test_report_on_benchmarked_instances(self, monkeypatch):
         monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
         spec = importlib.util.spec_from_file_location(
