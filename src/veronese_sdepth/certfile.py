@@ -10,13 +10,16 @@ direction's memory grows with the file:
   gathers the fragments of as many rows at once as fit the temporaries of
   a parsed block, and turns the last comma of each lower side into ``;``
   and that of each upper side into ``\\n``.
-* The parser reads the body in blocks of about ``_BLOCK_BYTES`` cut after
-  the last newline, and decodes a block in bulk when it is in canonical
-  form: only digits, ``,``, ``;`` and ``\\n``, every token one or two
-  digits.  A block that is not canonical, or that breaks any rule of the
-  format, is parsed again line by line by ``_parse_line``, the reference,
-  which returns the same masks or raises the exact error.  The bulk path
-  only ever accepts lines that ``_parse_line`` accepts.
+* The parser reads the file once, through one binary handle that it
+  never seeks, so a pipe reads as a file does.  It reads the body in
+  blocks of about ``_BLOCK_BYTES`` cut after the last line end, LF or a
+  CR, and decodes a block in bulk when it is in canonical form: only
+  digits, ``,``, ``;`` and ``\\n``, every token one or two digits.  A block
+  that is not canonical, or that breaks any rule of the format, is split
+  into lines in memory, each decoded as ASCII and parsed by
+  ``_parse_line``, the reference, which returns the same masks or raises
+  the exact error with its line number.  The bulk path only ever accepts
+  lines that ``_parse_line`` accepts.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ _HEADER_RE = re.compile(r"^n=(\d+) d=(\d+) regime=([A-Za-z0-9]+)(?: min_upper=(\
 # makes more blocks, each with a fixed cost; see CHANGES.md for the scan.
 _BLOCK_BYTES = 1 << 16
 _TEMPORARIES_PER_BYTE = 16
+# A header line must end within this many bytes, so that reading it never
+# reads a body without LF whole; ``build``'s are under 50.
+_HEADER_BYTES = 256
 
 _COMMA, _SEMI, _NEWLINE = ord(","), ord(";"), ord("\n")
 
@@ -113,8 +119,22 @@ def write_partition_file(p: IntervalPartition, path: str) -> None:
             fh.write(_encode_rows(p.lowers[start:stop], p.uppers[start:stop], table, lengths))
 
 
-def _header_fields(header: str) -> tuple[int, int, int | None]:
-    match = _HEADER_RE.match(header.rstrip("\n"))
+def _ascii(raw: bytes, lineno: int) -> str:
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise PartitionFileError("non-ASCII byte", lineno)
+
+
+def _header_fields(fh) -> tuple[int, int, int | None]:
+    """n, d and the claim of the header, the first line of ``fh``, read with
+    one ``readline`` of at most ``_HEADER_BYTES`` and cut at its first LF,
+    CR or CR LF.  A header that does not end within that bound, or ends in
+    a CR, is refused, so an accepted one leaves ``fh`` at the body."""
+    raw = fh.readline(_HEADER_BYTES)
+    header = _ascii(raw.splitlines(keepends=True)[0] if raw else raw, 1)
+    whole = len(raw) < _HEADER_BYTES or raw.endswith(b"\n")
+    match = whole and _HEADER_RE.match(header.rstrip("\n"))
     if not match:
         raise PartitionFileError(f"bad header {header!r}", lineno=1)
     n, d = int(match.group(1)), int(match.group(2))
@@ -210,51 +230,31 @@ def _decode_block(buf: bytes, n: int, d: int):
     return lowers, uppers
 
 
-def _blocks(fh, pos: int):
-    """(block, offset) for the rest of ``fh``, read from byte ``pos`` on in
-    blocks of whole lines about ``_BLOCK_BYTES`` long, each with the file
-    offset it starts at; only the last may lack a final newline."""
-    pending = []  # what was read since the last newline, joined only once
+def _blocks(fh):
+    """The rest of ``fh`` in blocks of whole lines about ``_BLOCK_BYTES``
+    long; only the last may lack a line end.  A read is cut after its last
+    LF, or after a later CR unless that CR is the last byte read, since the
+    next read may open with its LF."""
+    pending = []  # what was read since the last cut, joined only once
     while data := fh.read(_BLOCK_BYTES):
-        cut = data.rfind(b"\n") + 1
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
         if not cut:
             pending.append(data)
             continue
-        block = b"".join(pending + [data[:cut]])
-        yield block, pos
-        pos += len(block)
+        yield b"".join(pending + [data[:cut]])
         pending = [data[cut:]]
-    tail = b"".join(pending)
-    if tail:
-        yield tail, pos
+    if tail := b"".join(pending):
+        yield tail
 
 
-class _LineReader:
-    """The certificate read line by line from its header on, as the
-    reference parser reads it, so that decoding errors and line ends fall
-    where they would in a line-by-line parse."""
-
-    def __init__(self, fh, pos: int, n: int, d: int):
-        self.fh, self.pos, self.lineno, self.n, self.d = fh, pos, 2, n, d
-
-    def parse(self, start: int, stop: int):
-        """(lowers, uppers) of the lines in bytes [start, stop)."""
-        lowers, uppers = [], []
-        while self.pos < stop:
-            raw = self.fh.readline()
-            if not raw:
-                break
-            self.pos += len(raw)
-            if self.pos > start:  # else a line the bulk path has decoded
-                lo, up = _parse_line(raw, self.lineno, self.n, self.d)
-                lowers.append(lo)
-                uppers.append(up)
-            self.lineno += 1
-        dtype = bitops.mask_dtype(self.n)
-        return (
-            np.fromiter(lowers, dtype=dtype, count=len(lowers)),
-            np.fromiter(uppers, dtype=dtype, count=len(uppers)),
-        )
+def _parse_lines(block: bytes, lineno: int, n: int, d: int):
+    """(lowers, uppers) of a block's lines, the first numbered ``lineno``,
+    each decoded and parsed by ``_parse_line``.  Lines end at LF, CR and CR
+    LF, as in a text file read with ``newline=""``."""
+    lines = enumerate(block.splitlines(keepends=True), lineno)
+    pairs = [_parse_line(_ascii(raw, i), i, n, d) for i, raw in lines]
+    masks = np.array(pairs, dtype=bitops.mask_dtype(n)).reshape(-1, 2)
+    return masks[:, 0], masks[:, 1]
 
 
 class OverCap:
@@ -277,20 +277,16 @@ def parse_partition_file(path: str, cap: int | None = None) -> IntervalPartition
     decoded once the listed volume passes it are dropped, with those kept
     before, and an ``OverCap`` is returned; the file is still parsed to its
     end, so it raises every error it would raise without a cap."""
-    # The line parser reads a certificate as ASCII, with "\n", "\r\n" and a
-    # lone "\r" each ending a line, and line ends kept.
-    with open(path, "r", encoding="ascii", newline="") as text, open(path, "rb") as body:
-        header = text.readline()
-        n, d, claim = _header_fields(header)
-        lines = _LineReader(text, len(header), n, d)
+    with open(path, "rb") as fh:
+        n, d, claim = _header_fields(fh)
         dtype = bitops.mask_dtype(n)
         lowers, uppers = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=dtype)]
         count = volume = 0
-        body.seek(len(header))
-        for block, start in _blocks(body, len(header)):
+        for block in _blocks(fh):
             masks = _decode_block(block, n, d)
             if masks is None:
-                masks = lines.parse(start, start + len(block))
+                # Every line accepted so far is one interval.
+                masks = _parse_lines(block, 2 + count, n, d)
             count += len(masks[0])
             if cap is not None:
                 volume += listed_volume(*masks)

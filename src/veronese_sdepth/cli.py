@@ -54,7 +54,9 @@ accepts CRLF or a lone CR ending a body line (not the header), a last
 line without a line end, and a member written any way Python's ``int``
 reads it (``+3``, ``007``, ``1_0``, surrounding spaces or tabs).  Blank
 lines, empty members and non-ASCII bytes are refused with exit 2, naming
-the line where the parser stopped.
+the line where the parser stopped; so is a header that does not end
+within 256 bytes.  The file is read once, front to back, so ``--in`` may
+name a pipe such as ``/dev/stdin``.
 """
 
 from __future__ import annotations

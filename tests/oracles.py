@@ -16,7 +16,10 @@ enumerating every proper superset; ``lifting`` is checked against them.
 ``write_partition_file_per_line`` and ``parse_partition_file_per_line``
 are frozen copies of the original certificate writer and parser, one
 Python string per interval and one text line at a time; the block codec
-is checked against them.
+is checked against them.  The parser splits the file's bytes at LF, CR
+and CR LF, as a text file read with ``newline=""`` is split, and decodes
+each line as ASCII when it reaches it (``ascii_lines``), so a non-ASCII
+byte is named by its line.
 
 ``materialize`` is a frozen copy of the builder's former trivial
 completion: it turns a compact partition into the explicit one, its
@@ -457,9 +460,21 @@ def write_partition_file_per_line(p, path):
 _HEADER_RE = re.compile(r"^n=(\d+) d=(\d+) regime=([A-Za-z0-9]+)$")
 
 
+def ascii_lines(data):
+    """The lines of ``data`` as a text file opened with ``newline=""`` reads
+    them, ended by LF, CR or CR LF and kept, each decoded as ASCII once it
+    is reached."""
+    for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            yield raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise PartitionFileError("non-ASCII byte", lineno)
+
+
 def parse_partition_file_per_line(path):
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:
+        lines = ascii_lines(fh.read())
+        header = next(lines, "")
         match = _HEADER_RE.match(header.rstrip("\n"))
         if not match:
             raise PartitionFileError(f"bad header {header!r}", lineno=1)
@@ -495,7 +510,7 @@ def parse_partition_file_per_line(path):
 
         lowers = []
         uppers = []
-        for lineno, raw in enumerate(fh, start=2):
+        for lineno, raw in enumerate(lines, start=2):
             line = raw.rstrip("\n")
             if not line:
                 raise PartitionFileError("blank line", lineno)

@@ -8,6 +8,9 @@ raises, whatever the block size and wherever a block boundary falls.
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from functools import lru_cache
@@ -215,17 +218,20 @@ def decode_calls(monkeypatch):
 class TestBlockBoundaries:
     @pytest.mark.parametrize("block", [5, 16, 24, 40, 1 << 20])
     def test_lines_split_across_reads(self, tmp_path, monkeypatch, block):
+        # With CR LF ends, some reads stop between a CR and its LF.
         monkeypatch.setattr(certfile, "_BLOCK_BYTES", block)
+        header, body = certificate_bytes(8, 2).split(b"\n", 1)
         path = tmp_path / "p.txt"
-        path.write_bytes(certificate_bytes(8, 2))
-        got = assert_same_outcome(path)
-        assert got[0] == "parsed" and got[1] == built(8, 2)
-        assert run(["verify", "--in", str(path)])[0] == 0
+        for eol in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(header + b"\n" + body.replace(b"\n", eol))
+            got = assert_same_outcome(path)
+            assert got[0] == "parsed" and got[1] == built(8, 2), eol
+            assert run(["verify", "--in", str(path)])[0] == 0
 
     @pytest.mark.parametrize(
         "bad",
-        [b"2;1,3\n", b"1;1,a\n", b"1;1,0\n", b"1;\n1,2\n"],
-        ids=["lower-not-in-upper", "letter", "zero", "split-line"],
+        [b"2;1,3\n", b"1;1,a\n", b"1;1,0\n", b"1;\n1,2\n", b"1;1,\xc3\n"],
+        ids=["lower-not-in-upper", "letter", "zero", "split-line", "non-ascii"],
     )
     @pytest.mark.parametrize("index,lineno", [(4, 6), (7, 9), (8, 10)])
     def test_bad_line_at_block_edge_carries_its_line_number(
@@ -237,6 +243,26 @@ class TestBlockBoundaries:
         path.write_bytes(HEADER + b"".join(lines))
         got = assert_same_outcome(path)
         assert got[0] == "raised" and got[1] is PartitionFileError and got[3] == lineno
+
+    def test_non_ascii_header_is_named_by_line_1(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(HEADER.replace(b"regime", b"r\xc3\xa9gime") + LINE)
+        assert assert_same_outcome(path)[1:] == (PartitionFileError, "line 1: non-ASCII byte", 1)
+        assert run(["verify", "--in", str(path)]) == (2, "", "error: line 1: non-ASCII byte\n")
+
+    def test_header_longer_than_its_bound_is_refused(self, tmp_path):
+        # Leading zeros are read by int(), so only the bound of the header's
+        # one readline refuses the longer header; the per-line reference,
+        # which has no bound, accepts it.
+        path = tmp_path / "p.txt"
+        for zeros, accepted in ((200, True), (300, False)):
+            header = HEADER.replace(b"n=9", b"n=" + b"0" * zeros + b"9")
+            path.write_bytes(header + LINE)
+            if accepted:
+                assert parse_partition_file(str(path)).uppers.tolist() == [3]
+            else:
+                with pytest.raises(PartitionFileError, match="^line 1: bad header"):
+                    parse_partition_file(str(path))
 
     def test_non_canonical_block_between_canonical_ones(
         self, tmp_path, small_blocks, decode_calls
@@ -418,10 +444,10 @@ class TestVerifyCapDuringParse:
 
     # n = 9: 2**9 - 1 = 511 sets of size >= 1, fewer than any file's volume
     # here; n = 30: more than any.  Each line declares 2 sets.
-    def certificate(self, tmp_path, n, lines, tail=b""):
+    def certificate(self, tmp_path, n, lines, tail=b"", eol=b"\n"):
         path = tmp_path / f"cap{n}_{lines}.txt"
         header = f"n={n} d=1 regime={regime_of(n, 1).regime.value}\n".encode("ascii")
-        path.write_bytes(header + LINE * lines + tail)
+        path.write_bytes(header + LINE.replace(b"\n", eol) * lines + tail)
         return path
 
     @pytest.mark.parametrize("cap", [10, 100_000])
@@ -458,16 +484,36 @@ class TestVerifyCapDuringParse:
         assert run(["verify", "--in", str(path)]) == want
 
     def test_parse_memory_does_not_grow_with_the_file(self, tmp_path):
-        # 25,000 and 250,000 lines: 0.15 and 1.5 MB, 3 and 23 blocks of
-        # 64 KiB.  A full parse would hold 2 MB of masks for the longer
-        # file, twice.
-        peaks = []
-        for lines in (25_000, 250_000):
-            path = self.certificate(tmp_path, 30, lines)
-            run(["verify", "--in", str(path), "--cap", "10"])
-            (code, _, err), peak = traced_peak(
-                lambda: run(["verify", "--in", str(path), "--cap", "10"])
-            )
-            assert code == 2 and err.startswith(f"verifying {2 * lines} listed sets")
-            peaks.append(peak)
-        assert peaks[1] < peaks[0] + 2**18
+        # 25,000 and 250,000 lines: 0.15 and 1.5 MB with LF ends, 3 and 23
+        # blocks of 64 KiB.  A full parse would hold 2 MB of masks for the
+        # longer file, twice.  CR LF and CR bodies take the slower per-line
+        # path, so their longer file has 100,000 lines, 10 or 11 blocks; a
+        # CR body, which holds no LF, must be cut into blocks too.
+        for eol, longer in ((b"\n", 250_000), (b"\r\n", 100_000), (b"\r", 100_000)):
+            peaks = []
+            for lines in (25_000, longer):
+                path = self.certificate(tmp_path, 30, lines, eol=eol)
+                run(["verify", "--in", str(path), "--cap", "10"])
+                (code, _, err), peak = traced_peak(
+                    lambda: run(["verify", "--in", str(path), "--cap", "10"])
+                )
+                assert code == 2 and err.startswith(f"verifying {2 * lines} listed sets")
+                peaks.append(peak)
+            assert peaks[1] < peaks[0] + 2**18, (eol, peaks)
+
+
+def test_verify_reads_a_certificate_piped_to_stdin(tmp_path):
+    """The parser reads a certificate once, without seeking, so a pipe
+    verifies as the file does.  A fresh process gets a real pipe."""
+    path = tmp_path / "p.txt"
+    assert run(["build", "-n", "9", "-d", "2", "--out", str(path)])[0] == 0
+    want = run(["verify", "--in", str(path)])
+    assert want[0] == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "veronese_sdepth", "verify", "--in", "/dev/stdin"],
+        input=path.read_bytes(),
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == want
