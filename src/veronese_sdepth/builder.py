@@ -13,12 +13,12 @@ an implicit singleton interval [D, D]:
   Large (n > threshold)        density k+1, then s filtered levels at s+1,
                                s = large_n_density_shift(n, d).
 
-Selection makes every set of the visited sizes covered, so the trivial
-remainder starts at the next size up.  A partition lists only the layered
-intervals and claims the plan's closed-form minimum upper size: d + k
-through the Mid regime, d + 1 + s beyond the threshold and d + 3 at
-n = 4d + 3.  The builder does not count what its layers cover; the
-verifier re-derives the minimum and checks that it reaches the claim.
+Every other plan is the base (d, k) under s filtered levels from d + first
+at density s + 1, and claims d + first + s (d + k through the Mid regime),
+the first size selection leaves uncovered.  first = 1 but in the k3
+construction at n = 4d + 3 (k = 3, s = 1), whose density-4 base covers
+every (d+1)-set as well.  A partition lists only the layered intervals;
+the verifier, not the builder, re-derives the minimum and checks the claim.
 ``build_partition``, ``build_partition_k3`` and ``certify_layered`` all
 return one ``Build(partition, trace)``.  Disjointness of a kept interval
 against earlier layers follows from the families' closure property (for
@@ -199,22 +199,22 @@ class _Plan(NamedTuple):
 
 def _plan_for(reg: RegimeDecomposition, k3: bool = False) -> _Plan:
     n, d, k = reg.n, reg.d, reg.k
-    if k3:
-        if n != 4 * d + 3:
-            raise PreconditionViolatedError("the k3 construction needs n = 4d + 3")
-        # The density-4 base covers every (d+1)-set as well, so the
-        # remainder starts at d + 3.
-        return _Plan([(d, 3), (d + 2, 1)], d + 3)
+    if k3 and n != 4 * d + 3:
+        raise PreconditionViolatedError(
+            f"the k3 construction needs n = 4d + 3 = {4 * d + 3}, got n={n}"
+        )
     if reg.regime is Regime.TRIVIAL_RANGE:
         return _Plan([], d)
-    # One base family at density k + 1 under s filtered levels that share
-    # density s + 1: s = k - 1 up to the threshold (none for K1, one for K2).
+    # One base family at density k + 1 under s filtered levels from d + first
+    # that share density s + 1: s = k - 1 up to the threshold (none for K1,
+    # one for K2).  The k3 plan (k = 3) has one at d + 2: its density-4 base
+    # covers every (d+1)-set as well, so level d + 1 needs no layer.
     s = large_n_density_shift(n, d) if reg.regime is Regime.LARGE else k - 1
-    layers = [(d, k)] + [(d + q, s) for q in range(1, s + 1)]
-    # The layer levels run contiguously up from d and all end up covered,
-    # so every uncovered set, and every layered upper endpoint, has at
-    # least the next size.
-    return _Plan(layers, d + len(layers))
+    first, s = (2, 1) if k3 else (1, s)
+    layers = [(d, k)] + [(d + q, s) for q in range(first, first + s)]
+    # Every level below d + first + s ends up covered, so every uncovered
+    # set, and every layered upper endpoint, has at least that size.
+    return _Plan(layers, d + first + s)
 
 
 def _check_plan(plan: Sequence[tuple[int, int]]) -> None:

@@ -13,10 +13,10 @@ direction's memory grows with the file:
 * The parser reads the file once, through one binary handle that it
   never seeks, so a pipe reads as a file does.  It reads the body in
   blocks of about ``_BLOCK_BYTES`` cut after the last line end, LF or a
-  CR, and decodes a block in bulk when it is in canonical form: only
-  digits, ``,``, ``;`` and ``\\n``, every token one or two digits.  A block
-  that is not canonical, or that breaks any rule of the format, is split
-  into lines in memory, each decoded as ASCII and parsed by
+  CR, and decodes a block in bulk when, with CR LF and CR read as LF, it
+  is canonical: only digits, ``,``, ``;`` and ``\\n``, every token one or
+  two digits.  Any other block, or one that breaks a rule of the format, is
+  split into lines in memory, each decoded as ASCII and parsed by
   ``_parse_line``, the reference, which returns the same masks or raises
   the exact error with its line number.  The bulk path only ever accepts
   lines that ``_parse_line`` accepts.
@@ -189,11 +189,12 @@ def _parse_line(raw: str, lineno: int, n: int, d: int) -> tuple[int, int]:
 
 def _decode_block(buf: bytes, n: int, d: int):
     """(lowers, uppers) of a block of lines in canonical form, each ending
-    in a newline, that ``_parse_line`` would accept one by one; None for
-    any other block."""
-    # A CR is never canonical; finding one costs far less than the
-    # bulk pass it would fail.
-    if not buf.endswith(b"\n") or b"\r" in buf:
+    in a line end, that ``_parse_line`` would accept one by one; None for
+    any other block.  Each CR LF and lone CR is read as LF first: the
+    line ends ``_parse_lines`` splits at, so no line changes but its end."""
+    if b"\r" in buf:
+        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not buf.endswith(b"\n"):
         return None
     a = np.frombuffer(buf, dtype=np.uint8)
     sep = np.flatnonzero((a - np.uint8(48)) >= 10)  # every byte but a digit

@@ -48,11 +48,11 @@ names and every parse error are those of the whole file.
 
 ``build`` writes the canonical form: every line, the last included, ends
 in LF, and members are plain decimal without sign, leading zeros or
-spaces.  ``verify`` reads canonical files in bulk (``certfile``); any
+spaces.  ``verify`` reads canonical files in bulk (``certfile``), and
+so files whose body lines end in CRLF or a lone CR (not the header); any
 other block of lines goes through the line-by-line parser, which also
-accepts CRLF or a lone CR ending a body line (not the header), a last
-line without a line end, and a member written any way Python's ``int``
-reads it (``+3``, ``007``, ``1_0``, surrounding spaces or tabs).  Blank
+accepts a last line without a line end and a member written any way
+Python's ``int`` reads it (``+3``, ``007``, ``1_0``, spaces or tabs).  Blank
 lines, empty members and non-ASCII bytes are refused with exit 2, naming
 the line where the parser stopped; so is a header that does not end
 within 256 bytes.  The file is read once, front to back, so ``--in`` may
@@ -153,9 +153,6 @@ def cmd_report(args) -> int:
 def cmd_build(args) -> int:
     n, d = args.n, args.d
     conjectured_sdepth(n, d)  # argument validation
-    if args.k3 and n != 4 * d + 3:
-        print(f"--k3 requires n = 4d + 3 = {4 * d + 3}, got n={n}", file=sys.stderr)
-        return EXIT_USAGE
     built, _ = select_build(n, d, args.cap, args.k3)
     if built is None:
         print(build_refusal(n, d, args.cap, args.k3), file=sys.stderr)

@@ -46,7 +46,7 @@ from .core import (
     regime_of,
     sdepth_upper_bound,
 )
-from .errors import InternalCheckError, InvalidPartitionError, PreconditionViolatedError
+from .errors import InternalCheckError, InvalidPartitionError
 from .oracle import DEFAULT_ORACLE_BUDGET, exact_sdepth
 
 # Intervals the verifier expands per block, and sorted members it scans
@@ -280,14 +280,13 @@ class SdepthReport:
 def select_build(n: int, d: int, cap: int, k3: bool) -> tuple[Build | None, str]:
     """The build ``report``, ``build`` and ``table`` certify from, and its
     label.  Every build must pass ``build_refusal`` within ``cap``, which
-    bounds its predicted listed volume.  When n <= ``MATERIALIZE_LIMIT``
-    and C(n, ceil(n/2)) <= ``cap`` as well, it is the construction
-    (``construction``, or ``construction-k3`` with ``k3``, which needs
-    n = 4d + 3); otherwise it is ``certify_layered`` (``layered``), which
-    is None when the build is refused.  The builds are this module's
+    bounds its predicted listed volume and, through the plan, raises the
+    builder's error for ``k3`` at an n other than 4d + 3.  When
+    n <= ``MATERIALIZE_LIMIT`` and C(n, ceil(n/2)) <= ``cap`` as well, it
+    is the construction (``construction``, or ``construction-k3`` with
+    ``k3``); otherwise it is ``certify_layered`` (``layered``), which is
+    None when the build is refused.  The builds are this module's
     bindings, so a wrapper set on them sees every build."""
-    if k3 and n != 4 * d + 3:
-        raise PreconditionViolatedError(f"the k3 construction needs n = 4d + 3, got n={n}")
     if (
         n <= MATERIALIZE_LIMIT
         and comb(n, (n + 1) // 2) <= cap

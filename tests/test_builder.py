@@ -1,5 +1,6 @@
 import hashlib
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,19 +537,26 @@ UNIVERSE_REASON = "n=70 is wider than a mask holds (64)"
 
 class TestOneRefusalRule:
     @pytest.mark.parametrize(
-        "n, d, cap, reason",
-        [(24, 11, 4_992_287, VOLUME_REASON), (70, 1, DEFAULT_SWEEP_CAP, UNIVERSE_REASON)],
-        ids=["volume", "universe"],
+        "n, d, cap, k3, reason",
+        [
+            (24, 11, 4_992_287, False, VOLUME_REASON),
+            (70, 1, DEFAULT_SWEEP_CAP, False, UNIVERSE_REASON),
+            # The mask width is checked before the k3 plan's n = 4d + 3.
+            (70, 1, DEFAULT_SWEEP_CAP, True, UNIVERSE_REASON),
+        ],
+        ids=["volume", "universe", "universe-k3"],
     )
-    def test_every_entry_point_gives_the_builders_reason(self, tmp_path, capsys, n, d, cap, reason):
-        assert build_refusal(n, d, cap) == reason
+    def test_every_entry_point_gives_the_builders_reason(
+        self, tmp_path, capsys, n, d, cap, k3, reason
+    ):
+        assert build_refusal(n, d, cap, k3) == reason
         out = tmp_path / "p.txt"
         argv = ["build", "-n", str(n), "-d", str(d), "--cap", str(cap), "--out", str(out)]
-        assert main(argv) == 2
+        assert main(argv + ["--k3"] * k3) == 2
         assert capsys.readouterr() == ("", reason + "\n")
         assert not out.exists()
-        assert certify_layered(n, d, cap=cap) is None
-        assert select_build(n, d, cap, False) == (None, "layered")
+        assert certify_layered(n, d, cap=cap, use_k3=k3) is None
+        assert select_build(n, d, cap, k3) == (None, "layered")
 
     def test_within_the_cap_nothing_is_refused(self):
         assert build_refusal(24, 11, 4_992_288) is None
@@ -573,3 +581,22 @@ class TestOneRefusalRule:
     def test_k3_build_refuses_d_below_1_as_core_does(self):
         with pytest.raises(PreconditionViolatedError, match=r"^need 1 <= d <= n, got n=3, d=0$"):
             build_partition_k3(0)
+
+    def test_k3_at_the_wrong_n_gives_the_plans_one_reason(self, tmp_path, capsys):
+        reason = "the k3 construction needs n = 4d + 3 = 7, got n=8"
+        out = tmp_path / "p.txt"
+        assert main(["build", "-n", "8", "-d", "1", "--k3", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
+        assert not out.exists()
+        reason = "the k3 construction needs n = 4d + 3 = 19, got n=20"
+        for call in (
+            lambda: select_build(20, 4, DEFAULT_SWEEP_CAP, True),
+            lambda: certify_layered(20, 4, use_k3=True),
+            lambda: build_refusal(20, 4, DEFAULT_SWEEP_CAP, k3=True),
+        ):
+            with pytest.raises(PreconditionViolatedError) as got:
+                call()
+            assert str(got.value) == reason
+        src = Path(builder.__file__).parents[1]
+        text = "".join(p.read_text() for p in sorted(src.rglob("*.py")))
+        assert text.count("the k3 construction needs") == 1

@@ -129,8 +129,9 @@ class TestIdentity:
 
 
 class TestNonCanonicalForms:
-    """Inputs outside the canonical form take the per-line path and keep
-    the per-line parser's verdict."""
+    """Inputs outside the canonical form keep the per-line parser's verdict,
+    whether they decode in bulk (CR LF and CR line ends) or take the
+    per-line path."""
 
     def body_edit(self, edit):
         text = certificate_bytes(7, 2).decode("ascii")
@@ -218,8 +219,12 @@ def decode_calls(monkeypatch):
 class TestBlockBoundaries:
     @pytest.mark.parametrize("block", [5, 16, 24, 40, 1 << 20])
     def test_lines_split_across_reads(self, tmp_path, monkeypatch, block):
-        # With CR LF ends, some reads stop between a CR and its LF.
+        # With CR LF ends, some reads stop between a CR and its LF.  LF,
+        # CR LF and CR bodies all decode in bulk, never line by line.
         monkeypatch.setattr(certfile, "_BLOCK_BYTES", block)
+        per_line = []
+        real = certfile._parse_lines
+        monkeypatch.setattr(certfile, "_parse_lines", lambda *a: per_line.append(a) or real(*a))
         header, body = certificate_bytes(8, 2).split(b"\n", 1)
         path = tmp_path / "p.txt"
         for eol in (b"\n", b"\r\n", b"\r"):
@@ -227,6 +232,7 @@ class TestBlockBoundaries:
             got = assert_same_outcome(path)
             assert got[0] == "parsed" and got[1] == built(8, 2), eol
             assert run(["verify", "--in", str(path)])[0] == 0
+        assert per_line == []
 
     @pytest.mark.parametrize(
         "bad",
@@ -485,13 +491,12 @@ class TestVerifyCapDuringParse:
 
     def test_parse_memory_does_not_grow_with_the_file(self, tmp_path):
         # 25,000 and 250,000 lines: 0.15 and 1.5 MB with LF ends, 3 and 23
-        # blocks of 64 KiB.  A full parse would hold 2 MB of masks for the
-        # longer file, twice.  CR LF and CR bodies take the slower per-line
-        # path, so their longer file has 100,000 lines, 10 or 11 blocks; a
-        # CR body, which holds no LF, must be cut into blocks too.
-        for eol, longer in ((b"\n", 250_000), (b"\r\n", 100_000), (b"\r", 100_000)):
+        # blocks of 64 KiB, and up to 1.75 MB, 27 blocks, with CR LF ends.
+        # A full parse would hold 2 MB of masks for the longer file, twice.
+        # A CR body, which holds no LF, must be cut into blocks too.
+        for eol in (b"\n", b"\r\n", b"\r"):
             peaks = []
-            for lines in (25_000, longer):
+            for lines in (25_000, 250_000):
                 path = self.certificate(tmp_path, 30, lines, eol=eol)
                 run(["verify", "--in", str(path), "--cap", "10"])
                 (code, _, err), peak = traced_peak(
