@@ -13,12 +13,13 @@ endpoint is forced as well.  List the constrained sets by increasing size
 and let D be the first uncovered one.  An interval [A, B] holding D has A
 inside D; were A != D, A would be smaller, hence listed earlier and
 already covered, and the two intervals would overlap.  So the search only
-ever tries [D, B] for the t-sets B containing D.  It skips, without
-building its members, each such B that holds an element x with D + x
-already covered: that candidate holds a covered set, so it always fails,
-and the covered sets are the same each time the search returns to D.  A
-skipped candidate is charged to the budget as if it were built, so the
-skip changes no answer and no budget outcome, only the time per unit.
+ever tries [D, B] for the t-sets B containing D.  It never builds a B
+holding an element x with D + x already covered: that candidate holds a
+covered set, so it always fails.  A new frame probes the elements
+outside D only until it has its first candidate, and each candidate is
+charged by its lexicographic rank, as if every one skipped before it had
+been built.  So the skip changes no answer and no budget outcome, only
+the time per unit.
 """
 
 from __future__ import annotations
@@ -90,16 +91,20 @@ def _cover_feasible(
     Each frame of the search therefore covers the first uncovered set,
     and the next target lies after it.
 
-    Many candidates are refused by a single member.  A frame's blocked
-    mask holds each free element x with D + x already covered, and a
-    candidate [D, B] whose B meets it holds D + x, so it fails; the loop
-    skips it without building its members.  The covered sets are the
-    same at every resume of a frame, because each deeper frame removes
-    its members before it is popped, so the mask, computed when the
-    frame is pushed, holds for the frame's whole life.  A frame keeps
-    only its position, its extension iterator, the upper set it applied
-    (0 for none) and its blocked mask, and builds the applied members
-    again when it resumes.
+    Many candidates are refused by a single member.  A free element x
+    (one outside D) with D + x covered blocks D: every candidate [D, B]
+    with x in B holds D + x, so it fails and is never built.  Each deeper
+    frame removes its members before it is popped, so the blocked
+    elements stay the same for a frame's whole life.  The unblocked
+    candidates come in the order of ``combinations`` over the unblocked
+    elements, so a new frame probes the free elements in ascending order
+    only until it has t - |D| unblocked ones, and tries those first.  If
+    they fail, or when the frame resumes after a deeper failure, it lists
+    all its unblocked elements, on a resume only after removing its own
+    applied members from the covered sets, and iterates the later
+    candidates.  A frame keeps its position, the upper set it applied (0
+    for none), the candidates charged so far and that iterator (None
+    until needed).
 
     The counting test runs once, on the initial counts C(n, k), before
     anything is enumerated: an interval with lower size a that covers x
@@ -112,12 +117,18 @@ def _cover_feasible(
     The search walks an explicit stack, so its depth is not bounded by
     Python's recursion limit.  ``work`` is charged one unit per
     constrained set, a whole size before it is enumerated, 1 + 2^m for
-    each candidate with m free elements, before it is tested, whether it
-    is skipped or built, and one per covered set the target scan skips.
-    The blocked skip therefore changes no charge: every answer, every
+    each candidate that adds m of the r free elements, before it is
+    tested, whether it is skipped or built, and one per covered set the
+    target scan skips.  A candidate of lexicographic rank k among the
+    C(r, m) pays (k + 1 - the candidates paid before) times that, which
+    covers the skipped ones in one step, and a frame out of candidates
+    pays for the rest of its C(r, m).  A step that overdraws leaves
+    left - (left // cost + 1) * cost, where charging one candidate at a
+    time stops.  So the skip changes no charge: every answer, every
     exhausted budget and the work left in ``work`` are what a search that
-    builds every candidate gives.  Every loop iteration is charged, so
-    the budget bounds the time and the memory.
+    builds every candidate gives.  Each frame pays for at least one
+    candidate, which covers its at most n probes and its members, so the
+    budget bounds the time and the memory.
     """
     counts = [comb(n, k) for k in range(d, t + 1)]
     if counting_prune and any(
@@ -135,40 +146,58 @@ def _cover_feasible(
                 raise _BudgetHit
             constrained.extend(map(sum, combinations(bits, size)))
         end = len(constrained)
+        full = (1 << n) - 1
         covered: set[int] = set()
-
-        def frame(pos: int) -> tuple:
-            """(target position, its remaining upper-set extensions, the
-            upper set applied (0 for none), the blocked mask)."""
+        # A frame is [position, upper set applied (0 for none), units
+        # charged, later candidates (None until needed)].
+        stack: list[list] = []
+        pos = 0  # t > d, so the first constrained set exists and is uncovered
+        while True:
             dmask = constrained[pos]
-            rest = [b for b in bits if not dmask & b]
-            blocked = sum([b for b in rest if dmask | b in covered])
-            return pos, combinations(rest, t - dmask.bit_count()), 0, blocked
-
-        # t > d, so the first constrained set exists and is uncovered.
-        stack = [frame(0)]
-        while stack:
-            pos, extensions, upper, blocked = stack[-1]
-            dmask = constrained[pos]
-            if upper:
-                free = upper & ~dmask
-                covered.difference_update(_interval(dmask, [b for b in bits if free & b]))
-            cost = 1 + (1 << (t - dmask.bit_count()))
-            for extra in extensions:
-                left -= cost
-                if left < 0:
-                    raise _BudgetHit
-                upper = dmask | sum(extra)
-                if upper & blocked:
-                    continue
-                members = _interval(dmask, extra)
-                if covered.isdisjoint(members):
-                    break
+            free, m = full & ~dmask, t - dmask.bit_count()
+            # The first m unblocked free bits are the frame's first candidate.
+            extra = []
+            for b in bits:
+                if free & b and dmask | b not in covered:
+                    extra.append(b)
+                    if len(extra) == m:
+                        break
             else:
-                stack.pop()
-                continue
+                extra = None
+            top = [pos, 0, 0, None]
+            stack.append(top)
+            while True:
+                cost = 1 + (1 << m)
+                # Charge up to this candidate, or every candidate if none is left.
+                units = comb(free.bit_count(), m) if extra is None else _lex_rank(free, extra) + 1
+                spend = (units - top[2]) * cost
+                if spend > left:
+                    left -= (left // cost + 1) * cost
+                    raise _BudgetHit
+                left -= spend
+                top[2] = units
+                if extra is not None:
+                    members = _interval(dmask, extra)
+                    if covered.isdisjoint(members):
+                        break
+                else:
+                    stack.pop()
+                    if not stack:
+                        return False
+                    top = stack[-1]
+                    pos = top[0]
+                    dmask = constrained[pos]
+                    free, m = full & ~dmask, t - dmask.bit_count()
+                    applied = [b for b in bits if top[1] & free & b]
+                    covered.difference_update(_interval(dmask, applied))
+                if top[3] is None:
+                    # The frame's own members are off ``covered`` by now.
+                    unblocked = [b for b in bits if free & b and dmask | b not in covered]
+                    top[3] = combinations(unblocked, m)
+                    next(top[3])
+                extra = next(top[3], None)
             covered.update(members)
-            stack[-1] = pos, extensions, upper, blocked
+            top[1] = dmask | sum(extra)
             pos += 1
             while pos < end and constrained[pos] in covered:
                 left -= 1
@@ -177,10 +206,20 @@ def _cover_feasible(
                 pos += 1
             if pos == end:
                 return True
-            stack.append(frame(pos))
-        return False
     finally:
         work[0] = left
+
+
+def _lex_rank(free: int, extra) -> int:
+    """The position of the m ascending bits ``extra`` of ``free`` among
+    ``combinations`` of the r ascending bits of ``free``: C(r, m) - 1 -
+    sum_i C(r_i, m - i), with r_i the bits of ``free`` above the i-th of
+    ``extra`` (from 0), ``bitops.lex_rank``'s arithmetic on the free bits."""
+    m = len(extra)
+    rank = comb(free.bit_count(), m) - 1
+    for i, b in enumerate(extra):
+        rank -= comb((free >> b.bit_length()).bit_count(), m - i)
+    return rank
 
 
 def _interval(lower: int, extra) -> list[int]:

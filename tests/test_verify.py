@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -361,6 +362,27 @@ class TestExactOracle:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("r", range(11))
+    def test_rank_is_the_position_among_combinations(self, r):
+        # The free bits of D are contiguous, or spread between D's bits.
+        for free in ((1 << r) - 1, sum(1 << (2 * i) for i in range(r))):
+            free_bits = [b for b in (1 << i for i in range(2 * r)) if free & b]
+            for m in range(r + 1):
+                for k, combo in enumerate(combinations(range(r), m)):
+                    extra = [free_bits[i] for i in combo]
+                    assert oracle_module._lex_rank(free, extra) == k, (free, combo)
+
+    def test_search_memory_stays_small(self):
+        # A frame holds four fields, and a list of its free elements only
+        # once its first candidate fails, which never happens here.
+        tracemalloc.start()
+        try:
+            assert exact_sdepth(16, 5) == 6
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_never_above_builder_certificate(self):
         for n in range(2, 7):
