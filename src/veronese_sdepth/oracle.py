@@ -16,10 +16,8 @@ already covered, and the two intervals would overlap.  So the search only
 ever tries [D, B] for the t-sets B containing D.  It never builds a B
 holding an element x with D + x already covered: that candidate holds a
 covered set, so it always fails.  A new frame probes the elements
-outside D only until it has its first candidate, and each candidate is
-charged by its lexicographic rank, as if every one skipped before it had
-been built.  So the skip changes no answer and no budget outcome, only
-the time per unit.
+outside D only until it has its first candidate.  The budget is charged
+for the probes and the candidates built, never for a skipped one.
 """
 
 from __future__ import annotations
@@ -47,11 +45,11 @@ def exact_sdepth(
 
     Descends the trial target from n; the first feasible target is the
     answer (a partition with minimum >= t also witnesses every smaller
-    target).  The budget counts enumerated constrained sets, candidates
-    tried and their members (built or not), and covered sets skipped,
-    across the whole descent; when it runs out the result is None, which
-    is distinct from a definite answer.  It is None too, before any
-    count is formed, when [n] is wider than a mask holds.
+    target).  The budget counts enumerated constrained sets, probes of
+    the covered sets, candidates built and their members, and covered
+    sets skipped, across the whole descent; when it runs out the result
+    is None, which is distinct from a definite answer.  It is None too,
+    before any count is formed, when [n] is wider than a mask holds.
     ``counting_prune`` exists so tests can cross-check the pruned search
     against plain exhaustion.
     """
@@ -103,8 +101,7 @@ def _cover_feasible(
     all its unblocked elements, on a resume only after removing its own
     applied members from the covered sets, and iterates the later
     candidates.  A frame keeps its position, the upper set it applied (0
-    for none), the candidates charged so far and that iterator (None
-    until needed).
+    for none) and that iterator (None until needed).
 
     The counting test runs once, on the initial counts C(n, k), before
     anything is enumerated: an interval with lower size a that covers x
@@ -116,19 +113,14 @@ def _cover_feasible(
 
     The search walks an explicit stack, so its depth is not bounded by
     Python's recursion limit.  ``work`` is charged one unit per
-    constrained set, a whole size before it is enumerated, 1 + 2^m for
-    each candidate that adds m of the r free elements, before it is
-    tested, whether it is skipped or built, and one per covered set the
-    target scan skips.  A candidate of lexicographic rank k among the
-    C(r, m) pays (k + 1 - the candidates paid before) times that, which
-    covers the skipped ones in one step, and a frame out of candidates
-    pays for the rest of its C(r, m).  A step that overdraws leaves
-    left - (left // cost + 1) * cost, where charging one candidate at a
-    time stops.  So the skip changes no charge: every answer, every
-    exhausted budget and the work left in ``work`` are what a search that
-    builds every candidate gives.  Each frame pays for at least one
-    candidate, which covers its at most n probes and its members, so the
-    budget bounds the time and the memory.
+    constrained set, a whole size before it is enumerated, one per probe
+    of D + x in the covered sets, 1 + 2^m for each candidate built with m
+    free elements, before it is tested, and one per covered set the
+    target scan skips; it runs out at the first charge that leaves it
+    below zero.  A unit pays for at most O(n) steps and a bounded amount
+    of memory (the walk over ``bits``, a candidate's members, their
+    ``isdisjoint`` test and their removal on a resume), so the budget
+    bounds the time and the memory.
     """
     counts = [comb(n, k) for k in range(d, t + 1)]
     if counting_prune and any(
@@ -148,8 +140,8 @@ def _cover_feasible(
         end = len(constrained)
         full = (1 << n) - 1
         covered: set[int] = set()
-        # A frame is [position, upper set applied (0 for none), units
-        # charged, later candidates (None until needed)].
+        # A frame is [position, upper set applied (0 for none), later
+        # candidates (None until needed)].
         stack: list[list] = []
         pos = 0  # t > d, so the first constrained set exists and is uncovered
         while True:
@@ -158,25 +150,23 @@ def _cover_feasible(
             # The first m unblocked free bits are the frame's first candidate.
             extra = []
             for b in bits:
-                if free & b and dmask | b not in covered:
-                    extra.append(b)
-                    if len(extra) == m:
-                        break
+                if free & b:
+                    left -= 1
+                    if dmask | b not in covered:
+                        extra.append(b)
+                        if len(extra) == m:
+                            break
             else:
                 extra = None
-            top = [pos, 0, 0, None]
+            if left < 0:
+                raise _BudgetHit
+            top = [pos, 0, None]
             stack.append(top)
             while True:
-                cost = 1 + (1 << m)
-                # Charge up to this candidate, or every candidate if none is left.
-                units = comb(free.bit_count(), m) if extra is None else _lex_rank(free, extra) + 1
-                spend = (units - top[2]) * cost
-                if spend > left:
-                    left -= (left // cost + 1) * cost
-                    raise _BudgetHit
-                left -= spend
-                top[2] = units
                 if extra is not None:
+                    left -= 1 + (1 << m)
+                    if left < 0:
+                        raise _BudgetHit
                     members = _interval(dmask, extra)
                     if covered.isdisjoint(members):
                         break
@@ -190,12 +180,15 @@ def _cover_feasible(
                     free, m = full & ~dmask, t - dmask.bit_count()
                     applied = [b for b in bits if top[1] & free & b]
                     covered.difference_update(_interval(dmask, applied))
-                if top[3] is None:
+                if top[2] is None:
                     # The frame's own members are off ``covered`` by now.
+                    left -= free.bit_count()
+                    if left < 0:
+                        raise _BudgetHit
                     unblocked = [b for b in bits if free & b and dmask | b not in covered]
-                    top[3] = combinations(unblocked, m)
-                    next(top[3])
-                extra = next(top[3], None)
+                    top[2] = combinations(unblocked, m)
+                    next(top[2])
+                extra = next(top[2], None)
             covered.update(members)
             top[1] = dmask | sum(extra)
             pos += 1
@@ -208,18 +201,6 @@ def _cover_feasible(
                 return True
     finally:
         work[0] = left
-
-
-def _lex_rank(free: int, extra) -> int:
-    """The position of the m ascending bits ``extra`` of ``free`` among
-    ``combinations`` of the r ascending bits of ``free``: C(r, m) - 1 -
-    sum_i C(r_i, m - i), with r_i the bits of ``free`` above the i-th of
-    ``extra`` (from 0), ``bitops.lex_rank``'s arithmetic on the free bits."""
-    m = len(extra)
-    rank = comb(free.bit_count(), m) - 1
-    for i, b in enumerate(extra):
-        rank -= comb((free >> b.bit_length()).bit_count(), m - i)
-    return rank
 
 
 def _interval(lower: int, extra) -> list[int]:

@@ -49,9 +49,9 @@ oracle: a recursive search over every upper size >= t with the counting
 prune on; the oracle restricted to upper size exactly t is checked
 against it.  ``cover_feasible_building_every_candidate`` is a frozen copy
 of that restricted search as it was before the blocked skip: it builds
-and tests the members of every candidate, in the same order and with
-the same charges; the oracle's search is checked against it for equal
-answers and equal work, target by target.
+and tests the members of every candidate, in the same order; the
+oracle's search, which never builds a blocked one, is checked against
+it for equal answers, target by target.
 """
 
 import re
@@ -380,8 +380,8 @@ def _cover_feasible_unrestricted(n, d, t, work):
 def cover_feasible_building_every_candidate(n, d, t, work, counting_prune=True):
     """Is target t feasible?  The first uncovered constrained set D is
     covered by some [D, B] with |B| = t whose members, all built, are
-    uncovered; ``work`` is charged as ``oracle._cover_feasible`` charges
-    it, and ``_BudgetHit`` is raised once it is overdrawn."""
+    uncovered.  ``work`` bounds the search, and ``_BudgetHit`` is raised
+    once it is overdrawn; only the answer is compared with the oracle."""
 
     def charge(units):
         work[0] -= units
