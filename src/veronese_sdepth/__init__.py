@@ -48,7 +48,6 @@ _EXPORTS = {
     "SizeMismatchError": "errors",
     "SOutOfRangeError": "errors",
     "UniverseMismatchError": "errors",
-    "IntervalFamily": "lifting",
     "LiftParams": "lifting",
     "PosetInterval": "lifting",
     "check_cross_level_disjoint": "lifting",

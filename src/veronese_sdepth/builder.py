@@ -37,8 +37,9 @@ so identical inputs produce byte-identical partitions.  Bulk storage is
 numpy mask arrays throughout: candidates come from
 ``bitops.lex_combinations`` as level x N blocks, one column per set,
 which the mask kernels read along whole contiguous rows; they are closed
-in fixed-size batches by ``lifting.closure_upper_masks``, and each family
-keeps parallel lower and upper arrays.  Covered sets are kept only for
+in fixed-size batches by ``lifting.closure_upper_masks``, and the whole
+selection is one pair of parallel lower and upper arrays, joined once
+from the batches.  Covered sets are kept only for
 the sizes a later layer filters, one member array per size.  A filtered
 level does not search its member array: it ranks those sets
 (``bitops.lex_ranks``) into one flag per level set, and since candidates
@@ -70,7 +71,6 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .lifting import (
-    IntervalFamily,
     PosetInterval,
     closure_upper_mask,
     closure_upper_masks,
@@ -229,32 +229,35 @@ def _check_plan(plan: Sequence[tuple[int, int]]) -> None:
 
 def _run_layers(
     n: int, plan: Sequence[tuple[int, int]]
-) -> tuple[list[IntervalFamily], list[LayerTrace]]:
+) -> tuple[np.ndarray, np.ndarray, list[LayerTrace]]:
     """Select intervals layer by layer.
 
-    Returns the selected families and per-layer counts.  Candidates run in
-    lexicographic order, in chunks of ``_CHUNK`` level sets, so the
-    candidate at sweep position p has lexicographic rank p; the first of
-    each chunk has its rank re-derived by the scalar ``bitops.lex_rank``.
-    A filtered layer drops the candidates whose rank is flagged covered by
-    earlier layers (``_covered_flags``); an interval never covers another
-    set of its own level, so this is the same as filtering one candidate
-    at a time.  The kept candidates' masks are computed once and closed by
-    the batched closure, whose first set is re-derived by the scalar
+    Returns the lower and upper masks of the whole selection, each layer's
+    in plan order, ``traces[i].selected`` of them, and the per-layer
+    counts.  Candidates run in lexicographic order, in chunks of
+    ``_CHUNK`` level sets, so the candidate at sweep position p has
+    lexicographic rank p; the first of each chunk has its rank re-derived
+    by the scalar ``bitops.lex_rank``.  A filtered layer drops the
+    candidates whose rank is flagged covered by earlier layers
+    (``_covered_flags``); an interval never covers another set of its own
+    level, so this is the same as filtering one candidate at a time.  The
+    kept candidates' masks are computed once and closed by the batched
+    closure, whose first set is re-derived by the scalar
     ``closure_upper_mask``.  Members are expanded only for the sizes a
     later layer filters, one array per size, from the rows of the
-    expansion that hold that many members.  Disjointness and coverage
+    expansion that hold that many members; only such a layer has its
+    chunks joined before the one final join.  Disjointness and coverage
     of the whole selection are left to the verifier.
     """
     _check_plan(plan)
     predicted = _predicted_kept(n, plan)
     kept: dict[int, list[np.ndarray]] = {lv: [] for lv, _ in plan[1:]}
     empty = np.empty(0, dtype=bitops.mask_dtype(n))
-    layers: list[IntervalFamily] = []
+    lo_parts, up_parts = [empty], [empty]
     traces: list[LayerTrace] = []
     for idx, (level, s) in enumerate(plan):
         validate_lift_params(n, level, s)
-        lo_parts, up_parts = [empty], [empty]
+        ours = len(lo_parts)
         taken = None
         if idx:
             taken = _covered_flags(n, level, np.concatenate([empty, *kept.pop(level)]))
@@ -280,27 +283,32 @@ def _run_layers(
                 )
             lo_parts.append(lowers)
             up_parts.append(uppers)
+        # Neither the flags nor a layer's expansion outlives its layer: the
+        # final join should hold only the selection.
+        del taken
         candidates = start
         if candidates != comb(n, level):
             raise InternalCheckError(
                 f"the sweep of level {level} visited {candidates} of {comb(n, level)} sets"
             )
-        lowers, uppers = np.concatenate(lo_parts), np.concatenate(up_parts)
+        selected = sum(len(part) for part in lo_parts[ours:])
         sizes = [j for j in kept if level < j <= level + s]
-        if sizes and len(lowers):
-            members = bitops.expand_uniform(lowers, uppers, s)
+        if sizes and selected:
+            lo_parts[ours:] = [np.concatenate(lo_parts[ours:])]
+            up_parts[ours:] = [np.concatenate(up_parts[ours:])]
+            members = bitops.expand_uniform(lo_parts[-1], up_parts[-1], s)
             # Row c of the expansion adds s - popcount(c) free members.
             added = s - bitops.popcounts(np.arange(1 << s))
             for j in sizes:
                 kept[j].append(members[added == j - level].ravel())
+            del members
         tag = f"I[{n},{level},{s + 1}]"
-        if len(lowers) != predicted[idx]:
+        if selected != predicted[idx]:
             raise InternalCheckError(
-                f"layer {tag} kept {len(lowers)} intervals where {predicted[idx]} were predicted"
+                f"layer {tag} kept {selected} intervals where {predicted[idx]} were predicted"
             )
-        layers.append(IntervalFamily(n, lowers, uppers))
-        traces.append(LayerTrace(tag, level, s + 1, candidates, len(lowers)))
-    return layers, traces
+        traces.append(LayerTrace(tag, level, s + 1, candidates, selected))
+    return np.concatenate(lo_parts), np.concatenate(up_parts), traces
 
 
 def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:
@@ -360,15 +368,8 @@ def _assemble(n: int, d: int, k3: bool = False, cap: int = 1 << 26) -> Build:
     if why is not None:
         raise PreconditionViolatedError(why)
     plan = _plan_for(regime_of(n, d), k3)
-    layers, traces = _run_layers(n, plan.layers)
-    empty = np.empty(0, dtype=bitops.mask_dtype(n))
-    part = IntervalPartition(
-        n,
-        d,
-        np.concatenate([empty, *(fam.lowers for fam in layers)]),
-        np.concatenate([empty, *(fam.uppers for fam in layers)]),
-        plan.min_upper,
-    )
+    lowers, uppers, traces = _run_layers(n, plan.layers)
+    part = IntervalPartition(n, d, lowers, uppers, plan.min_upper)
     # Each layer kept its predicted count, so this is the predicted volume.
     volume = sum(t.selected << (t.density - 1) for t in traces)
     poset = sum(comb(n, size) for size in range(d, n + 1))
@@ -381,7 +382,9 @@ def build_partition(n: int, d: int) -> Build:
 
     The claim is the plan's closed form: d in the trivial range, d + k
     through the Mid regime, and d + 1 + s beyond the threshold.  The
-    builder does not check it; ``verify_partition`` does.
+    builder does not check it; ``verify_partition`` does.  A plan whose
+    listed volume exceeds 2^26 sets is refused with
+    ``PreconditionViolatedError`` before anything is swept.
     """
     return _assemble(n, d)
 
@@ -391,17 +394,18 @@ def build_partition_k3(d: int) -> Build:
     density 4 (which covers every (d+1)-set, so none is left to a
     singleton of size d + 1), a filtered level at d+2 with density 2, and
     a trivial remainder from size d + 3 up.  The claim is d + 3, which
-    ``verify_partition`` checks."""
+    ``verify_partition`` checks.  As in ``build_partition``, a listed
+    volume beyond 2^26 sets is refused with ``PreconditionViolatedError``."""
     return _assemble(4 * d + 3, d, k3=True)
 
 
-def interval_family(n: int, d: int, l: int, s: int) -> IntervalFamily:
+def interval_family(n: int, d: int, l: int, s: int) -> IntervalPartition:
     """One interval per (d+l)-subset of [n], upper size d + l + s, in
-    lexicographic order of the lower endpoints.  The family is pairwise
-    disjoint by the closure property, which the builder does not
-    re-check."""
-    layers, _ = _run_layers(n, [(d + l, s)])
-    return layers[0]
+    lexicographic order of the lower endpoints: an ``IntervalPartition``
+    with no claim.  The family is pairwise disjoint by the closure
+    property, which the builder does not re-check."""
+    lowers, uppers, _ = _run_layers(n, [(d + l, s)])
+    return IntervalPartition(n, d, lowers, uppers)
 
 
 def certify_layered(

@@ -255,46 +255,28 @@ def closure_upper_masks(
     return uppers
 
 
-class IntervalFamily:
-    """A family of intervals with a common lower-endpoint size, stored as
-    parallel lower and upper mask arrays in selection order."""
-
-    def __init__(self, n: int, lowers: np.ndarray, uppers: np.ndarray):
-        self.n = n
-        self.lowers = lowers
-        self.uppers = uppers
-
-    def __len__(self) -> int:
-        return len(self.lowers)
-
-    def __iter__(self) -> Iterator[PosetInterval]:
-        for lo, up in zip(self.lowers.tolist(), self.uppers.tolist()):
-            yield PosetInterval(
-                CircularSet.from_mask(self.n, lo), CircularSet.from_mask(self.n, up)
-            )
-
-
 def _interval_masks(n: int, family) -> tuple[np.ndarray, np.ndarray]:
     """The lower and upper masks of ``family`` as parallel arrays, in no
-    particular order.  ``family`` is an ``IntervalFamily``, an iterable of
-    them, or an iterable of ``PosetInterval``; every interval must live on
-    [n]."""
-    items = [family] if isinstance(family, IntervalFamily) else list(family)
-    fams = [x for x in items if isinstance(x, IntervalFamily)]
-    ivs = [x for x in items if not isinstance(x, IntervalFamily)]
-    for universe in {f.n for f in fams} | {iv.universe for iv in ivs}:
+    particular order.  ``family`` is an ``IntervalPartition``, an iterable
+    of them, or an iterable of ``PosetInterval``; every interval must live
+    on [n].  A partition is known by its ``lowers`` and ``uppers`` arrays,
+    since ``builder``, which defines it, imports this module."""
+    items = [family] if hasattr(family, "lowers") else list(family)
+    parts = [x for x in items if hasattr(x, "lowers")]
+    ivs = [x for x in items if not hasattr(x, "lowers")]
+    for universe in {x.n for x in parts} | {iv.universe for iv in ivs}:
         if universe != n:
             raise UniverseMismatchError(f"set on [{n}], family on [{universe}]")
     dtype = bitops.mask_dtype(n)
-    lowers = [f.lowers for f in fams] + [np.array([iv.lower.mask for iv in ivs], dtype)]
-    uppers = [f.uppers for f in fams] + [np.array([iv.upper.mask for iv in ivs], dtype)]
+    lowers = [x.lowers for x in parts] + [np.array([iv.lower.mask for iv in ivs], dtype)]
+    uppers = [x.uppers for x in parts] + [np.array([iv.upper.mask for iv in ivs], dtype)]
     return np.concatenate(lowers), np.concatenate(uppers)
 
 
 def is_covered(dset: CircularSet, family) -> bool:
     """True iff some interval [A, B] of ``family`` has A <= dset <= B.
 
-    ``family`` is an ``IntervalFamily``, an iterable of them, or an
+    ``family`` is an ``IntervalPartition``, an iterable of them, or an
     iterable of ``PosetInterval``; the answer does not depend on the order
     of the intervals or on how they are grouped.
     """

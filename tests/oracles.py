@@ -37,8 +37,10 @@ counts from the interval list are checked against it.
 ``searchsorted_layers`` is a frozen copy of the batched layer loop as it
 filtered before rank flags: every chunk's candidate masks binary-searched
 in the ascending covered sets of their size (``bitops.member_lookup``),
-and every layer's members merged into one sorted covered array; the
-rank-indexed filter is checked against it.  Both reference loops check
+and every layer's members merged into one sorted covered array.  It
+returns the whole selection as one lower and one upper array, each
+layer's in plan order, as the builder does; the rank-indexed filter is
+checked against it.  Both reference loops check
 that the base layer covers every set of the ``ensure`` sizes; the builder
 leaves that to the verifier.  ``lex_rank_by_counting``
 ranks a subset mask by counting, position by position, the subsets that
@@ -74,7 +76,6 @@ from veronese_sdepth.errors import InternalCheckError, PartitionFileError
 from veronese_sdepth.oracle import DEFAULT_ORACLE_BUDGET
 from veronese_sdepth.verify import VerificationVerdict, verify_partition
 from veronese_sdepth.lifting import (
-    IntervalFamily,
     closure_upper_mask,
     closure_upper_masks,
     validate_lift_params,
@@ -206,12 +207,13 @@ def per_subset_layers(n, plan, ensure=()):
 
 
 def searchsorted_layers(n, plan, ensure=()):
-    """The selected families, covered array and per-layer (candidates,
-    selected) of the batched layer loop, filtering each chunk by
-    membership of its candidate masks in the covered sets of their size."""
+    """The selected lower and upper masks, each layer's in plan order, the
+    covered array and per-layer (candidates, selected) of the batched
+    layer loop, filtering each chunk by membership of its candidate masks
+    in the covered sets of their size."""
     _check_plan(plan)
     covered = np.empty(0, dtype=bitops.mask_dtype(n))
-    layers, counts = [], []
+    all_lowers, all_uppers, counts = [covered], [covered], []
     for idx, (level, s) in enumerate(plan):
         validate_lift_params(n, level, s)
         lo_parts, up_parts = [], []
@@ -230,11 +232,12 @@ def searchsorted_layers(n, plan, ensure=()):
         lowers = np.concatenate(lo_parts) if lo_parts else covered[:0]
         uppers = np.concatenate(up_parts) if up_parts else covered[:0]
         covered = _add_covered(covered, lowers, uppers, s)
-        layers.append(IntervalFamily(n, lowers, uppers))
+        all_lowers.append(lowers)
+        all_uppers.append(uppers)
         counts.append((candidates, len(lowers)))
         if idx == 0:
             _check_ensured(n, covered, ensure)
-    return layers, covered, counts
+    return np.concatenate(all_lowers), np.concatenate(all_uppers), covered, counts
 
 
 def _add_covered(covered, lowers, uppers, s):

@@ -46,15 +46,24 @@ def ensured(d, k3):
     return (d + 1,) if k3 else ()
 
 
-def covered_masks(layers):
-    """Every member of the selected families, in ascending order.  Each
-    family has one volume, so it expands in one piece."""
+def covered_masks(lowers, uppers):
+    """Every member of the intervals [lowers[i], uppers[i]], in ascending
+    order, expanded one volume at a time."""
+    free = bitops.popcounts(uppers & ~lowers)
     parts = [
-        bitops.expand_uniform(f.lowers, f.uppers, s).ravel()
-        for f in layers
-        for s in np.unique(bitops.popcounts(f.uppers & ~f.lowers)).tolist()
+        bitops.expand_uniform(lowers[free == s], uppers[free == s], s).ravel()
+        for s in np.unique(free).tolist()
     ]
     return np.sort(np.concatenate([np.empty(0, np.uint64), *parts]))
+
+
+def layer_pairs(lowers, uppers, traces):
+    """Each layer's (lower, upper) pairs, split at the traces' counts."""
+    ends = np.cumsum([t.selected for t in traces])[:-1]
+    return [
+        list(zip(lo.tolist(), up.tolist()))
+        for lo, up in zip(np.split(lowers, ends), np.split(uppers, ends))
+    ]
 
 
 class TestRegimeBuilds:
@@ -164,20 +173,19 @@ class TestPartitionInvariants:
 
 class TestCoverageQuery:
     def test_matches_membership_set(self):
-        layers, _ = _run_layers(9, _plan_for(regime_of(9, 2)).layers)
-        covered = covered_masks(layers)
+        part = build_partition(9, 2).partition
+        covered = covered_masks(part.lowers, part.uppers)
         for size in range(2, 10):
             for combo in combinations(range(1, 10), size):
                 dset = CircularSet(9, combo)
-                assert is_covered(dset, layers) == (dset.mask in covered)
+                assert is_covered(dset, part) == (dset.mask in covered)
 
     def test_endpoint_examples(self):
-        layers, _ = _run_layers(7, _plan_for(regime_of(7, 1)).layers)
-        base = layers[0]
+        part = build_partition(7, 1).partition
         lower = CircularSet(7, [1])
-        upper_mask = int(base.uppers[base.lowers == lower.mask][0])
-        assert is_covered(lower, layers)
-        assert is_covered(CircularSet.from_mask(7, upper_mask), layers)
+        upper_mask = int(part.uppers[part.lowers == lower.mask][0])
+        assert is_covered(lower, part)
+        assert is_covered(CircularSet.from_mask(7, upper_mask), part)
 
 
 class TestBatchedLayers:
@@ -196,14 +204,12 @@ class TestBatchedLayers:
         reg = regime_of(n, d)
         assert regime is None or reg.regime == regime
         plan = _plan_for(reg, k3)
-        layers, traces = _run_layers(n, plan.layers)
+        lowers, uppers, traces = _run_layers(n, plan.layers)
         tables, ref_covered, ref_traces = per_subset_layers(
             n, plan.layers, ensured(d, k3)
         )
-        assert [
-            list(zip(fam.lowers.tolist(), fam.uppers.tolist())) for fam in layers
-        ] == [list(t.items()) for t in tables]
-        covered = covered_masks(layers)
+        assert layer_pairs(lowers, uppers, traces) == [list(t.items()) for t in tables]
+        covered = covered_masks(lowers, uppers)
         assert np.all(covered[1:] > covered[:-1])
         assert set(covered.tolist()) == ref_covered
         assert [
@@ -215,11 +221,11 @@ class TestBatchedLayers:
         # The base layer's 3-sets are its largest members; no construction
         # filters at that size, but the next layer here does.
         plan = [(2, 1), (3, 1)]
-        layers, _ = _run_layers(9, plan)
-        ref_layers, _, _ = searchsorted_layers(9, plan)
-        for got, ref in zip(layers, ref_layers, strict=True):
-            assert np.array_equal(got.lowers, ref.lowers)
-            assert np.array_equal(got.uppers, ref.uppers)
+        lowers, uppers, traces = _run_layers(9, plan)
+        ref_lowers, ref_uppers, _, ref_counts = searchsorted_layers(9, plan)
+        assert np.array_equal(lowers, ref_lowers)
+        assert np.array_equal(uppers, ref_uppers)
+        assert [(t.candidates, t.selected) for t in traces] == ref_counts
 
     def test_escaped_set_named_as_in_per_subset_loop(self, monkeypatch):
         # A k3 plan whose base has density 3 leaves (d+1)-sets uncovered
@@ -391,14 +397,13 @@ class TestRankFilter:
     @pytest.mark.parametrize("n,d,k3", RANK_FILTER_PLANS)
     def test_matches_searchsorted_filter(self, n, d, k3):
         plan = _plan_for(regime_of(n, d), k3)
-        layers, traces = _run_layers(n, plan.layers)
-        ref_layers, ref_covered, ref_counts = searchsorted_layers(
+        lowers, uppers, traces = _run_layers(n, plan.layers)
+        ref_lowers, ref_uppers, ref_covered, ref_counts = searchsorted_layers(
             n, plan.layers, ensured(d, k3)
         )
-        for got, ref in zip(layers, ref_layers, strict=True):
-            assert np.array_equal(got.lowers, ref.lowers)
-            assert np.array_equal(got.uppers, ref.uppers)
-        assert np.array_equal(covered_masks(layers), ref_covered)
+        assert np.array_equal(lowers, ref_lowers)
+        assert np.array_equal(uppers, ref_uppers)
+        assert np.array_equal(covered_masks(lowers, uppers), ref_covered)
         assert [(t.candidates, t.selected) for t in traces] == ref_counts
 
     @pytest.mark.parametrize("n,d,k3", list(PINNED_BUILDS))
@@ -450,13 +455,12 @@ class TestRankFilter:
         # Every chunk boundary re-runs the scalar rank and closure checks;
         # the selection and its counts must not depend on where they fall.
         plan = _plan_for(regime_of(n, d), k3).layers
-        ref_layers, ref_traces = _run_layers(n, plan)
+        ref_lowers, ref_uppers, ref_traces = _run_layers(n, plan)
         monkeypatch.setattr(builder, "_CHUNK", chunk)
-        layers, traces = _run_layers(n, plan)
+        lowers, uppers, traces = _run_layers(n, plan)
         assert traces == ref_traces
-        for got, ref in zip(layers, ref_layers, strict=True):
-            assert np.array_equal(got.lowers, ref.lowers)
-            assert np.array_equal(got.uppers, ref.uppers)
+        assert np.array_equal(lowers, ref_lowers)
+        assert np.array_equal(uppers, ref_uppers)
 
     def test_sweep_position_checked_against_scalar_rank(self, monkeypatch):
         rank = bitops.lex_rank

@@ -12,6 +12,8 @@ from veronese_sdepth import (
     SOutOfRangeError,
     UniverseMismatchError,
     bitops,
+    build_partition,
+    build_partition_k3,
     check_cross_level_disjoint,
     check_mixed_density_disjoint,
     check_superset_closure,
@@ -21,6 +23,7 @@ from veronese_sdepth import (
     lift,
     validate_lift_params,
 )
+from veronese_sdepth.certfile import parse_partition_file, write_partition_file
 from veronese_sdepth.errors import InternalCheckError
 from veronese_sdepth.lifting import closure_upper_mask, closure_upper_masks
 from oracles import covered_by_definition, superset_closure_by_definition
@@ -161,7 +164,7 @@ class TestBatchedClosure:
         assert refused > 0
 
 
-class TestIntervalFamily:
+class TestLiftedFamilies:
     def test_counts_and_upper_sizes(self):
         fam = interval_family(5, 2, 0, 1)
         assert len(fam) == 10 and set(bitops.popcounts(fam.uppers).tolist()) == {3}
@@ -266,13 +269,22 @@ class TestCoverageByDefinition:
         check_against_definition(n, intervals, pairs)
         check_against_definition(n, intervals[::-1], pairs)
 
-    def test_every_small_family_exhaustively(self):
+    def test_every_small_family_exhaustively(self, tmp_path):
         for n in range(2, 8):
             for level in range(1, n):
                 for s in range(1, family_cap(n, level) + 1):
                     fam = interval_family(n, level, 0, s)
                     pairs = list(zip(fam.lowers.tolist(), fam.uppers.tolist()))
                     check_against_definition(n, fam, pairs)
+        # Whole built partitions, as built and as parsed from their files.
+        for part, _ in (build_partition(9, 2), build_partition_k3(1)):
+            pairs = list(zip(part.lowers.tolist(), part.uppers.tolist()))
+            path = tmp_path / f"{part.n}-{part.d}.txt"
+            write_partition_file(part, path)
+            parsed = parse_partition_file(path)
+            assert parsed == part
+            for family in (part, parsed):
+                check_against_definition(part.n, family, pairs)
 
     def test_iterable_of_families(self):
         fams = [interval_family(7, 1, 0, 1), interval_family(7, 2, 0, 1)]

@@ -408,7 +408,8 @@ class TestExactOracle:
         assert peak < 10 * 2**20
 
     def test_search_memory_stays_small(self):
-        # A frame holds four fields, and a list of its free elements only
+        # A frame holds three fields: its position, the upper set it
+        # applied, and an iterator over its later candidates, made only
         # once its first candidate fails, which never happens here.
         tracemalloc.start()
         try:
