@@ -25,12 +25,19 @@ against earlier layers follows from the families' closure property (for
 the base family) and the cross-level disjointness hypotheses, which for
 the filtered layers of one plan reduce to the levels being increasing at
 a common density; the builder does not re-check it, the verifier does.
-Since the layers are disjoint, the plan predicts each layer's kept count,
-which every build checks, and the listed volume V, the sum of 2^s over
-the kept intervals (``predicted_volume``): every build is refused in one
-place, ``build_refusal``, when [n] is wider than a mask holds or V, the
-quantity ``verify --cap`` bounds, exceeds its cap; it counts poset - V
-singletons.
+
+A build lists only what its claim needs.  The top layer sits at the claim
+minus one, so when its density exceeds 2 each of its intervals [L, U] is
+cut to [L, L + x], x the lowest member of U not in L (``_trim_top``).  That
+interval lies inside [L, U], so the list stays disjoint, and every set the
+cut drops has at least the claimed size, so as an implicit singleton it
+does not lower the minimum.  Since the layers are disjoint, the plan
+predicts each layer's kept count, which every build checks, and the
+listed volume V, the sum of 2^s over the kept intervals below the top
+layer plus 2^min(s, 1) over the top one (``predicted_volume``): every
+build is refused in one place, ``build_refusal``, when [n] is wider than
+a mask holds or V, the quantity ``verify --cap`` bounds, exceeds its cap;
+it counts poset - V singletons.
 
 Candidate lower endpoints run in lexicographic order within each layer,
 so identical inputs produce byte-identical partitions.  Bulk storage is
@@ -342,10 +349,23 @@ def _predicted_kept(n: int, plan: Sequence[tuple[int, int]]) -> list[int]:
     return kept
 
 
+def _listed_free(plan: Sequence[tuple[int, int]]) -> list[int]:
+    """How many free members each layer's intervals list: s, but one in a
+    top layer of s >= 2, whose intervals ``_trim_top`` cuts to the claim."""
+    free = [s for _, s in plan]
+    if free:
+        free[-1] = min(free[-1], 1)
+    return free
+
+
 def predicted_volume(n: int, d: int, k3: bool = False) -> int:
-    """The (n, d) build's listed volume, the sum of kept * 2^s over its layers."""
+    """The (n, d) build's listed volume, the sum of kept * 2^f over its
+    layers, with f = s below the top layer and f = min(s, 1) in it: the
+    top layer, one level below the claim, lists each interval [L, U] as
+    [L, L + x] (``_trim_top``), and every set that leaves the list has at
+    least the claimed size, so it is an implicit singleton."""
     plan = _plan_for(regime_of(n, d), k3).layers
-    return sum(c << s for c, (_, s) in zip(_predicted_kept(n, plan), plan))
+    return sum(c << f for c, f in zip(_predicted_kept(n, plan), _listed_free(plan)))
 
 
 def build_refusal(n: int, d: int, cap: int, k3: bool = False) -> str | None:
@@ -364,16 +384,43 @@ def build_refusal(n: int, d: int, cap: int, k3: bool = False) -> str | None:
 
 
 def _assemble(n: int, d: int, k3: bool = False, cap: int = 1 << 26) -> Build:
+    """The (n, d) build, refused by ``build_refusal`` beyond ``cap``: the
+    plan's layers as ``_run_layers`` selects them, with each top-layer
+    interval cut to an upper endpoint of the claimed size by
+    ``_trim_top``.  That is sound without the verifier: a cut interval
+    lies inside the uncut one, and only sets of at least the claimed size
+    leave the list, for implicit singletons.  The trace's trivial count
+    is poset - ``predicted_volume``, which prices the trimmed list."""
     why = build_refusal(n, d, cap, k3)
     if why is not None:
         raise PreconditionViolatedError(why)
     plan = _plan_for(regime_of(n, d), k3)
     lowers, uppers, traces = _run_layers(n, plan.layers)
+    if plan.layers:
+        _trim_top(lowers, uppers, traces[-1].selected, plan)
     part = IntervalPartition(n, d, lowers, uppers, plan.min_upper)
-    # Each layer kept its predicted count, so this is the predicted volume.
-    volume = sum(t.selected << (t.density - 1) for t in traces)
     poset = sum(comb(n, size) for size in range(d, n + 1))
-    return Build(part, BuilderTrace(tuple(traces), poset - volume))
+    return Build(part, BuilderTrace(tuple(traces), poset - predicted_volume(n, d, k3)))
+
+
+def _trim_top(lowers: np.ndarray, uppers: np.ndarray, kept: int, plan: _Plan) -> None:
+    """Cut each interval [L, U] of the top layer, the last ``kept`` rows,
+    to [L, L + x] in place, x the lowest member of U not in L, when the
+    layer's density exceeds 2.  [L, L + x] lies inside [L, U], so the
+    list stays disjoint; every set the cut drops holds L and one more
+    member, so it has at least the claimed size only if the top level is
+    the claim minus one, which is checked here."""
+    level, s = plan.layers[-1]
+    if _listed_free(plan.layers)[-1] == s:
+        return
+    if level != plan.min_upper - 1:
+        raise InternalCheckError(
+            f"the top layer at level {level} is not one below the claim {plan.min_upper}"
+        )
+    low, up = lowers[len(lowers) - kept :], uppers[len(uppers) - kept :]
+    free = up ^ low
+    free &= -free
+    np.bitwise_or(low, free, out=up)
 
 
 def build_partition(n: int, d: int) -> Build:

@@ -67,7 +67,6 @@ from functools import cache
 from importlib import import_module
 from math import comb
 
-from .blocks import block_structure
 from .core import (
     DEFAULT_SWEEP_CAP,
     MATERIALIZE_LIMIT,
@@ -210,6 +209,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_blocks(args) -> int:
+    # Imported here: no other command needs ``blocks`` (and ``fractions``),
+    # and the numpy-backed ones load it through ``lifting`` anyway.
+    from .blocks import block_structure
+
     if args.n > BLOCKS_MAX_N:
         print(f"blocks: n={args.n} exceeds {BLOCKS_MAX_N} positions", file=sys.stderr)
         return EXIT_USAGE

@@ -106,7 +106,7 @@ class TestRegimeBuilds:
     def test_materialization_guard(self):
         # A build lists only its layered intervals, so n = 30 builds; the
         # guard bounds their predicted listed volume by 2^26 sets, which
-        # (40, 5), at 408,184,296, exceeds.
+        # (40, 5), at 183,639,066, exceeds.
         assert build_partition(30, 1).partition.claimed_min == lower_bound_large_n(30, 1)
         with pytest.raises(PreconditionViolatedError, match="layered sweep"):
             build_partition(40, 5)
@@ -356,6 +356,53 @@ class TestCertifyLayered:
         assert type(build_partition_k3(2)) is Build
 
 
+# Every (n, d) with n <= 16 whose top layer has density above 2, and the
+# Mid plan at (23, 5); the K2 build and the k3 build end at density 2.
+TRIMMED = [(n, 1, False) for n in range(11, 17)] + [(n, 2, False) for n in range(14, 17)]
+TRIM_CASES = TRIMMED + [(23, 5, False), (9, 2, False), (11, 2, True)]
+
+
+class TestTopLayerTrim:
+    @pytest.mark.parametrize("n, d, k3", TRIM_CASES)
+    def test_top_layer_lists_only_the_claim(self, n, d, k3):
+        # The build is the layer loop's selection with each top interval
+        # [L, U] cut to [L, L + x], x the lowest member of U \ L, whenever
+        # the top density exceeds 2; every other interval is unchanged.
+        plan = _plan_for(regime_of(n, d), k3)
+        lowers, uppers, traces = _run_layers(n, plan.layers)
+        part, trace = build_partition_k3(d) if k3 else build_partition(n, d)
+        assert trace.layers == tuple(traces)
+        assert np.array_equal(part.lowers, lowers)
+        top = len(lowers) - traces[-1].selected
+        assert np.array_equal(part.uppers[:top], uppers[:top])
+        trimmed = plan.layers[-1][1] > 1
+        assert trimmed == ((n, d, k3) in TRIMMED or (n, d) == (23, 5))
+        expected = [
+            lo | core.mask_of([min(core.members_of(up & ~lo))]) if trimmed else up
+            for lo, up in zip(lowers[top:].tolist(), uppers[top:].tolist())
+        ]
+        assert part.uppers[top:].tolist() == expected
+        assert part.volume() == predicted_volume(n, d, k3)
+        verdict = verify_partition(part)
+        assert verdict.ok
+        assert verdict.min_upper_size == part.claimed_min == plan.min_upper
+
+    def test_top_level_off_the_claim_is_an_internal_error(self, monkeypatch):
+        # A claim two above the top level would leave the trimmed intervals
+        # below it: the builder refuses the trim before the verifier runs.
+        plan_for = builder._plan_for
+        monkeypatch.setattr(
+            builder,
+            "_plan_for",
+            lambda reg, k3=False: plan_for(reg, k3)._replace(
+                min_upper=plan_for(reg, k3).min_upper + 1
+            ),
+        )
+        with pytest.raises(InternalCheckError) as got:
+            build_partition(12, 1)
+        assert str(got.value) == "the top layer at level 3 is not one below the claim 5"
+
+
 RANK_FILTER_PLANS = [(n, d, False) for n in range(1, 13) for d in range(1, n + 1)] + [
     (7, 1, True),
     (11, 2, True),
@@ -367,18 +414,18 @@ RANK_FILTER_PLANS = [(n, d, False) for n in range(1, 13) for d in range(1, n + 1
 PINNED_BUILDS = {
     (25, 5, False): (
         [(53130, 53130), (177100, 17710), (480700, 285890)],
-        31899716,
-        "7ff72cf58a7dbfbeed4142c8c4c7de6128e192c7ea1373087f0d208c6d629368",
+        32471496,
+        "56fea3a0cc6d77a07929633ed115e8e094bc35da81c0c89308ffecfff15fba55",
     ),
     (29, 1, False): (
         [(29, 29), (406, 0), (3654, 1015), (23751, 9135), (118755, 47096)],
-        535479839,
-        "9f68cd14121bca8b7de5bd0ff45599412707b74a7660856a77987e55d764d786",
+        536139183,
+        "381ad0e578c4ae91944a6f0cedf189af2c3e106cfbb417a6f5ea249f59e8d8b4",
     ),
     (30, 2, False): (
         [(435, 435), (4060, 145), (27405, 11310), (142506, 71601)],
-        1072854625,
-        "0607e5069d7224860bf796c8d5cb457d4ae661d27b57851340fe29a00e9baf0e",
+        1073284231,
+        "e4a27fe1884b2528d857a89fe7fe35d806c02d96f58ec5d3c2ffe491e0717ed4",
     ),
     (22, 5, False): (
         [(26334, 26334), (74613, 21945)],
@@ -570,7 +617,7 @@ class TestOneRefusalRule:
         with pytest.raises(PreconditionViolatedError) as got:
             build_partition(40, 5)
         assert str(got.value) == (
-            "the layered sweep at n=40, d=5 would list 408184296 sets, "
+            "the layered sweep at n=40, d=5 would list 183639066 sets, "
             "beyond the enumeration cap 67108864"
         )
         assert str(got.value) == build_refusal(40, 5, 1 << 26)

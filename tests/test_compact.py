@@ -160,7 +160,7 @@ class TestFormat:
         assert code == 4 and out.startswith("below claim: {1,2,3,4,5,6,7,8,9,10,11,12")
 
     def test_compact_build_refuses_an_oversized_sweep(self):
-        # (40, 5) would list 408,184,296 sets, beyond 2^26; it is refused
+        # (40, 5) would list 183,639,066 sets, beyond 2^26; it is refused
         # from the plan alone.
         tracemalloc.start()
         try:
@@ -297,7 +297,7 @@ class TestSameAnswers:
         assert out.encode("ascii") == (DATA / "table_d1-5_n1-20.csv").read_bytes()
 
     def test_wide_table_matches_recorded_output(self):
-        # Every regime's plan at n <= 40, d <= 10: 195 rows verified, 93
+        # Every regime's plan at n <= 40, d <= 10: 195 rows verified, 87
         # with no certified number.
         code, out, _ = run(["table", "--d-range", "1..10", "--n-range", "1..40"])
         assert code == 0

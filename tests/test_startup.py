@@ -1,4 +1,5 @@
-"""``oracle``, ``blocks``, ``--help`` and usage errors run without numpy.
+"""``oracle``, ``blocks``, ``--help`` and usage errors run without numpy,
+and all but ``blocks`` without ``veronese_sdepth.blocks``.
 
 The package namespace and ``cli`` load the numpy-backed modules on first
 use.  Each check on that runs in a fresh interpreter, because any earlier
@@ -21,11 +22,12 @@ from veronese_sdepth.oracle import exact_sdepth
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# ``blocks`` runs last, so the others are seen to run without its module.
 NUMPY_FREE = [
     ["oracle", "-n", "9", "-d", "1"],
-    ["blocks", "-n", "9", "--set", "1,4,5", "--density", "2"],
     ["--help"],
     ["no-such-command"],
+    ["blocks", "-n", "9", "--set", "1,4,5", "--density", "2"],
 ]
 
 
@@ -52,19 +54,23 @@ def test_numpy_free_commands_do_not_import_numpy():
 import contextlib, io, json, sys
 from veronese_sdepth import cli
 out = io.StringIO()
+*argvs, blocks = {NUMPY_FREE!r}
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-    codes = [cli.main(argv) for argv in {NUMPY_FREE!r}]
+    codes = [cli.main(argv) for argv in argvs]
+    blocks_free = "veronese_sdepth.blocks" not in sys.modules
+    codes.append(cli.main(blocks))
 numpy_free = "numpy" not in sys.modules
 oracle = out.getvalue().splitlines()[0]
 with contextlib.redirect_stdout(io.StringIO()) as report:
     code = cli.main(["report", "-n", "7", "-d", "1"])
 print(json.dumps(dict(codes=codes, numpy_free=numpy_free, oracle=oracle,
-                      report=[code, report.getvalue()])))
+                      blocks_free=blocks_free, report=[code, report.getvalue()])))
 """
     )
-    assert got["codes"] == [cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_USAGE]
+    assert got["codes"] == [cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_OK]
     assert got["oracle"] == "oracle_exact=5"
     assert got["numpy_free"]
+    assert got["blocks_free"]
     # Once a numpy-backed command has run, the same process answers as a
     # process that imported everything up front.
     assert got["report"] == list(run_main(["report", "-n", "7", "-d", "1"]))
