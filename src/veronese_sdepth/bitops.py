@@ -33,6 +33,23 @@ def popcounts(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr)
 
 
+def value_counts(values: np.ndarray, minlength: int = 0) -> list[int]:
+    """How many of the non-negative integer ``values`` equal each of
+    0 .. max(values), as ``np.bincount(values, minlength=minlength)``
+    counts them.  Popcounts take few values, so one compare-and-count pass
+    per value from the least to the greatest, the greatest taking the
+    rest, reads a uint8 array in place where ``np.bincount`` first copies
+    it to intp."""
+    if not values.size:
+        return [0] * minlength
+    lo, hi = int(values.min()), int(values.max())
+    counts = [0] * max(minlength, hi + 1)
+    for v in range(lo, hi):
+        counts[v] = int(np.count_nonzero(values == v))
+    counts[hi] = values.size - sum(counts)
+    return counts
+
+
 def all_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All 2^n masks in ascending value order, with their popcounts."""
     masks = np.arange(1 << n, dtype=mask_dtype(n))

@@ -45,8 +45,9 @@ numpy mask arrays throughout: candidates come from
 ``bitops.lex_combinations`` as level x N blocks, one column per set,
 which the mask kernels read along whole contiguous rows; they are closed
 in fixed-size batches by ``lifting.closure_upper_masks``, and the whole
-selection is one pair of parallel lower and upper arrays, joined once
-from the batches.  Covered sets are kept only for
+selection is one pair of parallel lower and upper arrays, allocated once
+from the predicted counts, into which each batch writes its layer's
+kept intervals.  Covered sets are kept only for
 the sizes a later layer filters, one member array per size.  A filtered
 level does not search its member array: it ranks those sets
 (``bitops.lex_ranks``) into one flag per level set, and since candidates
@@ -110,8 +111,8 @@ class BuilderTrace:
 def listed_volume(lowers: np.ndarray, uppers: np.ndarray) -> int:
     """How many sets the intervals [lowers[i], uppers[i]] declare: the sum
     of 2^(|upper| - |lower|), without expanding any interval."""
-    diffs = np.bincount(bitops.popcounts(uppers & ~lowers), minlength=1)
-    return sum(int(c) << s for s, c in enumerate(diffs.tolist()))
+    diffs = bitops.value_counts(bitops.popcounts(uppers & ~lowers))
+    return sum(c << s for s, c in enumerate(diffs))
 
 
 class IntervalPartition:
@@ -241,34 +242,42 @@ def _run_layers(
 
     Returns the lower and upper masks of the whole selection, each layer's
     in plan order, ``traces[i].selected`` of them, and the per-layer
-    counts.  Candidates run in lexicographic order, in chunks of
-    ``_CHUNK`` level sets, so the candidate at sweep position p has
-    lexicographic rank p; the first of each chunk has its rank re-derived
-    by the scalar ``bitops.lex_rank``.  A filtered layer drops the
-    candidates whose rank is flagged covered by earlier layers
-    (``_covered_flags``); an interval never covers another set of its own
-    level, so this is the same as filtering one candidate at a time.  The
-    kept candidates' masks are computed once and closed by the batched
-    closure, whose first set is re-derived by the scalar
-    ``closure_upper_mask``.  Members are expanded only for the sizes a
-    later layer filters, one array per size, from the rows of the
-    expansion that hold that many members; only such a layer has its
-    chunks joined before the one final join.  Disjointness and coverage
-    of the whole selection are left to the verifier.
+    counts.  Both arrays are allocated once, sized by ``_predicted_kept``,
+    and each layer fills its own slot of them as it sweeps.  Candidates
+    run in lexicographic order, in chunks of ``_CHUNK`` level sets, so the
+    candidate at sweep position p has lexicographic rank p; the first of
+    each chunk has its rank re-derived by the scalar ``bitops.lex_rank``.
+    A filtered layer drops the candidates whose rank is flagged covered by
+    earlier layers (``_covered_flags``); an interval never covers another
+    set of its own level, so this is the same as filtering one candidate
+    at a time.  The kept candidates' masks are computed once, closed by
+    the batched closure, whose first set is re-derived by the scalar
+    ``closure_upper_mask``, and written into the layer's slot; a layer
+    that keeps more than predicted stops writing at the slot's end, is
+    counted to the end of its sweep and then refused.  Members are
+    expanded only for the sizes a later layer filters, one array per
+    size, from the slot's expansion rows that hold that many members.
+    Disjointness and coverage of the whole selection are left to the
+    verifier.
     """
     _check_plan(plan)
     predicted = _predicted_kept(n, plan)
     kept: dict[int, list[np.ndarray]] = {lv: [] for lv, _ in plan[1:]}
-    empty = np.empty(0, dtype=bitops.mask_dtype(n))
-    lo_parts, up_parts = [empty], [empty]
+    dtype = bitops.mask_dtype(n)
+    all_lowers = np.empty(sum(predicted), dtype=dtype)
+    all_uppers = np.empty(sum(predicted), dtype=dtype)
+    empty = all_lowers[:0]
+    base = 0
     traces: list[LayerTrace] = []
     for idx, (level, s) in enumerate(plan):
         validate_lift_params(n, level, s)
-        ours = len(lo_parts)
+        slot = slice(base, base + predicted[idx])
+        lo_slot, up_slot = all_lowers[slot], all_uppers[slot]
+        base = slot.stop
         taken = None
         if idx:
             taken = _covered_flags(n, level, np.concatenate([empty, *kept.pop(level)]))
-        start = 0
+        start = selected = 0
         for sets in bitops.lex_combinations(n, level, _CHUNK):
             first = tuple(sets[:, 0].tolist())
             if bitops.lex_rank(first, n) != start:
@@ -288,34 +297,32 @@ def _run_layers(
                 raise InternalCheckError(
                     f"batched closure of {first} disagrees with the scalar path"
                 )
-            lo_parts.append(lowers)
-            up_parts.append(uppers)
-        # Neither the flags nor a layer's expansion outlives its layer: the
-        # final join should hold only the selection.
+            room = lo_slot[selected : selected + len(lowers)].size
+            lo_slot[selected : selected + room] = lowers[:room]
+            up_slot[selected : selected + room] = uppers[:room]
+            selected += len(lowers)
+        # The flags go before the layer's expansion is made.
         del taken
         candidates = start
         if candidates != comb(n, level):
             raise InternalCheckError(
                 f"the sweep of level {level} visited {candidates} of {comb(n, level)} sets"
             )
-        selected = sum(len(part) for part in lo_parts[ours:])
-        sizes = [j for j in kept if level < j <= level + s]
-        if sizes and selected:
-            lo_parts[ours:] = [np.concatenate(lo_parts[ours:])]
-            up_parts[ours:] = [np.concatenate(up_parts[ours:])]
-            members = bitops.expand_uniform(lo_parts[-1], up_parts[-1], s)
-            # Row c of the expansion adds s - popcount(c) free members.
-            added = s - bitops.popcounts(np.arange(1 << s))
-            for j in sizes:
-                kept[j].append(members[added == j - level].ravel())
-            del members
         tag = f"I[{n},{level},{s + 1}]"
         if selected != predicted[idx]:
             raise InternalCheckError(
                 f"layer {tag} kept {selected} intervals where {predicted[idx]} were predicted"
             )
+        sizes = [j for j in kept if level < j <= level + s]
+        if sizes and selected:
+            members = bitops.expand_uniform(lo_slot, up_slot, s)
+            # Row c of the expansion adds s - popcount(c) free members.
+            added = s - bitops.popcounts(np.arange(1 << s))
+            for j in sizes:
+                kept[j].append(members[added == j - level].ravel())
+            del members
         traces.append(LayerTrace(tag, level, s + 1, candidates, selected))
-    return np.concatenate(lo_parts), np.concatenate(up_parts), traces
+    return all_lowers, all_uppers, traces
 
 
 def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:

@@ -133,13 +133,15 @@ def _members(p: IntervalPartition) -> tuple[np.ndarray, list[int]]:
         lowers = p.lowers[lo : lo + _INTERVAL_BLOCK]
         uppers = p.uppers[lo : lo + _INTERVAL_BLOCK]
         diffs = bitops.popcounts(uppers & ~lowers)
-        for s in np.flatnonzero(np.bincount(diffs)).tolist():
+        for s, count in enumerate(bitops.value_counts(diffs)):
+            if not count:
+                continue
             pick = diffs == s
             lows = lowers[pick]
             end = at + (lows.size << s)
             slot = out[at:end].reshape(1 << s, lows.size)
             bitops.expand_uniform(lows, uppers[pick], s, out=slot)
-            lower_sizes[s] += np.bincount(bitops.popcounts(lows), minlength=n + 1)
+            lower_sizes[s] += bitops.value_counts(bitops.popcounts(lows), n + 1)
             at = end
     sizes = [0] * (n + 1)
     for s, row in enumerate(lower_sizes.tolist()):
@@ -163,7 +165,7 @@ def _repeats(members: np.ndarray, n: int) -> tuple[Optional[int], list[int]]:
         if dup.size:
             if shared is None:
                 shared = int(dup[0])
-            repeats += np.bincount(bitops.popcounts(dup), minlength=n + 1)
+            repeats += bitops.value_counts(bitops.popcounts(dup), n + 1)
     return shared, repeats.tolist()
 
 

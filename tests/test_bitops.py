@@ -83,6 +83,22 @@ class TestMaskHelpers:
             bitops.expand_uniform(lowers, uppers, 2, out=out)
         assert not out.any()
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    @pytest.mark.parametrize(
+        "values",
+        [[], [0], [64], [7] * 1000, "0..64", "3..6"],
+        ids=["empty", "zero", "sixty-four", "one-value", "0..64", "3..6"],
+    )
+    def test_value_counts_match_bincount(self, dtype, values):
+        rng = np.random.default_rng(len(str(values)))
+        if isinstance(values, str):
+            lo, hi = map(int, values.split(".."))
+            values = rng.integers(lo, hi + 1, 10_000)
+        arr = np.asarray(values, dtype=dtype)
+        for minlength in (0, 3, 70):
+            expected = np.bincount(arr, minlength=minlength).tolist()
+            assert bitops.value_counts(arr, minlength) == expected
+
     def test_lex_combinations_match_itertools(self):
         for n in range(1, 13):
             for k in range(n + 1):

@@ -295,6 +295,22 @@ class TestBatchedLayers:
             build_partition(9, 2)
         assert str(got.value) == "layer I[9,3,2] kept 84 intervals where 12 were predicted"
 
+    def test_dropped_candidate_is_named_by_the_builder(self, monkeypatch):
+        # Flag one more 3-set covered than the base covers: the layer keeps
+        # 11 intervals, leaves the end of its slot unwritten, and is refused
+        # before anything reads that slot.
+        flags = builder._covered_flags
+
+        def one_more(n, level, covered):
+            got = flags(n, level, covered)
+            got[np.flatnonzero(~got)[0]] = True
+            return got
+
+        monkeypatch.setattr(builder, "_covered_flags", one_more)
+        with pytest.raises(InternalCheckError) as got:
+            build_partition(9, 2)
+        assert str(got.value) == "layer I[9,3,2] kept 11 intervals where 12 were predicted"
+
     @pytest.mark.parametrize("command", ["report", "build"])
     def test_overlap_is_named_by_the_verifier(self, monkeypatch, tmp_path, capsys, command):
         # Give a later interval of the base layer the first one's upper
@@ -538,6 +554,14 @@ def test_plan_claim_is_the_verified_minimum(n, d, k3):
     else:
         assert verdict.min_upper_size >= lower_bound_large_n(n, d)
     assert trace.trivial_count == verdict.interval_count - len(part)
+
+
+def test_listed_volume_is_exact_past_int64():
+    # Two intervals [{1}, [64]] list 2^63 sets each: 2^64 in all, which no
+    # fixed-width sum holds.
+    lowers = np.array([1, 1], np.uint64)
+    uppers = np.full(2, 2**64 - 1, np.uint64)
+    assert builder.listed_volume(lowers, uppers) == 2**64
 
 
 @pytest.mark.parametrize("n,d", [(24, 11), (25, 5), (29, 1), (30, 2), (35, 2)])
