@@ -2,11 +2,12 @@
 
 Subsets of [n] are masks with bit i-1 standing for element i; the scalar
 helpers (``mask_of``, ``members_of``, ``submasks``) live in ``core``.
-Mask value
-order is not lexicographic order on member tuples; lexicographic order is
-descending order of the bit-reversed mask (the smallest member occupies
-the highest reversed bit), which is what ``lex_sorted`` sorts by, and
-``lex_ranks`` gives each k-subset its position in that order.
+Mask value order is not lexicographic order on member tuples;
+lexicographic order is descending order of the bit-reversed mask (the
+smallest member occupies the highest reversed bit), which is what
+``lex_sorted`` sorts by.  ``lex_ranks`` gives each k-subset its position
+in that order, a whole array in k passes; the builder hands it one block
+of covered sets at a time.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import numpy as np
 
 from .core import MAX_UNIVERSE
 from .errors import InternalCheckError
-
-# Masks ranked per block by ``lex_ranks``.
-_RANK_BLOCK = 1 << 15
-
 
 def mask_dtype(n: int):
     if n > MAX_UNIVERSE:
@@ -181,40 +178,35 @@ def lex_rank(members: tuple[int, ...], n: int) -> int:
 def lex_ranks(masks: np.ndarray, n: int, k: int) -> np.ndarray:
     """``lex_rank`` of every k-subset mask of [n], as exact int64.
 
-    The masks are ranked ``_RANK_BLOCK`` at a time in work arrays made once
-    per call.  Pass i strips the lowest remaining bit of every mask, the
-    (i+1)-th member, takes its position as an intp index and subtracts
-    the member's term from C(n, k) - 1 through a table indexed by bit
-    position.  A mask that is not a k-subset of [n] is an internal error:
-    it has no rank, and a wrong one would index silently."""
+    Pass i strips the lowest remaining bit of every mask, the (i+1)-th
+    member, takes its position as an intp index and subtracts the member's
+    term from C(n, k) - 1 through a table indexed by bit position.  Its
+    work arrays are as long as ``masks``, so a caller with many masks
+    passes them a block at a time.  A mask that is not a k-subset of [n]
+    is an internal error: it has no rank, and a wrong one would index
+    silently."""
     t = masks.dtype.type
     terms = np.array(
         [[comb(n - 1 - bit, k - i) for bit in range(n)] for i in range(k)], dtype=np.int64
     )
-    ranks = np.empty(masks.shape, dtype=np.int64)
-    width = min(masks.size, _RANK_BLOCK)
-    rest_buf, low_buf = np.empty(width, masks.dtype), np.empty(width, masks.dtype)
-    bit_buf, term_buf = np.empty(width, np.intp), np.empty(width, np.int64)
-    for lo in range(0, masks.size, _RANK_BLOCK):
-        block, out = masks[lo : lo + _RANK_BLOCK], ranks[lo : lo + _RANK_BLOCK]
-        m = block.size
-        rest, low, bit, term = rest_buf[:m], low_buf[:m], bit_buf[:m], term_buf[:m]
-        np.bitwise_count(block, out=bit)
-        if np.any(bit != k) or (n < 8 * masks.dtype.itemsize and np.any(block >> t(n))):
-            raise InternalCheckError(f"a mask to rank is not a {k}-subset of [{n}]")
-        out.fill(comb(n, k) - 1)
-        np.copyto(rest, block)
-        for i in range(k):
-            # rest & -rest (two's complement) is the lowest bit of rest.
-            np.negative(rest, out=low)
-            low &= rest
-            rest ^= low
-            low -= t(1)
-            np.bitwise_count(low, out=bit)
-            # Every position is below n (checked above), so "clip" never
-            # clips; unlike "raise" it writes into ``term`` unbuffered.
-            np.take(terms[i], bit, out=term, mode="clip")
-            out -= term
+    bit = np.empty(masks.shape, np.intp)
+    np.bitwise_count(masks, out=bit)
+    if np.any(bit != k) or (n < 8 * masks.dtype.itemsize and np.any(masks >> t(n))):
+        raise InternalCheckError(f"a mask to rank is not a {k}-subset of [{n}]")
+    ranks = np.full(masks.shape, comb(n, k) - 1, dtype=np.int64)
+    rest, low = masks.copy(), np.empty_like(masks)
+    term = np.empty(masks.shape, np.int64)
+    for i in range(k):
+        # rest & -rest (two's complement) is the lowest bit of rest.
+        np.negative(rest, out=low)
+        low &= rest
+        rest ^= low
+        low -= t(1)
+        np.bitwise_count(low, out=bit)
+        # Every position is below n (checked above), so "clip" never
+        # clips; unlike "raise" it writes into ``term`` unbuffered.
+        np.take(terms[i], bit, out=term, mode="clip")
+        ranks -= term
     return ranks
 
 

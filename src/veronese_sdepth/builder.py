@@ -47,12 +47,13 @@ which the mask kernels read along whole contiguous rows; they are closed
 in fixed-size batches by ``lifting.closure_upper_masks``, and the whole
 selection is one pair of parallel lower and upper arrays, allocated once
 from the predicted counts, into which each batch writes its layer's
-kept intervals.  Covered sets are kept only for
-the sizes a later layer filters, one member array per size.  A filtered
-level does not search its member array: it ranks those sets
-(``bitops.lex_ranks``) into one flag per level set, and since candidates
-are swept in lexicographic order, a candidate's rank is its position in
-the sweep, so each batch reads its flags as one slice.
+kept intervals.  Coverage is one record per filtered level, a flag per
+level set at its lexicographic rank (``bitops.lex_ranks``), which each
+layer sets from its own expansion and no member array outlives.  Since
+candidates are swept in lexicographic order, a candidate's rank is its
+position in the sweep, so each batch reads its flags as one slice, and
+a filtered layer's kept count, its clear flags, is checked against the
+prediction before it sweeps.
 """
 
 from __future__ import annotations
@@ -246,27 +247,28 @@ def _run_layers(
     and each layer fills its own slot of them as it sweeps.  Candidates
     run in lexicographic order, in chunks of ``_CHUNK`` level sets, so the
     candidate at sweep position p has lexicographic rank p; the first of
-    each chunk has its rank re-derived by the scalar ``bitops.lex_rank``.
-    A filtered layer drops the candidates whose rank is flagged covered by
-    earlier layers (``_covered_flags``); an interval never covers another
-    set of its own level, so this is the same as filtering one candidate
-    at a time.  The kept candidates' masks are computed once, closed by
-    the batched closure, whose first set is re-derived by the scalar
-    ``closure_upper_mask``, and written into the layer's slot; a layer
-    that keeps more than predicted stops writing at the slot's end, is
-    counted to the end of its sweep and then refused.  Members are
-    expanded only for the sizes a later layer filters, one array per
-    size, from the slot's expansion rows that hold that many members.
+    each chunk has its rank re-derived by the scalar ``bitops.lex_rank``,
+    and a sweep that runs past C(n, level) sets is refused before it
+    writes past its slot.  A filtered layer drops the candidates whose
+    rank is flagged covered by earlier layers; an interval never covers
+    another set of its own level, so this is the same as filtering one
+    candidate at a time.  The layer keeps exactly its clear flags, so that
+    count is checked against the prediction before the sweep.  The kept
+    candidates' masks are computed once, closed by the batched closure,
+    whose first set is re-derived by the scalar ``closure_upper_mask``,
+    and written into the layer's slot.  After its sweep a layer expands
+    its slot only when a later layer filters a size it covers, and flags
+    those members (``_flag_covered``); a level's flags are made when a
+    layer first covers it, once that layer's expansion is freed.
     Disjointness and coverage of the whole selection are left to the
     verifier.
     """
     _check_plan(plan)
     predicted = _predicted_kept(n, plan)
-    kept: dict[int, list[np.ndarray]] = {lv: [] for lv, _ in plan[1:]}
+    flags: dict[int, np.ndarray | None] = {lv: None for lv, _ in plan[1:]}
     dtype = bitops.mask_dtype(n)
     all_lowers = np.empty(sum(predicted), dtype=dtype)
     all_uppers = np.empty(sum(predicted), dtype=dtype)
-    empty = all_lowers[:0]
     base = 0
     traces: list[LayerTrace] = []
     for idx, (level, s) in enumerate(plan):
@@ -274,9 +276,14 @@ def _run_layers(
         slot = slice(base, base + predicted[idx])
         lo_slot, up_slot = all_lowers[slot], all_uppers[slot]
         base = slot.stop
-        taken = None
-        if idx:
-            taken = _covered_flags(n, level, np.concatenate([empty, *kept.pop(level)]))
+        tag = f"I[{n},{level},{s + 1}]"
+        total = comb(n, level)
+        taken = flags.pop(level, None)
+        kept = total - (0 if taken is None else int(np.count_nonzero(taken)))
+        if kept != predicted[idx]:
+            raise InternalCheckError(
+                f"layer {tag} kept {kept} intervals where {predicted[idx]} were predicted"
+            )
         start = selected = 0
         for sets in bitops.lex_combinations(n, level, _CHUNK):
             first = tuple(sets[:, 0].tolist())
@@ -285,6 +292,10 @@ def _run_layers(
                     f"{first} is swept at position {start}, not at its lexicographic rank"
                 )
             end = start + sets.shape[1]
+            if end > total:
+                raise InternalCheckError(
+                    f"the sweep of level {level} visited {end} of {total} sets"
+                )
             if taken is not None:
                 sets = np.compress(~taken[start:end], sets, axis=1)
             start = end
@@ -297,42 +308,36 @@ def _run_layers(
                 raise InternalCheckError(
                     f"batched closure of {first} disagrees with the scalar path"
                 )
-            room = lo_slot[selected : selected + len(lowers)].size
-            lo_slot[selected : selected + room] = lowers[:room]
-            up_slot[selected : selected + room] = uppers[:room]
+            lo_slot[selected : selected + len(lowers)] = lowers
+            up_slot[selected : selected + len(uppers)] = uppers
             selected += len(lowers)
         # The flags go before the layer's expansion is made.
         del taken
-        candidates = start
-        if candidates != comb(n, level):
-            raise InternalCheckError(
-                f"the sweep of level {level} visited {candidates} of {comb(n, level)} sets"
-            )
-        tag = f"I[{n},{level},{s + 1}]"
-        if selected != predicted[idx]:
-            raise InternalCheckError(
-                f"layer {tag} kept {selected} intervals where {predicted[idx]} were predicted"
-            )
-        sizes = [j for j in kept if level < j <= level + s]
+        if start != total:
+            raise InternalCheckError(f"the sweep of level {level} visited {start} of {total} sets")
+        sizes = [j for j in flags if level < j <= level + s]
         if sizes and selected:
             members = bitops.expand_uniform(lo_slot, up_slot, s)
             # Row c of the expansion adds s - popcount(c) free members.
             added = s - bitops.popcounts(np.arange(1 << s))
-            for j in sizes:
-                kept[j].append(members[added == j - level].ravel())
+            covered = {j: members[added == j - level].ravel() for j in sizes}
             del members
-        traces.append(LayerTrace(tag, level, s + 1, candidates, selected))
+            for j in sizes:
+                if flags[j] is None:
+                    flags[j] = np.zeros(comb(n, j), dtype=bool)
+                _flag_covered(flags[j], covered.pop(j), n, j)
+        traces.append(LayerTrace(tag, level, s + 1, total, selected))
     return all_lowers, all_uppers, traces
 
 
-def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:
-    """One flag per ``level``-subset of [n], at its lexicographic rank,
-    set for each of the ``covered`` sets, which all have this size.  The
-    flags are as many as the sweep's candidates, and are set ``_CHUNK``
-    covered sets at a time, so only a block of ranks exists at once.  A
-    rank outside the level, or two sets of one rank, is an internal error
-    rather than a wrapped or merged index."""
-    flags = np.zeros(comb(n, level), dtype=bool)
+def _flag_covered(flags: np.ndarray, covered: np.ndarray, n: int, level: int) -> None:
+    """Set ``flags[r]``, one flag per ``level``-subset of [n], for the
+    lexicographic rank r of each of the ``covered`` sets, which all have
+    this size.  The sets are ranked ``_CHUNK`` at a time, so only a block
+    of ranks exists at once.  A rank outside the level is an internal
+    error rather than a wrapped index; a set flagged twice leaves the
+    level fewer flags than its prediction, which ``_run_layers`` refuses
+    before the sweep."""
     for lo in range(0, covered.size, _CHUNK):
         ranks = bitops.lex_ranks(covered[lo : lo + _CHUNK], n, level)
         if ranks.size and (int(ranks.min()) < 0 or int(ranks.max()) >= flags.size):
@@ -340,9 +345,6 @@ def _covered_flags(n: int, level: int, covered: np.ndarray) -> np.ndarray:
                 f"a covered {level}-set ranks outside [0, {flags.size}) in the sweep"
             )
         flags[ranks] = True
-    if np.count_nonzero(flags) != covered.size:
-        raise InternalCheckError(f"two covered {level}-sets share a lexicographic rank")
-    return flags
 
 
 def _predicted_kept(n: int, plan: Sequence[tuple[int, int]]) -> list[int]:

@@ -179,10 +179,10 @@ class TestLexRanks:
             assert [bitops.lex_rank(tuple(core.members_of(m)), n) for m in masks] == expected
 
     @pytest.mark.parametrize("n", [31, 32, 33, 64])
-    def test_match_lex_rank_across_block_edges(self, monkeypatch, n):
-        # Blocks of 3 masks: every block reuses the work arrays the first
-        # one filled, and the last block is short.
-        monkeypatch.setattr(bitops, "_RANK_BLOCK", 3)
+    def test_match_lex_rank_across_block_edges(self, n):
+        # Either side of the uint32/uint64 mask switch and at the widest
+        # mask; a block of covered sets arrives as one array, and chunking
+        # is tested where it lives, in the builder's ``_flag_covered``.
         rng = np.random.default_rng(100 + n)
         for k in sorted({1, 2, n // 3, n - 1}):
             masks = [
@@ -190,7 +190,7 @@ class TestLexRanks:
             ]
             got = bitops.lex_ranks(np.array(masks, dtype=bitops.mask_dtype(n)), n, k)
             assert got.tolist() == [bitops.lex_rank(tuple(core.members_of(m)), n) for m in masks]
-            # A mask that is not a k-subset is refused in a later block too.
+            # A mask that is not a k-subset is refused after valid ones.
             bad = np.array(masks + [(1 << (k + 1)) - 1], dtype=bitops.mask_dtype(n))
             with pytest.raises(InternalCheckError, match=f"not a {k}-subset"):
                 bitops.lex_ranks(bad, n, k)

@@ -27,7 +27,7 @@ from veronese_sdepth import (
     verify_partition,
 )
 from veronese_sdepth.builder import (
-    _covered_flags,
+    _flag_covered,
     _plan_for,
     _predicted_kept,
     _run_layers,
@@ -285,28 +285,21 @@ class TestBatchedLayers:
         # With the filter off, the second layer keeps all 84 3-sets, 72 of
         # which the base already covers; the builder names the layer whose
         # kept count leaves the plan's prediction.
-        flags = builder._covered_flags
-        monkeypatch.setattr(
-            builder,
-            "_covered_flags",
-            lambda n, level, covered: np.zeros_like(flags(n, level, covered)),
-        )
+        monkeypatch.setattr(builder, "_flag_covered", lambda flags, covered, n, level: None)
         with pytest.raises(InternalCheckError) as got:
             build_partition(9, 2)
         assert str(got.value) == "layer I[9,3,2] kept 84 intervals where 12 were predicted"
 
     def test_dropped_candidate_is_named_by_the_builder(self, monkeypatch):
-        # Flag one more 3-set covered than the base covers: the layer keeps
-        # 11 intervals, leaves the end of its slot unwritten, and is refused
-        # before anything reads that slot.
-        flags = builder._covered_flags
+        # Flag one more 3-set covered than the base covers: the layer would
+        # keep 11 intervals, and is refused before it sweeps.
+        flag = builder._flag_covered
 
-        def one_more(n, level, covered):
-            got = flags(n, level, covered)
-            got[np.flatnonzero(~got)[0]] = True
-            return got
+        def one_more(flags, covered, n, level):
+            flag(flags, covered, n, level)
+            flags[np.flatnonzero(~flags)[0]] = True
 
-        monkeypatch.setattr(builder, "_covered_flags", one_more)
+        monkeypatch.setattr(builder, "_flag_covered", one_more)
         with pytest.raises(InternalCheckError) as got:
             build_partition(9, 2)
         assert str(got.value) == "layer I[9,3,2] kept 11 intervals where 12 were predicted"
@@ -480,29 +473,46 @@ class TestRankFilter:
     def test_flags_follow_ranks(self):
         m = core.mask_of
         covered = np.array([m([4, 5]), m([1, 2]), m([2, 5])], np.uint32)
-        flags = _covered_flags(5, 2, covered)
+        flags = np.zeros(10, dtype=bool)
+        _flag_covered(flags, covered, 5, 2)
         # lexicographic order: 12 13 14 15 23 24 25 34 35 45
         assert np.flatnonzero(flags).tolist() == [0, 6, 9]
+        # A later call adds to the flags already set.
+        _flag_covered(flags, np.array([m([3, 4])], np.uint32), 5, 2)
+        assert np.flatnonzero(flags).tolist() == [0, 6, 7, 9]
         # It is given the sets of its own size only; any other has no rank.
         with pytest.raises(InternalCheckError, match="not a 2-subset"):
-            _covered_flags(5, 2, np.append(covered, np.uint32(m([1, 2, 3]))))
+            _flag_covered(flags, np.append(covered, np.uint32(m([1, 2, 3]))), 5, 2)
 
-    def test_repeated_rank_raises(self):
-        covered = np.array([core.mask_of([2, 5])] * 2, np.uint32)
-        with pytest.raises(InternalCheckError, match="share a lexicographic rank"):
-            _covered_flags(5, 2, covered)
+    def test_repeated_rank_raises(self, monkeypatch):
+        # One covered 3-set of (9, 2) flagged twice, in place of another:
+        # the flags count one set short, so the layer's kept count leaves
+        # the prediction and it is refused before it sweeps.
+        flag = builder._flag_covered
+
+        def repeated(flags, covered, n, level):
+            covered = covered.copy()
+            covered[1] = covered[0]
+            flag(flags, covered, n, level)
+
+        monkeypatch.setattr(builder, "_flag_covered", repeated)
+        with pytest.raises(InternalCheckError) as got:
+            build_partition(9, 2)
+        assert str(got.value) == "layer I[9,3,2] kept 13 intervals where 12 were predicted"
 
     def test_flags_do_not_depend_on_the_block_edges(self, monkeypatch):
-        # 2 covered sets per block: the range check runs on every block,
-        # and a rank shared across two blocks is still caught.
+        # 2 covered sets per block: the range and subset checks run on
+        # every block, so a non-3-subset in a later block is still refused.
         covered = np.array([core.mask_of(c) for c in combinations(range(1, 8), 3)], np.uint32)
         keep = covered[::3]
-        expected = _covered_flags(7, 3, keep)
+        expected, flags = np.zeros(35, dtype=bool), np.zeros(35, dtype=bool)
+        _flag_covered(expected, keep, 7, 3)
         monkeypatch.setattr(builder, "_CHUNK", 2)
-        assert np.array_equal(_covered_flags(7, 3, keep), expected)
+        _flag_covered(flags, keep, 7, 3)
+        assert np.array_equal(flags, expected)
         assert np.flatnonzero(expected).tolist() == list(range(0, 35, 3))
-        with pytest.raises(InternalCheckError, match="share a lexicographic rank"):
-            _covered_flags(7, 3, np.append(keep, keep[0]))
+        with pytest.raises(InternalCheckError, match="not a 3-subset"):
+            _flag_covered(flags, np.append(keep, np.uint32(0b1111)), 7, 3)
 
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_out_of_range_rank_raises(self, monkeypatch, bad):
@@ -510,7 +520,7 @@ class TestRankFilter:
         monkeypatch.setattr(bitops, "lex_ranks", lambda masks, n, k: np.array([bad]))
         covered = np.array([core.mask_of([1, 2])], np.uint32)
         with pytest.raises(InternalCheckError, match=r"ranks outside \[0, 10\)"):
-            _covered_flags(5, 2, covered)
+            _flag_covered(np.zeros(10, dtype=bool), covered, 5, 2)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     @pytest.mark.parametrize("n, d, k3", [(12, 2, False), (13, 3, False), (15, 3, True)])
@@ -530,6 +540,26 @@ class TestRankFilter:
         monkeypatch.setattr(bitops, "lex_rank", lambda members, n: rank(members, n) + 1)
         with pytest.raises(InternalCheckError, match=r"\(1, 2\) is swept at position 0"):
             _run_layers(9, [(2, 1), (3, 1)])
+
+    @pytest.mark.parametrize("level, total", [(2, 36), (3, 84)])
+    def test_long_sweep_is_an_internal_error(self, monkeypatch, capsys, level, total):
+        # One extra column on the last block of the base (level 2) or the
+        # filtered (level 3) sweep of (9, 2): refused before anything is
+        # written past the layer's slot, never a numpy broadcast error.
+        combinations_of = bitops.lex_combinations
+
+        def one_long(n, k, chunk):
+            blocks = list(combinations_of(n, k, chunk))
+            if k == level:
+                blocks[-1] = np.concatenate([blocks[-1], blocks[-1][:, -1:]], axis=1)
+            return iter(blocks)
+
+        monkeypatch.setattr(bitops, "lex_combinations", one_long)
+        assert main(["report", "-n", "9", "-d", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        visited = f"the sweep of level {level} visited {total + 1} of {total} sets"
+        assert err == f"internal error: {visited}\n"
 
 
 CLAIM_SWEEP = [(n, d, False) for n in range(1, 21) for d in range(1, n + 1)] + [
