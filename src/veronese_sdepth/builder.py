@@ -47,13 +47,18 @@ which the mask kernels read along whole contiguous rows; they are closed
 in fixed-size batches by ``lifting.closure_upper_masks``, and the whole
 selection is one pair of parallel lower and upper arrays, allocated once
 from the predicted counts, into which each batch writes its layer's
-kept intervals.  Coverage is one record per filtered level, a flag per
-level set at its lexicographic rank (``bitops.lex_ranks``), which each
-layer sets from its own expansion and no member array outlives.  Since
-candidates are swept in lexicographic order, a candidate's rank is its
-position in the sweep, so each batch reads its flags as one slice, and
-a filtered layer's kept count, its clear flags, is checked against the
-prediction before it sweeps.
+kept intervals.  Each layer's coverage comes from one mechanism.  The
+base layer is the whole family, one interval per level set, so whether
+it covers a candidate is read off the candidate's own members
+(``lifting.family_covers``), and the base is never expanded.  A filtered
+layer lists only its uncovered lowers, so the levels it covers get one
+record each, a flag per level set at its lexicographic rank
+(``bitops.lex_ranks``), which the layer sets from its own expansion and
+no member array outlives.  Since candidates are swept in lexicographic
+order, a candidate's rank is its position in the sweep, so each batch
+reads its flags as one slice.  Each layer counts what it keeps as it
+sweeps, writes no more than its slot, and is refused after the sweep
+when the count leaves the prediction.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ from .lifting import (
     PosetInterval,
     closure_upper_mask,
     closure_upper_masks,
+    family_covers,
     validate_lift_params,
 )
 
@@ -249,17 +255,20 @@ def _run_layers(
     candidate at sweep position p has lexicographic rank p; the first of
     each chunk has its rank re-derived by the scalar ``bitops.lex_rank``,
     and a sweep that runs past C(n, level) sets is refused before it
-    writes past its slot.  A filtered layer drops the candidates whose
-    rank is flagged covered by earlier layers; an interval never covers
-    another set of its own level, so this is the same as filtering one
-    candidate at a time.  The layer keeps exactly its clear flags, so that
-    count is checked against the prediction before the sweep.  The kept
-    candidates' masks are computed once, closed by the batched closure,
-    whose first set is re-derived by the scalar ``closure_upper_mask``,
-    and written into the layer's slot.  After its sweep a layer expands
-    its slot only when a later layer filters a size it covers, and flags
-    those members (``_flag_covered``); a level's flags are made when a
-    layer first covers it, once that layer's expansion is freed.
+    writes past its slot.  A filtered layer drops the candidates that the
+    base family covers, by ``lifting.family_covers`` on each chunk, and
+    those whose rank is flagged covered by earlier filtered layers; an
+    interval never covers another set of its own level, so this is the
+    same as filtering one candidate at a time.  The kept candidates'
+    masks are computed once, closed by the batched closure, whose first
+    set is re-derived by the scalar ``closure_upper_mask``, and written
+    into the layer's slot; a layer that keeps more than predicted stops
+    writing at the slot's end, is counted to the end of its sweep and
+    then refused, as is one that keeps fewer.  After its sweep a
+    filtered layer expands its slot only when a later layer filters a
+    size it covers, and flags those members (``_flag_covered``); a
+    level's flags are made when a layer first covers it, once that
+    layer's expansion is freed.  The base layer is never expanded.
     Disjointness and coverage of the whole selection are left to the
     verifier.
     """
@@ -276,14 +285,10 @@ def _run_layers(
         slot = slice(base, base + predicted[idx])
         lo_slot, up_slot = all_lowers[slot], all_uppers[slot]
         base = slot.stop
-        tag = f"I[{n},{level},{s + 1}]"
         total = comb(n, level)
         taken = flags.pop(level, None)
-        kept = total - (0 if taken is None else int(np.count_nonzero(taken)))
-        if kept != predicted[idx]:
-            raise InternalCheckError(
-                f"layer {tag} kept {kept} intervals where {predicted[idx]} were predicted"
-            )
+        # The base layer (level l, s free members) covers levels l+1 .. l+s.
+        under_base = idx > 0 and level <= sum(plan[0])
         start = selected = 0
         for sets in bitops.lex_combinations(n, level, _CHUNK):
             first = tuple(sets[:, 0].tolist())
@@ -296,8 +301,12 @@ def _run_layers(
                 raise InternalCheckError(
                     f"the sweep of level {level} visited {end} of {total} sets"
                 )
-            if taken is not None:
-                sets = np.compress(~taken[start:end], sets, axis=1)
+            drop = None if taken is None else taken[start:end]
+            if under_base:
+                in_base = family_covers(n, *plan[0], sets)
+                drop = in_base if drop is None else drop | in_base
+            if drop is not None:
+                sets = np.compress(~drop, sets, axis=1)
             start = end
             if not sets.shape[1]:
                 continue
@@ -308,15 +317,22 @@ def _run_layers(
                 raise InternalCheckError(
                     f"batched closure of {first} disagrees with the scalar path"
                 )
-            lo_slot[selected : selected + len(lowers)] = lowers
-            up_slot[selected : selected + len(uppers)] = uppers
+            room = lo_slot[selected : selected + len(lowers)].size
+            lo_slot[selected : selected + room] = lowers[:room]
+            up_slot[selected : selected + room] = uppers[:room]
             selected += len(lowers)
         # The flags go before the layer's expansion is made.
         del taken
         if start != total:
             raise InternalCheckError(f"the sweep of level {level} visited {start} of {total} sets")
+        tag = f"I[{n},{level},{s + 1}]"
+        if selected != predicted[idx]:
+            raise InternalCheckError(
+                f"layer {tag} kept {selected} intervals where {predicted[idx]} were predicted"
+            )
+        # Only filtered layers flag: ``family_covers`` answers for the base.
         sizes = [j for j in flags if level < j <= level + s]
-        if sizes and selected:
+        if idx and sizes and selected:
             members = bitops.expand_uniform(lo_slot, up_slot, s)
             # Row c of the expansion adds s - popcount(c) free members.
             added = s - bitops.popcounts(np.arange(1 << s))
@@ -336,8 +352,8 @@ def _flag_covered(flags: np.ndarray, covered: np.ndarray, n: int, level: int) ->
     this size.  The sets are ranked ``_CHUNK`` at a time, so only a block
     of ranks exists at once.  A rank outside the level is an internal
     error rather than a wrapped index; a set flagged twice leaves the
-    level fewer flags than its prediction, which ``_run_layers`` refuses
-    before the sweep."""
+    level one flag short, so its layer keeps one interval more than
+    predicted, which ``_run_layers`` refuses after the sweep."""
     for lo in range(0, covered.size, _CHUNK):
         ranks = bitops.lex_ranks(covered[lo : lo + _CHUNK], n, level)
         if ranks.size and (int(ranks.min()) < 0 or int(ranks.max()) >= flags.size):
@@ -418,7 +434,8 @@ def _trim_top(lowers: np.ndarray, uppers: np.ndarray, kept: int, plan: _Plan) ->
     layer's density exceeds 2.  [L, L + x] lies inside [L, U], so the
     list stays disjoint; every set the cut drops holds L and one more
     member, so it has at least the claimed size only if the top level is
-    the claim minus one, which is checked here."""
+    the claim minus one, which is checked here.  The rows are cut a
+    ``_CHUNK`` block at a time, so no temporary is longer than a block."""
     level, s = plan.layers[-1]
     if _listed_free(plan.layers)[-1] == s:
         return
@@ -426,10 +443,11 @@ def _trim_top(lowers: np.ndarray, uppers: np.ndarray, kept: int, plan: _Plan) ->
         raise InternalCheckError(
             f"the top layer at level {level} is not one below the claim {plan.min_upper}"
         )
-    low, up = lowers[len(lowers) - kept :], uppers[len(uppers) - kept :]
-    free = up ^ low
-    free &= -free
-    np.bitwise_or(low, free, out=up)
+    for at in range(len(lowers) - kept, len(lowers), _CHUNK):
+        low, up = lowers[at : at + _CHUNK], uppers[at : at + _CHUNK]
+        up ^= low
+        up &= -up
+        up |= low
 
 
 def build_partition(n: int, d: int) -> Build:

@@ -11,7 +11,9 @@ property: a set not covered by the family has no covered superset.
 ``closure_upper_mask`` is the one scalar lifted closure, checked against
 ``blocks.f_delta`` of the lifted set; ``closure_upper_masks`` computes the
 upper endpoints of a whole batch of level sets at once and is checked
-against it.  The disjointness predicates build their intervals from
+against it.  ``family_covers`` decides which sets of a larger size the
+whole family covers from the same lifted walk, without building any
+interval.  The disjointness predicates build their intervals from
 ``closure_upper_mask`` and ``f_delta``.
 """
 
@@ -253,6 +255,60 @@ def closure_upper_masks(
             f"size {level_size + s}"
         )
     return uppers
+
+
+def family_covers(n: int, level_size: int, s: int, sets: np.ndarray) -> np.ndarray:
+    """Whether each set of a block lies in some interval [A, f(A~) & [n]]
+    of the whole family, one interval per level_size-subset A of [n] at
+    density s + 1, without building any interval.  The block is a
+    size x N array, one column of increasing members per set, as
+    ``bitops.lex_combinations`` yields them; a size that is not
+    level_size + q for some 1 <= q <= s is an internal error.
+
+    Take a set C = {p_1 < ... < p_(level_size + q)} and the rows of
+    ``closure_upper_masks`` for it, pre_j = (s + 1)(j - 1) + 1 - p_j, with
+    pad = (s + 1)(level_size + q) - n for the padding's first member n + 1,
+    mu = min_j pre_j and r = q(s + 1) - s.  C is covered iff pad >= mu + r
+    and exactly q rows j have pre_j < min(pre_(j+1), ..., pre_(level_size + q),
+    pad) and pre_j < mu + r.  For q = 1 this is mu < pad.
+
+    Why: read the lifted walk, +s at a member and -1 elsewhere, as a
+    cyclic bracket sequence of s opens per member and one close per other
+    position.  The gaps of A are the s unmatched closes of A~.  Adding q
+    of them, G, turns each into s opens; each remaining gap's close cancels
+    an open of the nearest added gap before it, and fewer than s of them
+    lie between two added gaps, so every added gap keeps an unmatched open
+    and no other member does.  The walk of C = A + G round the circle sums
+    to r, and a member holds an unmatched open iff every partial sum of
+    the rotation starting at it is positive: that is the row condition,
+    the wrap adding r, and pad >= mu + r says the padding holds none.
+    Conversely, removing the q members that hold unmatched opens leaves
+    their closes unmatched, so they are gaps of A = C - G.  For q = 1 this
+    is Raney's cycle lemma.
+    """
+    size = sets.shape[0]
+    q = size - level_size
+    if not 1 <= q <= s:
+        raise InternalCheckError(
+            f"a {size}-set is {q} above the family's level {level_size}, outside [1, {s}]"
+        )
+    steps = (s + 1) * np.arange(size, dtype=np.int16) + 1
+    pre = steps[:, None] - sets
+    mu = pre.min(axis=0)
+    pad = (s + 1) * size - n
+    if q == 1:
+        return mu < pad
+    # The bound starts at min(pad, mu + r) and falls to each row's value
+    # as the walk runs back from the padding.
+    bound = mu + (q * (s + 1) - s)
+    covered = bound <= pad
+    np.minimum(bound, pad, out=bound)
+    count = np.zeros(sets.shape[1], dtype=np.int8)
+    for j in range(size - 1, -1, -1):
+        count += pre[j] < bound
+        np.minimum(bound, pre[j], out=bound)
+    covered &= count == q
+    return covered
 
 
 def _interval_masks(n: int, family) -> tuple[np.ndarray, np.ndarray]:

@@ -282,24 +282,27 @@ class TestBatchedLayers:
         )
 
     def test_overlapping_layers_are_named_by_the_builder(self, monkeypatch):
-        # With the filter off, the second layer keeps all 84 3-sets, 72 of
-        # which the base already covers; the builder names the layer whose
-        # kept count leaves the plan's prediction.
-        monkeypatch.setattr(builder, "_flag_covered", lambda flags, covered, n, level: None)
+        # With the base-coverage test off, the second layer keeps all 84
+        # 3-sets, 72 of which the base already covers; the builder names
+        # the layer whose kept count leaves the plan's prediction.
+        monkeypatch.setattr(
+            builder, "family_covers", lambda n, level, s, sets: np.zeros(sets.shape[1], bool)
+        )
         with pytest.raises(InternalCheckError) as got:
             build_partition(9, 2)
         assert str(got.value) == "layer I[9,3,2] kept 84 intervals where 12 were predicted"
 
     def test_dropped_candidate_is_named_by_the_builder(self, monkeypatch):
-        # Flag one more 3-set covered than the base covers: the layer would
-        # keep 11 intervals, and is refused before it sweeps.
-        flag = builder._flag_covered
+        # Mark one more 3-set covered than the base covers: the layer keeps
+        # 11 intervals, and is refused after it sweeps.
+        covers = builder.family_covers
 
-        def one_more(flags, covered, n, level):
-            flag(flags, covered, n, level)
-            flags[np.flatnonzero(~flags)[0]] = True
+        def one_more(n, level, s, sets):
+            covered = covers(n, level, s, sets)
+            covered[np.flatnonzero(~covered)[0]] = True
+            return covered
 
-        monkeypatch.setattr(builder, "_flag_covered", one_more)
+        monkeypatch.setattr(builder, "family_covers", one_more)
         with pytest.raises(InternalCheckError) as got:
             build_partition(9, 2)
         assert str(got.value) == "layer I[9,3,2] kept 11 intervals where 12 were predicted"
@@ -485,9 +488,10 @@ class TestRankFilter:
             _flag_covered(flags, np.append(covered, np.uint32(m([1, 2, 3]))), 5, 2)
 
     def test_repeated_rank_raises(self, monkeypatch):
-        # One covered 3-set of (9, 2) flagged twice, in place of another:
-        # the flags count one set short, so the layer's kept count leaves
-        # the prediction and it is refused before it sweeps.
+        # At (12, 1) the filtered layer (2, 2) flags level 3.  One covered
+        # 3-set flagged twice, in place of another, leaves the flags one
+        # set short, so the layer keeps one interval more than predicted
+        # and is refused after it sweeps.
         flag = builder._flag_covered
 
         def repeated(flags, covered, n, level):
@@ -497,8 +501,8 @@ class TestRankFilter:
 
         monkeypatch.setattr(builder, "_flag_covered", repeated)
         with pytest.raises(InternalCheckError) as got:
-            build_partition(9, 2)
-        assert str(got.value) == "layer I[9,3,2] kept 13 intervals where 12 were predicted"
+            build_partition(12, 1)
+        assert str(got.value) == "layer I[12,3,3] kept 89 intervals where 88 were predicted"
 
     def test_flags_do_not_depend_on_the_block_edges(self, monkeypatch):
         # 2 covered sets per block: the range and subset checks run on

@@ -25,7 +25,7 @@ from veronese_sdepth import (
 )
 from veronese_sdepth.certfile import parse_partition_file, write_partition_file
 from veronese_sdepth.errors import InternalCheckError
-from veronese_sdepth.lifting import closure_upper_mask, closure_upper_masks
+from veronese_sdepth.lifting import closure_upper_mask, closure_upper_masks, family_covers
 from oracles import covered_by_definition, superset_closure_by_definition
 
 
@@ -162,6 +162,63 @@ class TestBatchedClosure:
                         assert got == expected, (n, level, s, combo)
                         refused += expected is True
         assert refused > 0
+
+
+class TestFamilyCovers:
+    def test_matches_the_expanded_family_for_every_admissible_case(self):
+        # Every (n, level, s, q) with n <= 20: the closed-form test against
+        # the members of every interval of the family, q above its level.
+        cases = checked = 0
+        for n in range(2, 21):
+            for level in range(1, n):
+                for s in range(1, family_cap(n, level) + 1):
+                    lowers_sets = next(bitops.lex_combinations(n, level, 1 << 30))
+                    lowers = bitops.row_masks(lowers_sets, n)
+                    uppers = closure_upper_masks(n, level, s, lowers_sets, lowers)
+                    members = bitops.expand_uniform(lowers, uppers, s)
+                    added = s - bitops.popcounts(np.arange(1 << s))
+                    for q in range(1, s + 1):
+                        sets = next(bitops.lex_combinations(n, level + q, 1 << 30))
+                        expected = np.isin(bitops.row_masks(sets, n), members[added == q])
+                        got = family_covers(n, level, s, sets)
+                        assert np.array_equal(got, expected), (n, level, s, q)
+                        cases += 1
+                        checked += sets.shape[1]
+        assert (cases, checked) == (588, 6821836)
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 63, 64])
+    def test_matches_subset_search_at_the_mask_width_edges(self, n):
+        # Random sets, and as many sets A + G, G random q gaps of a random
+        # level set A: a set C is covered iff the interval of some
+        # level-subset of C holds all of C.
+        rng = np.random.default_rng(n)
+        for level in sorted({1, 2, n // 8}):
+            for s in sorted({1, 2, family_cap(n, level)}):
+                for q in sorted({1, s}):
+                    lows = [rng.choice(n, level, replace=False) + 1 for _ in range(50)]
+                    picked = [rng.choice(n, level + q, replace=False) + 1 for _ in range(50)]
+                    for a in lows:
+                        upper = closure_upper_mask(n, level, s, tuple(sorted(a.tolist())))
+                        gaps = [b + 1 for b in range(n) if upper >> b & 1 and b + 1 not in a]
+                        picked.append(np.append(a, rng.choice(gaps, q, replace=False)))
+                    sets = np.sort(np.array(picked, dtype=np.int16), axis=1).T
+                    rows = np.array(
+                        [a for c in sets.T.tolist() for a in combinations(c, level)], np.int16
+                    ).T
+                    uppers = closure_upper_masks(n, level, s, rows, bitops.row_masks(rows, n))
+                    wanted = bitops.row_masks(sets, n).repeat(rows.shape[1] // sets.shape[1])
+                    held = (uppers & wanted) == wanted
+                    expected = held.reshape(sets.shape[1], -1).any(axis=1)
+                    assert expected[50:].all()
+                    got = family_covers(n, level, s, sets)
+                    assert np.array_equal(got, expected), (n, level, s, q)
+
+    @pytest.mark.parametrize("size", [3, 6])
+    def test_a_size_outside_the_family_reach_is_an_internal_error(self, size):
+        # The family I[11, 3, 3] covers sizes 4 and 5 only.
+        sets = next(bitops.lex_combinations(11, size, 1 << 10))
+        with pytest.raises(InternalCheckError, match=r"outside \[1, 2\]"):
+            family_covers(11, 3, 2, sets)
 
 
 class TestLiftedFamilies:
