@@ -27,17 +27,17 @@ the filtered layers of one plan reduce to the levels being increasing at
 a common density; the builder does not re-check it, the verifier does.
 
 A build lists only what its claim needs.  The top layer sits at the claim
-minus one, so when its density exceeds 2 each of its intervals [L, U] is
-cut to [L, L + x], x the lowest member of U not in L (``_trim_top``).  That
-interval lies inside [L, U], so the list stays disjoint, and every set the
-cut drops has at least the claimed size, so as an implicit singleton it
-does not lower the minimum.  Since the layers are disjoint, the plan
-predicts each layer's kept count, which every build checks, and the
-listed volume V, the sum of 2^s over the kept intervals below the top
-layer plus 2^min(s, 1) over the top one (``predicted_volume``): every
-build is refused in one place, ``build_refusal``, when [n] is wider than
-a mask holds or V, the quantity ``verify --cap`` bounds, exceeds its cap;
-it counts poset - V singletons.
+minus one, so when it is a filtered layer of density above 2, each of its
+intervals [L, U] is cut, as soon as it is closed, to [L, L + x], x the
+lowest member of U not in L.  That interval lies inside [L, U], so the
+list stays disjoint, and every set the cut drops has at least the claimed
+size, so as an implicit singleton it does not lower the minimum.  Since
+the layers are disjoint, the plan predicts each layer's kept count, which
+every build checks, and the listed volume V, the sum of 2^s over the kept
+intervals below the top layer plus 2^min(s, 1) over the top one
+(``predicted_volume``): every build is refused in one place,
+``build_refusal``, when [n] is wider than a mask holds or V, the quantity
+``verify --cap`` bounds, exceeds its cap; it counts poset - V singletons.
 
 Candidate lower endpoints run in lexicographic order within each layer,
 so identical inputs produce byte-identical partitions.  Bulk storage is
@@ -53,12 +53,14 @@ it covers a candidate is read off the candidate's own members
 (``lifting.family_covers``), and the base is never expanded.  A filtered
 layer lists only its uncovered lowers, so the levels it covers get one
 record each, a flag per level set at its lexicographic rank
-(``bitops.lex_ranks``), which the layer sets from its own expansion and
-no member array outlives.  Since candidates are swept in lexicographic
+(``bitops.lex_ranks``).  Since candidates are swept in lexicographic
 order, a candidate's rank is its position in the sweep, so each batch
-reads its flags as one slice.  Each layer counts what it keeps as it
-sweeps, writes no more than its slot, and is refused after the sweep
-when the count leaves the prediction.
+reads its flags as one slice.  Each batch of kept intervals is closed,
+expanded to flag what it covers, cut to the claim and written in one
+step, so a layer is swept once and no temporary outlives its batch.
+Each layer counts what it keeps as it sweeps, writes no more than its
+slot, and is refused after the sweep when the count leaves the
+prediction.
 """
 
 from __future__ import annotations
@@ -260,20 +262,22 @@ def _run_layers(
     those whose rank is flagged covered by earlier filtered layers; an
     interval never covers another set of its own level, so this is the
     same as filtering one candidate at a time.  The kept candidates'
-    masks are computed once, closed by the batched closure, whose first
-    set is re-derived by the scalar ``closure_upper_mask``, and written
-    into the layer's slot; a layer that keeps more than predicted stops
-    writing at the slot's end, is counted to the end of its sweep and
-    then refused, as is one that keeps fewer.  After its sweep a
-    filtered layer expands its slot only when a later layer filters a
-    size it covers, and flags those members (``_flag_covered``); a
-    level's flags are made when a layer first covers it, once that
-    layer's expansion is freed.  The base layer is never expanded.
-    Disjointness and coverage of the whole selection are left to the
-    verifier.
+    masks are computed once and closed by the batched closure, whose
+    first set is re-derived by the scalar ``closure_upper_mask``.  A
+    filtered layer that covers a size a later layer filters expands the
+    chunk's kept intervals and flags those members (``_flag_covered``);
+    a level's flags are made when the first layer that covers it starts.
+    The base layer is never expanded.  A layer that ``_listed_free``
+    lists with fewer than s free members is then cut to [L, L + x], x
+    the lowest member of U not in L, and the chunk is written into the
+    layer's slot; a layer that keeps more than predicted stops writing
+    at the slot's end, is counted to the end of its sweep and then
+    refused, as is one that keeps fewer.  Disjointness and coverage of
+    the whole selection are left to the verifier.
     """
     _check_plan(plan)
     predicted = _predicted_kept(n, plan)
+    free = _listed_free(plan)
     flags: dict[int, np.ndarray | None] = {lv: None for lv, _ in plan[1:]}
     dtype = bitops.mask_dtype(n)
     all_lowers = np.empty(sum(predicted), dtype=dtype)
@@ -287,6 +291,11 @@ def _run_layers(
         base = slot.stop
         total = comb(n, level)
         taken = flags.pop(level, None)
+        # Only filtered layers flag: ``family_covers`` answers for the base.
+        sizes = [j for j in flags if level < j <= level + s] if idx else []
+        for j in sizes:
+            if flags[j] is None:
+                flags[j] = np.zeros(comb(n, j), dtype=bool)
         # The base layer (level l, s free members) covers levels l+1 .. l+s.
         under_base = idx > 0 and level <= sum(plan[0])
         start = selected = 0
@@ -317,12 +326,21 @@ def _run_layers(
                 raise InternalCheckError(
                     f"batched closure of {first} disagrees with the scalar path"
                 )
+            if sizes:
+                members = bitops.expand_uniform(lowers, uppers, s)
+                # Every row holds sets of one size: the lowers share a size.
+                row_sizes = bitops.popcounts(members[:, 0])
+                for j in sizes:
+                    _flag_covered(flags[j], members[row_sizes == j].ravel(), n, j)
+            if free[idx] < s:
+                # [L, U] becomes [L, L + x], x the lowest member of U not in L.
+                uppers ^= lowers
+                uppers &= -uppers
+                uppers |= lowers
             room = lo_slot[selected : selected + len(lowers)].size
             lo_slot[selected : selected + room] = lowers[:room]
             up_slot[selected : selected + room] = uppers[:room]
             selected += len(lowers)
-        # The flags go before the layer's expansion is made.
-        del taken
         if start != total:
             raise InternalCheckError(f"the sweep of level {level} visited {start} of {total} sets")
         tag = f"I[{n},{level},{s + 1}]"
@@ -330,18 +348,6 @@ def _run_layers(
             raise InternalCheckError(
                 f"layer {tag} kept {selected} intervals where {predicted[idx]} were predicted"
             )
-        # Only filtered layers flag: ``family_covers`` answers for the base.
-        sizes = [j for j in flags if level < j <= level + s]
-        if idx and sizes and selected:
-            members = bitops.expand_uniform(lo_slot, up_slot, s)
-            # Row c of the expansion adds s - popcount(c) free members.
-            added = s - bitops.popcounts(np.arange(1 << s))
-            covered = {j: members[added == j - level].ravel() for j in sizes}
-            del members
-            for j in sizes:
-                if flags[j] is None:
-                    flags[j] = np.zeros(comb(n, j), dtype=bool)
-                _flag_covered(flags[j], covered.pop(j), n, j)
         traces.append(LayerTrace(tag, level, s + 1, total, selected))
     return all_lowers, all_uppers, traces
 
@@ -376,9 +382,11 @@ def _predicted_kept(n: int, plan: Sequence[tuple[int, int]]) -> list[int]:
 
 def _listed_free(plan: Sequence[tuple[int, int]]) -> list[int]:
     """How many free members each layer's intervals list: s, but one in a
-    top layer of s >= 2, whose intervals ``_trim_top`` cuts to the claim."""
+    filtered top layer of s >= 2, whose intervals ``_run_layers`` cuts to
+    the claim.  A one-layer plan is never cut: the only such build is K1,
+    at s = 1, and ``interval_family`` lists its family whole."""
     free = [s for _, s in plan]
-    if free:
+    if len(plan) > 1:
         free[-1] = min(free[-1], 1)
     return free
 
@@ -387,8 +395,8 @@ def predicted_volume(n: int, d: int, k3: bool = False) -> int:
     """The (n, d) build's listed volume, the sum of kept * 2^f over its
     layers, with f = s below the top layer and f = min(s, 1) in it: the
     top layer, one level below the claim, lists each interval [L, U] as
-    [L, L + x] (``_trim_top``), and every set that leaves the list has at
-    least the claimed size, so it is an implicit singleton."""
+    [L, L + x] (``_listed_free``), and every set that leaves the list has
+    at least the claimed size, so it is an implicit singleton."""
     plan = _plan_for(regime_of(n, d), k3).layers
     return sum(c << f for c, f in zip(_predicted_kept(n, plan), _listed_free(plan)))
 
@@ -410,44 +418,28 @@ def build_refusal(n: int, d: int, cap: int, k3: bool = False) -> str | None:
 
 def _assemble(n: int, d: int, k3: bool = False, cap: int = 1 << 26) -> Build:
     """The (n, d) build, refused by ``build_refusal`` beyond ``cap``: the
-    plan's layers as ``_run_layers`` selects them, with each top-layer
-    interval cut to an upper endpoint of the claimed size by
-    ``_trim_top``.  That is sound without the verifier: a cut interval
-    lies inside the uncut one, and only sets of at least the claimed size
-    leave the list, for implicit singletons.  The trace's trivial count
-    is poset - ``predicted_volume``, which prices the trimmed list."""
+    plan's layers as ``_run_layers`` selects them, which cuts each
+    interval of a filtered top layer of density above 2 to an upper
+    endpoint one above its lower.  That is sound without the verifier
+    when the top level is the claim minus one, which is checked before
+    the sweep: a cut interval lies inside the uncut one, and only sets of
+    at least the claimed size leave the list, for implicit singletons.
+    The trace's trivial count is poset - ``predicted_volume``, which
+    prices the cut list."""
     why = build_refusal(n, d, cap, k3)
     if why is not None:
         raise PreconditionViolatedError(why)
     plan = _plan_for(regime_of(n, d), k3)
+    if plan.layers and _listed_free(plan.layers)[-1] < plan.layers[-1][1]:
+        level = plan.layers[-1][0]
+        if level != plan.min_upper - 1:
+            raise InternalCheckError(
+                f"the top layer at level {level} is not one below the claim {plan.min_upper}"
+            )
     lowers, uppers, traces = _run_layers(n, plan.layers)
-    if plan.layers:
-        _trim_top(lowers, uppers, traces[-1].selected, plan)
     part = IntervalPartition(n, d, lowers, uppers, plan.min_upper)
     poset = sum(comb(n, size) for size in range(d, n + 1))
     return Build(part, BuilderTrace(tuple(traces), poset - predicted_volume(n, d, k3)))
-
-
-def _trim_top(lowers: np.ndarray, uppers: np.ndarray, kept: int, plan: _Plan) -> None:
-    """Cut each interval [L, U] of the top layer, the last ``kept`` rows,
-    to [L, L + x] in place, x the lowest member of U not in L, when the
-    layer's density exceeds 2.  [L, L + x] lies inside [L, U], so the
-    list stays disjoint; every set the cut drops holds L and one more
-    member, so it has at least the claimed size only if the top level is
-    the claim minus one, which is checked here.  The rows are cut a
-    ``_CHUNK`` block at a time, so no temporary is longer than a block."""
-    level, s = plan.layers[-1]
-    if _listed_free(plan.layers)[-1] == s:
-        return
-    if level != plan.min_upper - 1:
-        raise InternalCheckError(
-            f"the top layer at level {level} is not one below the claim {plan.min_upper}"
-        )
-    for at in range(len(lowers) - kept, len(lowers), _CHUNK):
-        low, up = lowers[at : at + _CHUNK], uppers[at : at + _CHUNK]
-        up ^= low
-        up &= -up
-        up |= low
 
 
 def build_partition(n: int, d: int) -> Build:

@@ -314,9 +314,14 @@ def sdepth_report(
     n = 4d + 3; ``certification`` is its label, or ``none`` when the
     layered build's listed volume exceeds ``cap``.  The certified number
     is the minimum ``verify_partition`` re-derives.  On the band
-    4d+3 <= n <= 5d+3 the dedicated construction pins the exact value
-    d + 3 (built and verified at the left end, carried across the band by
-    containment monotonicity), so the certified bound is at least that.
+    4d+3 <= n <= 5d+3 the certified bound is raised to at least
+    ``k3_band_exact``'s closed-form d + 3, whether or not anything was
+    built.  The k3 construction itself is built and verified only at
+    n = 4d + 3 and only when its listed volume is within ``cap``, which
+    at the default cap holds for d <= 5 alone ((27, 6) would list
+    5,032,170 sets).  Elsewhere the value is taken on trust from that
+    construction, carried across the band by containment monotonicity;
+    nothing here checks it.
     """
     reg = regime_of(n, d)
     conjectured = conjectured_sdepth(n, d)

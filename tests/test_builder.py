@@ -36,6 +36,7 @@ from veronese_sdepth.builder import (
 )
 from veronese_sdepth.cli import main, write_partition_file
 from veronese_sdepth.errors import InternalCheckError
+from veronese_sdepth.lifting import closure_upper_mask
 from veronese_sdepth.verify import select_build, verify_build
 from oracles import materialize, per_subset_layers, searchsorted_layers
 
@@ -64,6 +65,19 @@ def layer_pairs(lowers, uppers, traces):
         list(zip(lo.tolist(), up.tolist()))
         for lo, up in zip(np.split(lowers, ends), np.split(uppers, ends))
     ]
+
+
+def cut(lower, upper):
+    """[lower, upper] cut to [lower, lower + x], x the lowest member of
+    upper not in lower: how a filtered top layer of density above 2 lists
+    it."""
+    return lower | core.mask_of([min(core.members_of(upper & ~lower))])
+
+
+def cuts_top(plan):
+    """Whether the layer loop cuts the plan's top layer: a filtered layer
+    of density above 2."""
+    return len(plan) > 1 and plan[-1][1] > 1
 
 
 class TestRegimeBuilds:
@@ -208,6 +222,13 @@ class TestBatchedLayers:
         tables, ref_covered, ref_traces = per_subset_layers(
             n, plan.layers, ensured(d, k3)
         )
+        if cuts_top(plan.layers):
+            # The loop lists the top layer cut, and covers no more than that.
+            top = tables[-1]
+            for lo, up in top.items():
+                top[lo] = cut(lo, up)
+                ref_covered.difference_update(core.submasks(lo, up))
+                ref_covered.update(core.submasks(lo, top[lo]))
         assert layer_pairs(lowers, uppers, traces) == [list(t.items()) for t in tables]
         covered = covered_masks(lowers, uppers)
         assert np.all(covered[1:] > covered[:-1])
@@ -377,21 +398,25 @@ TRIM_CASES = TRIMMED + [(23, 5, False), (9, 2, False), (11, 2, True)]
 class TestTopLayerTrim:
     @pytest.mark.parametrize("n, d, k3", TRIM_CASES)
     def test_top_layer_lists_only_the_claim(self, n, d, k3):
-        # The build is the layer loop's selection with each top interval
-        # [L, U] cut to [L, L + x], x the lowest member of U \ L, whenever
-        # the top density exceeds 2; every other interval is unchanged.
+        # The build is the layer loop's selection.  Each top interval is
+        # the scalar closure [L, U] of its lower, cut to [L, L + x], x the
+        # lowest member of U \ L, whenever the top density exceeds 2.
         plan = _plan_for(regime_of(n, d), k3)
         lowers, uppers, traces = _run_layers(n, plan.layers)
         part, trace = build_partition_k3(d) if k3 else build_partition(n, d)
         assert trace.layers == tuple(traces)
         assert np.array_equal(part.lowers, lowers)
+        assert np.array_equal(part.uppers, uppers)
         top = len(lowers) - traces[-1].selected
-        assert np.array_equal(part.uppers[:top], uppers[:top])
-        trimmed = plan.layers[-1][1] > 1
+        level, s = plan.layers[-1]
+        trimmed = cuts_top(plan.layers)
         assert trimmed == ((n, d, k3) in TRIMMED or (n, d) == (23, 5))
+        closed = [
+            closure_upper_mask(n, level, s, tuple(core.members_of(lo)))
+            for lo in lowers[top:].tolist()
+        ]
         expected = [
-            lo | core.mask_of([min(core.members_of(up & ~lo))]) if trimmed else up
-            for lo, up in zip(lowers[top:].tolist(), uppers[top:].tolist())
+            cut(lo, up) if trimmed else up for lo, up in zip(lowers[top:].tolist(), closed)
         ]
         assert part.uppers[top:].tolist() == expected
         assert part.volume() == predicted_volume(n, d, k3)
@@ -460,6 +485,14 @@ class TestRankFilter:
         ref_lowers, ref_uppers, ref_covered, ref_counts = searchsorted_layers(
             n, plan.layers, ensured(d, k3)
         )
+        if cuts_top(plan.layers):
+            # The loop lists the top layer cut, and covers no more than that.
+            top = len(ref_lowers) - ref_counts[-1][1]
+            lo, up = ref_lowers[top:], ref_uppers[top:]
+            cut_up = np.array([cut(*iv) for iv in zip(lo.tolist(), up.tolist())], up.dtype)
+            dropped = np.setdiff1d(covered_masks(lo, up), covered_masks(lo, cut_up))
+            ref_covered = np.setdiff1d(ref_covered, dropped)
+            ref_uppers = np.concatenate([ref_uppers[:top], cut_up])
         assert np.array_equal(lowers, ref_lowers)
         assert np.array_equal(uppers, ref_uppers)
         assert np.array_equal(covered_masks(lowers, uppers), ref_covered)
@@ -527,10 +560,15 @@ class TestRankFilter:
             _flag_covered(np.zeros(10, dtype=bool), covered, 5, 2)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
-    @pytest.mark.parametrize("n, d, k3", [(12, 2, False), (13, 3, False), (15, 3, True)])
+    @pytest.mark.parametrize(
+        "n, d, k3",
+        [(12, 2, False), (13, 3, False), (15, 3, True), (16, 2, False), (20, 1, False)],
+    )
     def test_chunk_width_does_not_change_the_selection(self, monkeypatch, chunk, n, d, k3):
         # Every chunk boundary re-runs the scalar rank and closure checks;
         # the selection and its counts must not depend on where they fall.
+        # At (16, 2) layer (3, 2) flags level 4, and at (20, 1) layer
+        # (2, 3) flags levels 3 and 4; both cut their top layer.
         plan = _plan_for(regime_of(n, d), k3).layers
         ref_lowers, ref_uppers, ref_traces = _run_layers(n, plan)
         monkeypatch.setattr(builder, "_CHUNK", chunk)
@@ -538,6 +576,26 @@ class TestRankFilter:
         assert traces == ref_traces
         assert np.array_equal(lowers, ref_lowers)
         assert np.array_equal(uppers, ref_uppers)
+
+    def test_only_filtered_blocks_are_expanded(self, monkeypatch):
+        # With 7 level sets per block at (20, 1), every expansion is one
+        # block's kept intervals, and the base layer (level 1) is never
+        # expanded.  Layer (3, 3) keeps 390 intervals and flags level 4.
+        plan = _plan_for(regime_of(20, 1)).layers
+        assert plan == [(1, 9), (2, 3), (3, 3), (4, 3)]
+        expand = bitops.expand_uniform
+        calls = []
+
+        def recorded(lowers, uppers, s, out=None):
+            calls.append((len(lowers), set(bitops.popcounts(lowers).tolist()), s))
+            return expand(lowers, uppers, s, out)
+
+        monkeypatch.setattr(bitops, "expand_uniform", recorded)
+        monkeypatch.setattr(builder, "_CHUNK", 7)
+        _run_layers(20, plan)
+        assert calls and all(width <= 7 for width, _, _ in calls)
+        assert {(min(sizes), s) for _, sizes, s in calls} == {(2, 3), (3, 3)}
+        assert sum(width for width, _, _ in calls) == 10 + 390
 
     def test_sweep_position_checked_against_scalar_rank(self, monkeypatch):
         rank = bitops.lex_rank
