@@ -144,12 +144,17 @@ def lex_combinations(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
     completions fit in ``chunk``; each such leaf is its prefix over a
     suffix of a table of the smaller subsets, built once per call and no
     wider than ``chunk``.  Leaves are packed into a block until the next
-    one would overflow it."""
+    one would overflow it.  A level that fits one block is yielded as its
+    table of all k-subsets, which is already in lexicographic order, and
+    is not copied."""
     left = comb(n, k)
     if not left:
         return
-    # Unless all k-subsets fit in one block, every leaf has a prefix.
-    tables = _suffix_tables(n, k, chunk, k if left <= chunk else k - 1)
+    if left <= chunk:
+        yield _suffix_tables(n, k, chunk, k)[k]
+        return
+    # Every leaf has a prefix.
+    tables = _suffix_tables(n, k, chunk, k - 1)
     block, size = np.empty((k, min(chunk, left)), dtype=np.int16), 0
     for prefix, lo in _leaf_prefixes(n, k, chunk, (), 1):
         j = k - len(prefix)

@@ -145,13 +145,16 @@ class IntervalPartition:
     ):
         if len(lowers) != len(uppers):
             raise InvalidPartitionError("parallel interval arrays differ in length")
-        if len(lowers):
-            if np.any(lowers & ~uppers):
-                raise InvalidPartitionError("a lower endpoint is not inside its upper")
-            if n < 8 * lowers.dtype.itemsize and np.any(uppers >> n):
-                raise InvalidPartitionError(f"an interval leaves the universe [{n}]")
-            if int(bitops.popcounts(lowers).min()) < d:
-                raise InvalidPartitionError(f"a lower endpoint is smaller than d={d}")
+        # Each check runs over every block before the next starts, so the
+        # first failing check names the fault; no temporary is longer
+        # than a block.
+        blocks = [slice(lo, lo + _CHUNK) for lo in range(0, len(lowers), _CHUNK)]
+        if any(np.any(lowers[b] & ~uppers[b]) for b in blocks):
+            raise InvalidPartitionError("a lower endpoint is not inside its upper")
+        if n < 8 * lowers.dtype.itemsize and any(np.any(uppers[b] >> n) for b in blocks):
+            raise InvalidPartitionError(f"an interval leaves the universe [{n}]")
+        if any(int(bitops.popcounts(lowers[b]).min()) < d for b in blocks):
+            raise InvalidPartitionError(f"a lower endpoint is smaller than d={d}")
         self.n = n
         self.d = d
         self.lowers = lowers

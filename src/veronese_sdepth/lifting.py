@@ -200,7 +200,9 @@ def closure_upper_masks(
     mask width w at n = 32 or 64: a member's term is 2^(n - 1) >>
     (n - p_j + g_j), and the padding's term and the 2^n together are
     (2^n - 1) - ((2^n - 1) >> g_(L+1)).  The prefix sums stay within
-    +-130 for n <= 64, so every row before the shift is int16.
+    +-130 for n <= 64, so every row before the shift is still int16: the
+    gaps overwrite their own prefix rows, and the terms are made and
+    subtracted one row at a time through one work row of the mask dtype.
 
     Raises on the same structural facts as the scalar path: no gap outside
     [1, n], and upper size level_size + s, which bounds the gap total to s
@@ -226,7 +228,11 @@ def closure_upper_masks(
     np.subtract(second, s, out=second)
     np.minimum(second, base, out=second)
     base -= s
-    gaps = np.subtract(pre[:-1], pre[1:])
+    # Each gap overwrites its own row: row j reads only row j + 1, which
+    # still holds its prefix value.
+    for j in range(top):
+        np.subtract(pre[j], pre[j + 1], out=pre[j])
+    gaps = pre[:-1]
     # Only the run wrapping round from the padding can leave [1, n].  A
     # tail reaching back past position 1 holds position m, which is judged
     # on the first pass against all of [0, m - 1], so the refusal is exact.
@@ -241,13 +247,16 @@ def closure_upper_masks(
     gaps[:level_size] += n
     dtype = bitops.mask_dtype(n)
     full = dtype((1 << n) - 1)
-    heads = np.full((top, 1), 1 << (n - 1), dtype=dtype)
-    heads[level_size] = full
-    terms = gaps.astype(dtype)
-    np.right_shift(heads, terms, out=terms)
+    heads = [dtype(1 << (n - 1))] * level_size + [full]
     uppers = lowers + lowers
     uppers += full
-    uppers -= terms.sum(axis=0, dtype=dtype)
+    # One term row at a time through one work row of the mask dtype: an
+    # int16 shift count would promote a uint64 head to float64.
+    term = np.empty_like(uppers)
+    for head, row in zip(heads, gaps):
+        term[...] = row
+        np.right_shift(head, term, out=term)
+        uppers -= term
     bad = np.flatnonzero(bitops.popcounts(uppers) != level_size + s)
     if bad.size:
         raise InternalCheckError(

@@ -139,6 +139,18 @@ class TestMaskHelpers:
         assert peak < 16 << 20
         assert time.perf_counter() - start < 1.0
 
+    def test_one_block_level_is_its_table(self):
+        # All C(19, 6) = 27,132 6-sets fit one block: the suffix table is
+        # yielded as it is, with no second block-sized copy.
+        tracemalloc.start()
+        try:
+            blocks = list(bitops.lex_combinations(19, 6, 1 << 15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [b.shape for b in blocks] == [(6, comb(19, 6))]
+        assert peak < 1.75 * blocks[0].nbytes
+
     def test_members_round_trip(self):
         for m in range(1 << 10):
             members = core.members_of(m)

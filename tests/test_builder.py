@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from veronese_sdepth import (
     DEFAULT_SWEEP_CAP,
     Build,
     CircularSet,
+    IntervalPartition,
     PreconditionViolatedError,
     Regime,
     bitops,
@@ -35,7 +37,7 @@ from veronese_sdepth.builder import (
     predicted_volume,
 )
 from veronese_sdepth.cli import main, write_partition_file
-from veronese_sdepth.errors import InternalCheckError
+from veronese_sdepth.errors import InternalCheckError, InvalidPartitionError
 from veronese_sdepth.lifting import closure_upper_mask
 from veronese_sdepth.verify import select_build, verify_build
 from oracles import materialize, per_subset_layers, searchsorted_layers
@@ -150,6 +152,19 @@ class TestK3Build:
         with pytest.raises(PreconditionViolatedError):
             build_partition_k3(0)
 
+    def test_one_block_sweep_stays_small(self):
+        # (19, 4) --k3 sweeps single-block levels: its 27,132 6-sets are
+        # the suffix table itself, and the closure overwrites its own
+        # rows, so the build holds about one block of candidates.
+        build_partition_k3(1)
+        tracemalloc.start()
+        try:
+            build_partition_k3(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
 
 class TestPartitionInvariants:
     def test_lower_endpoints_at_least_d(self):
@@ -183,6 +198,55 @@ class TestPartitionInvariants:
         for layer in trace.layers:
             assert layer.selected + layer.discarded == layer.candidates
             assert layer.candidates > 0
+
+
+class TestPartitionChecks:
+    def _faulty(self, faults):
+        # Intervals [{1, 2}, {1, 2, 3}] on [39] as uint64 masks, over two
+        # full blocks and part of a third, each fault set at the index it
+        # names.
+        count = 2 * builder._CHUNK + 5
+        lowers = np.full(count, 0b11, dtype=np.uint64)
+        uppers = np.full(count, 0b111, dtype=np.uint64)
+        for kind, at in faults:
+            if kind == "outside":
+                uppers[at] = 0b101
+            elif kind == "universe":
+                uppers[at] |= np.uint64(1 << 39)
+            else:
+                lowers[at] = 0b1
+        return lowers, uppers
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ([("outside", -1)], "a lower endpoint is not inside its upper"),
+            ([("universe", -1)], r"an interval leaves the universe \[39\]"),
+            ([("small", -1)], "a lower endpoint is smaller than d=2"),
+            # The first check that fails anywhere names the fault, in
+            # whichever block each fault lies.
+            ([("small", 0), ("universe", 1), ("outside", -1)], "not inside its upper"),
+            ([("small", 0), ("universe", -1)], "leaves the universe"),
+        ],
+        ids=["outside", "universe", "small", "outside-before-all", "universe-before-small"],
+    )
+    def test_first_failing_check_names_the_fault(self, faults, message):
+        lowers, uppers = self._faulty(faults)
+        with pytest.raises(InvalidPartitionError, match=message):
+            IntervalPartition(39, 2, lowers, uppers)
+
+    def test_endpoint_checks_run_a_block_at_a_time(self):
+        lowers, uppers = self._faulty([])
+        lowers, uppers = np.tile(lowers, 16), np.tile(uppers, 16)
+        tracemalloc.start()
+        try:
+            IntervalPartition(39, 2, lowers, uppers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # No temporary is as long as the 8.4 MB arrays: a block of masks
+        # is 256 KiB.
+        assert peak < 2 * builder._CHUNK * lowers.itemsize
 
 
 class TestCoverageQuery:
